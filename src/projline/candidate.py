@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -83,6 +85,94 @@ def parse_arrow(text: str) -> AbstractArrow:
     return NonEndo(src=parts[0], dst=parts[2], label=parts[1])
 
 
+def _check_names(kind: str, names: Sequence, repeated: str) -> None:
+    # A list or mapping among the names cannot go into a set; the name
+    # check reports it instead of the uniqueness check.
+    if all(isinstance(x, Hashable) for x in names) and len(set(names)) != len(names):
+        raise CandidateFormatError(repeated)
+    for x in names:
+        _check_name(kind, x)
+
+
+def _check_space(
+    objects: Sequence[str],
+    scalars: dict[str, Sequence[str]],
+    identities: dict[str, str],
+) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]], dict[str, str]]:
+    """The validated objects, scalar ids per object and identities."""
+    objects = list(objects)
+    if len(objects) < 3:
+        raise CandidateFormatError("at least three objects are required")
+    _check_names("object", objects, "object names must be unique")
+    if set(scalars) != set(objects):
+        raise CandidateFormatError("scalars must be declared for exactly the objects")
+    norm_scalars: dict[str, tuple[str, ...]] = {}
+    for o in objects:
+        ids = scalars[o]
+        if not isinstance(ids, (list, tuple)):
+            raise CandidateFormatError(f"scalar ids at {o!r} must be a list, got {ids!r}")
+        repeated = f"scalar ids at {o!r} must be nonempty and unique"
+        if not ids:
+            raise CandidateFormatError(repeated)
+        _check_names("scalar", ids, repeated)
+        norm_scalars[o] = tuple(ids)
+    if set(identities) != set(objects):
+        raise CandidateFormatError("an identity must be declared for exactly the objects")
+    for o in objects:
+        if identities[o] not in norm_scalars[o]:
+            raise CandidateFormatError(
+                f"identity {identities[o]!r} at {o!r} is not a declared scalar"
+            )
+    return tuple(objects), norm_scalars, dict(identities)
+
+
+def _check_count(
+    objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]], count: int
+) -> None:
+    """Reject a wrong entry count from the declared sizes alone.
+
+    Through object o pass ((n-1)(n-2) + k_o)^2 composable pairs, k_o
+    being its scalar count, so a table that declares many objects but
+    few entries is refused before its arrow space is built.
+    """
+    n = len(objects)
+    expected = sum(((n - 1) * (n - 2) + len(scalars[o])) ** 2 for o in objects)
+    if count != expected:
+        raise CandidateFormatError(
+            f"compose table has {count} entries but {expected} composable pairs exist"
+        )
+
+
+def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
+    """Arrow indices of the compose entries, as an (m, 3) int32 array.
+
+    A well-formed name missing from ``names`` resolves to -1.  Shape,
+    type and syntax errors are raised for the earliest offending entry.
+    Each name costs one dict lookup; only missed names are parsed, each
+    distinct one once.
+    """
+    m = len(entries)
+    shaped = m
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
+        shaped = next(
+            k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3
+        )
+    flat = list(chain.from_iterable(islice(entries, shaped)))
+    typed = len(flat)
+    if not set(map(type, flat)) <= {str}:
+        typed = next((k for k, s in enumerate(flat) if not isinstance(s, str)), typed)
+    idx = np.fromiter(map(names.get, islice(flat, typed), repeat(-1)), np.int32, typed)
+    for s in dict.fromkeys(compress(flat, (idx < 0).tolist())):
+        parse_arrow(s)
+    if typed < len(flat):
+        parse_arrow(flat[typed])
+    if shaped < m:
+        raise CandidateFormatError(
+            f"compose entries are [a, b, ab] triples, got {entries[shaped]!r}"
+        )
+    return idx.reshape(m, 3)
+
+
 class CandidateTable:
     """A complete composition table over a finite labeled arrow space."""
 
@@ -93,63 +183,29 @@ class CandidateTable:
         identities: dict[str, str],
         entries: Iterable[tuple[AbstractArrow, AbstractArrow, AbstractArrow]],
     ):
+        entries = list(entries)
+        objects, scalars, identities = _check_space(objects, scalars, identities)
+        _check_count(objects, scalars, len(entries))
         self._init_space(objects, scalars, identities)
-        comp = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.int32)
-        count = 0
-        for a, b, r in entries:
-            ia, ib, ir = self.arrow_index(a), self.arrow_index(b), self.arrow_index(r)
-            if self._dst_i[ia] != self._src_i[ib]:
-                raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
-            if comp[ia, ib] != -1:
-                raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
-            comp[ia, ib] = ir
-            count += 1
-        expected = int(sum(len(self._in[o]) * len(self._out[o]) for o in range(self.n_objects)))
-        if count != expected:
-            raise CandidateFormatError(
-                f"compose table has {count} entries but {expected} composable pairs exist"
-            )
-        self._comp = comp
-        self._inv: Optional[np.ndarray] = None
+        get = self._arrow_i.get
+        idx = np.array(
+            [(get(a, -1), get(b, -1), get(r, -1)) for a, b, r in entries], dtype=np.int32
+        )
+        self._fill(entries, idx)
 
     # -- construction helpers -------------------------------------------------
 
     def _init_space(
         self,
-        objects: Sequence[str],
-        scalars: dict[str, Sequence[str]],
+        objects: tuple[str, ...],
+        scalars: dict[str, tuple[str, ...]],
         identities: dict[str, str],
     ) -> None:
-        objects = list(objects)
-        if len(objects) < 3:
-            raise CandidateFormatError("at least three objects are required")
-        if len(set(objects)) != len(objects):
-            raise CandidateFormatError("object names must be unique")
-        for o in objects:
-            _check_name("object", o)
-        if set(scalars) != set(objects):
-            raise CandidateFormatError("scalars must be declared for exactly the objects")
-        norm_scalars: dict[str, tuple[str, ...]] = {}
-        for o in objects:
-            ids = list(scalars[o])
-            if not ids or len(set(ids)) != len(ids):
-                raise CandidateFormatError(f"scalar ids at {o!r} must be nonempty and unique")
-            for s in ids:
-                _check_name("scalar", s)
-            norm_scalars[o] = tuple(ids)
-        if set(identities) != set(objects):
-            raise CandidateFormatError("an identity must be declared for exactly the objects")
-        for o in objects:
-            if identities[o] not in norm_scalars[o]:
-                raise CandidateFormatError(
-                    f"identity {identities[o]!r} at {o!r} is not a declared scalar"
-                )
-
-        self.objects: tuple[str, ...] = tuple(objects)
-        self.scalars: dict[str, tuple[str, ...]] = norm_scalars
-        self.identities: dict[str, str] = dict(identities)
+        """Build the arrow space of a space that passed _check_space."""
+        self.objects: tuple[str, ...] = objects
+        self.scalars: dict[str, tuple[str, ...]] = scalars
+        self.identities: dict[str, str] = identities
         self._obj_i: dict[str, int] = {o: i for i, o in enumerate(self.objects)}
-
         arrows: list[AbstractArrow] = []
         src_i: list[int] = []
         dst_i: list[int] = []
@@ -174,6 +230,7 @@ class CandidateTable:
                         dst_i.append(di)
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
         self._arrow_i: dict[AbstractArrow, int] = {a: i for i, a in enumerate(arrows)}
+        self._name_i: dict[str, int] = {str(a): i for i, a in enumerate(arrows)}
         self._src_i = np.array(src_i, dtype=np.int32)
         self._dst_i = np.array(dst_i, dtype=np.int32)
         self._out: list[list[int]] = [[] for _ in range(n)]
@@ -183,6 +240,37 @@ class CandidateTable:
             self._in[dst_i[i]].append(i)
         self._id_idx = [self._endo_i[(oi, self.identities[o])] for oi, o in enumerate(self.objects)]
 
+    def _fill(self, entries: Sequence, idx: np.ndarray) -> None:
+        """Store the composites of entries whose count is already checked.
+
+        ``idx`` holds the (a, b, ab) arrow indices per entry, -1 for an
+        unknown arrow.  The earliest entry with an unknown arrow, a pair
+        that is not composable or a pair given before is reported; with
+        none and the right count, every composable pair is filled once.
+        """
+        ia, ib, ir = idx.T
+        m = len(idx)
+        known = (ia >= 0) & (ib >= 0)
+        composable = self._dst_i[ia] == self._src_i[ib]
+        key = np.where(known, ia.astype(np.int64) * self.n_arrows + ib, -1 - np.arange(m))
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(m, dtype=bool)
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = (idx < 0).any(axis=1) | ~composable | repeated
+        if bad.any():
+            k = int(np.argmax(bad))
+            a, b, r = entries[k]
+            for arrow, i in zip((a, b, r), idx[k]):
+                if i < 0:
+                    raise CandidateFormatError(f"unknown arrow {arrow}")
+            if not composable[k]:
+                raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
+            raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
+        comp = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.int32)
+        comp[ia, ib] = ir
+        self._comp = comp
+        self._inv: Optional[np.ndarray] = None
+
     @classmethod
     def _bare(
         cls,
@@ -191,7 +279,7 @@ class CandidateTable:
         identities: dict[str, str],
     ) -> "CandidateTable":
         t = object.__new__(cls)
-        t._init_space(objects, scalars, identities)
+        t._init_space(*_check_space(objects, scalars, identities))
         t._comp = None
         t._inv = None
         return t
@@ -264,13 +352,12 @@ class CandidateTable:
     FORMAT = 1
 
     def to_doc(self) -> dict:
+        names = [str(a) for a in self.arrows]
         entries = []
-        comp = self._comp
         for i in range(self.n_arrows):
-            for j in self._out[int(self._dst_i[i])]:
-                entries.append(
-                    [str(self.arrows[i]), str(self.arrows[j]), str(self.arrows[int(comp[i, j])])]
-                )
+            out = self._out[int(self._dst_i[i])]
+            composites = self._comp[i, out].tolist()
+            entries.extend([names[i], names[j], names[r]] for j, r in zip(out, composites))
         entries.sort(key=lambda e: (e[0], e[1]))
         return {
             "format": self.FORMAT,
@@ -293,12 +380,20 @@ class CandidateTable:
             raise CandidateFormatError("objects must be a list and scalars a mapping")
         if not isinstance(doc["identity"], dict) or not isinstance(doc["compose"], list):
             raise CandidateFormatError("identity must be a mapping and compose a list")
-        entries = []
-        for e in doc["compose"]:
-            if not isinstance(e, list) or len(e) != 3:
-                raise CandidateFormatError(f"compose entries are [a, b, ab] triples, got {e!r}")
-            entries.append(tuple(parse_arrow(s) for s in e))
-        return cls(doc["objects"], doc["scalars"], doc["identity"], entries)
+        compose = doc["compose"]
+        try:
+            objects, scalars, identities = _check_space(
+                doc["objects"], doc["scalars"], doc["identity"]
+            )
+        except CandidateFormatError:
+            # A malformed entry is reported ahead of a malformed space.
+            _resolve(compose, {})
+            raise
+        _check_count(objects, scalars, len(compose))
+        t = object.__new__(cls)
+        t._init_space(objects, scalars, identities)
+        t._fill(compose, _resolve(compose, t._name_i))
+        return t
 
     def to_json_bytes(self) -> bytes:
         return json.dumps(self.to_doc(), separators=(",", ":")).encode("ascii") + b"\n"
@@ -372,13 +467,19 @@ def from_model(p: int) -> CandidateTable:
 # -- rapport calculus on abstract tables --------------------------------------
 
 
+def _scalar(out: AbstractArrow, route: str) -> Endo:
+    """``out``, which a groupoid table makes a scalar; ValueError if it is not."""
+    if not isinstance(out, Endo):
+        raise ValueError(f"{route} gives {out}, not a scalar")
+    return out
+
+
 def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> Endo:
     """The scalar at ``a`` of the round trip a -> b via c, b -> a via d."""
     if len({a, b, c}) != 3 or len({a, b, d}) != 3:
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
     out = table.compose(NonEndo(a, b, c), NonEndo(b, a, d))
-    assert isinstance(out, Endo)
-    return out
+    return _scalar(out, f"round trip ({a},{b};{c},{d})")
 
 
 def tri_rapport_abs(
@@ -392,8 +493,7 @@ def tri_rapport_abs(
     out = table.compose(
         table.compose(NonEndo(a, b, d), NonEndo(b, c, e)), NonEndo(c, a, f)
     )
-    assert isinstance(out, Endo)
-    return out
+    return _scalar(out, f"cycle ({a},{b},{c};{d},{e},{f})")
 
 
 def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
@@ -402,8 +502,7 @@ def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
         raise ValueError(f"{sigma} does not live at the source of {f}")
     finv = table.inverse_arrow(f)
     out = table.compose(table.compose(finv, sigma), f)
-    assert isinstance(out, Endo)
-    return out
+    return _scalar(out, f"transport of {sigma} along {f}")
 
 
 def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:

@@ -19,6 +19,7 @@ import numpy as np
 from .candidate import (
     CandidateTable,
     Endo,
+    _scalar,
     canonical_scalar,
     cross_ratio_abs,
     tri_rapport_abs,
@@ -199,8 +200,19 @@ def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable
 
     Multiplication is endo composition.  Addition comes from
     x + y = x * phi(-1 * x^-1 * y) for nonzero x, with the zero cases
-    filled in directly.
+    filled in directly.  A table that is not a groupoid can lack an
+    inverse or turn a scalar route into a non-scalar; that raises
+    ReconstructionError like any other failed law.
     """
+    try:
+        return _build_field(table, base)
+    except ReconstructionError:
+        raise
+    except ValueError as exc:
+        raise ReconstructionError(str(exc)) from exc
+
+
+def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
     if base is None:
         base = table.objects[0]
     minus = reconstruct_minus_one(table, base)
@@ -214,7 +226,7 @@ def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable
         return Endo(base, sid)
 
     def mul2(x: str, y: str) -> str:
-        return table.compose(endo(x), endo(y)).scalar
+        return _scalar(table.compose(endo(x), endo(y)), f"{endo(x)} then {endo(y)}").scalar
 
     phi_map: dict[Optional[str], Optional[str]] = {None: one}
     for sid in ids:

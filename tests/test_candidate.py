@@ -1,11 +1,20 @@
 """Abstract composition tables: construction, serialization, checkers."""
 
+import contextlib
+import copy
+import io
 import itertools
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import MUTATIONS, mutate_doc
+from helpers import MUTATIONS, mutate_doc, reference_from_doc
+from projline import cli
 from projline.candidate import (
     AXIOM_NAMES,
     CandidateFormatError,
@@ -128,6 +137,48 @@ def test_malformed_documents_rejected(f5_doc, breakage):
     breakage(doc)
     with pytest.raises(CandidateFormatError):
         CandidateTable.from_doc(doc)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_loaded_table_writes_the_same_bytes(p):
+    raw = from_model(p).to_json_bytes()
+    assert CandidateTable.from_doc(json.loads(raw)).to_json_bytes() == raw
+
+
+def test_declared_size_bomb_is_rejected_before_the_table_is_built():
+    names = [f"o{i}" for i in range(200)]
+    doc = {
+        "format": 1,
+        "objects": names,
+        "scalars": {o: ["1"] for o in names},
+        "identity": {o: "1" for o in names},
+        "compose": [],
+    }
+    start = time.perf_counter()
+    with pytest.raises(CandidateFormatError, match="compose table has 0 entries"):
+        CandidateTable.from_doc(doc)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_constructor_and_document_loader_agree(f5_doc):
+    entries = [tuple(parse_arrow(x) for x in e) for e in f5_doc["compose"]]
+    args = (f5_doc["objects"], f5_doc["scalars"], f5_doc["identity"])
+    assert CandidateTable(*args, entries) == CandidateTable.from_doc(f5_doc)
+    edits = [
+        lambda es: es.__setitem__(7, es[3]),
+        lambda es: es.__setitem__(7, (es[7][0], es[7][1], Endo("0:1", "9"))),
+        lambda es: es.__setitem__(7, (es[7][1], es[7][0], es[7][2])),
+        lambda es: es.pop(),
+    ]
+    for edit in edits:
+        bad = list(entries)
+        edit(bad)
+        doc = dict(f5_doc, compose=[[str(x) for x in e] for e in bad])
+        with pytest.raises(CandidateFormatError) as by_doc:
+            CandidateTable.from_doc(doc)
+        with pytest.raises(CandidateFormatError) as by_args:
+            CandidateTable(*args, bad)
+        assert str(by_args.value) == str(by_doc.value)
 
 
 def test_noncomposable_entry_rejected(f5_doc):
@@ -282,3 +333,128 @@ def test_witness_cap_respected(f5_doc):
     s = validate_structure(t, max_witnesses=2)
     for c in s.checks:
         assert len(c.witnesses) <= 2
+
+
+# -- loader against the per-entry reference ------------------------------------
+
+_F5_DOC = from_model(5).to_doc()
+_F5_ARROWS = sorted({e[2] for e in _F5_DOC["compose"]})
+_JUNK = [0, 2.5, None, True, "", ["0:1"], {"a": 1}]
+_BAD_NAMES = ["0:1", "0:1>2:1", "0:1#2#3", "0:1>2:1>3:1>4:1", "0:1#9", "9:9>0:1>1:1",
+              "0:1>0:1>1:1", "0:1#", ">>", "0:1#2>3:1"]
+
+
+def _edit(doc: dict, data) -> None:
+    """Apply one random edit to a document in place."""
+    compose, objects = doc["compose"], doc["objects"]
+    names = [o for o in objects if isinstance(o, str)]
+    draw = data.draw
+
+    def entry() -> int:
+        return draw(st.integers(0, len(compose) - 1)) if compose else 0
+
+    kind = draw(st.sampled_from([
+        "drop", "duplicate", "swap", "name", "entry-type", "name-type", "object",
+        "scalars", "identity", "resize", "reorder", "top",
+    ]))
+    if kind == "drop" and compose:
+        del compose[entry()]
+    elif kind == "duplicate" and compose:
+        compose.insert(entry(), copy.deepcopy(compose[entry()]))
+    elif kind == "swap" and compose:
+        i, j = entry(), entry()
+        if isinstance(compose[i], list) and isinstance(compose[j], list):
+            compose[i][-1:], compose[j][-1:] = compose[j][-1:], compose[i][-1:]
+    elif kind in ("name", "name-type") and compose:
+        e = compose[entry()]
+        if isinstance(e, list) and e:
+            pool = _BAD_NAMES + _F5_ARROWS if kind == "name" else _JUNK
+            e[draw(st.integers(0, len(e) - 1))] = draw(st.sampled_from(pool))
+    elif kind == "entry-type" and compose:
+        compose[entry()] = draw(st.sampled_from(_JUNK + ["a,b,c", ["0:1#1"] * 4]))
+    elif kind == "object" and objects:
+        objects[draw(st.integers(0, len(objects) - 1))] = draw(
+            st.sampled_from(_JUNK + ["a>b", "new", objects[0]])
+        )
+    elif kind == "scalars" and names:
+        doc["scalars"][draw(st.sampled_from(names))] = draw(st.sampled_from(
+            _JUNK + ["1234", [["1"]], ["1", "1"], [], ["1", "2", "3", "4", "5"], ["1", "x y"]]
+        ))
+    elif kind == "identity" and names:
+        doc["identity"][draw(st.sampled_from(names))] = draw(st.sampled_from(_JUNK + ["9"]))
+    elif kind == "resize":
+        n = draw(st.integers(0, 12))
+        names = (names + [f"o{i}" for i in range(n)])[:n]
+        k = draw(st.integers(1, 3))
+        doc["objects"] = names
+        doc["scalars"] = {o: [str(v) for v in range(1, k + 1)] for o in names}
+        doc["identity"] = {o: "1" for o in names}
+        if draw(st.booleans()):
+            doc["compose"] = []
+    elif kind == "reorder":
+        doc["objects"] = draw(st.permutations(objects))
+    elif kind == "top":
+        key = draw(st.sampled_from(["format", "objects", "scalars", "identity", "compose"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.sampled_from(_JUNK + ["1", 1]))
+
+
+def _outcome(load, doc):
+    try:
+        return "accepted", load(doc)
+    except CandidateFormatError as exc:
+        return "rejected", str(exc)
+
+
+def _scalar_ids_not_lists(doc) -> bool:
+    scalars = doc.get("scalars")
+    return isinstance(scalars, dict) and any(not isinstance(v, list) for v in scalars.values())
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_loader_matches_reference_on_edited_documents(data):
+    doc = json.loads(json.dumps(_F5_DOC))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(k), t)
+            for k, t in (("objects", list), ("scalars", dict), ("identity", dict),
+                         ("compose", list))
+        ):
+            break
+        _edit(doc, data)
+
+    got, new = _outcome(CandidateTable.from_doc, doc)
+    try:
+        want, ref = _outcome(reference_from_doc, doc)
+    except TypeError:
+        # The reference's known defect: a list where a name belongs.
+        want, ref = "crashed", None
+    if want == "crashed" or (_scalar_ids_not_lists(doc) and "must be a list" in str(new)):
+        # The reference crashes, or reads a string of scalar ids as its
+        # characters; the loader rejects both.
+        assert got == "rejected"
+    elif got == "rejected" and new.startswith("compose table has"):
+        # The entry count is checked first; the reference may report a
+        # per-entry error instead.
+        assert want == "rejected"
+    else:
+        assert (got, new) == (want, ref)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = _exit_code(["check", "--in", path, "--format", "json"])
+        if got == "rejected":
+            assert code == 2
+        else:
+            assert code in (0, 1)
+            assert _exit_code(["classify", "--in", path]) in (0, 1)

@@ -1,5 +1,6 @@
 """End-to-end tests of the projline command line tool."""
 
+import hashlib
 import json
 
 import pytest
@@ -131,6 +132,28 @@ def test_check_unreadable_or_malformed_input(tmp_path):
     assert run_cli("check", "--in", str(tiny)).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda d: d["objects"].__setitem__(0, ["0:1"]),
+        lambda d: d["scalars"].__setitem__("0:1", [["1"], ["2"]]),
+        lambda d: d["scalars"].__setitem__("0:1", 4),
+        lambda d: d["scalars"].__setitem__("0:1", "1234"),
+    ],
+    ids=["object-as-list", "scalar-ids-as-lists", "scalars-as-number", "scalars-as-string"],
+)
+def test_check_rejects_wrong_json_types(tmp_path, f5_path, breakage):
+    with open(f5_path) as fh:
+        doc = json.load(fh)
+    breakage(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--in", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert str(path) in r.stderr and "internal error" not in r.stderr
+
+
 # -- reconstruct and classify ------------------------------------------------
 
 
@@ -176,6 +199,67 @@ def test_classify_model_table(f5_path):
         "prime": True,
         "map": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 4},
     }
+
+
+@pytest.fixture(scope="module")
+def f7_doc():
+    r = run_cli("gen", "--p", "7")
+    assert r.returncode == 0
+    return json.loads(r.stdout)
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        (("0:1#3", "0:1#5", "0:1#4"), "0:1#3 has no two-sided inverse"),
+        (("0:1>2:1>3:1", "3:1>6:1>0:1", "0:1>1:0>6:1"), "gives 0:1>1:0>6:1, not a scalar"),
+        (("0:1#2", "0:1#3", "0:1>1:0>6:1"), "0:1#2 then 0:1#3 gives 0:1>1:0>6:1"),
+    ],
+    ids=["no-inverse", "cycle-not-scalar", "product-not-scalar"],
+)
+def test_non_groupoid_table_fails_reconstruction_with_exit_1(tmp_path, f7_doc, entry, reason):
+    doc = json.loads(json.dumps(f7_doc))
+    first, second, replacement = entry
+    hits = [e for e in doc["compose"] if e[0] == first and e[1] == second]
+    assert len(hits) == 1
+    hits[0][2] = replacement
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for cmd, verb in (("reconstruct", "reconstruction"), ("classify", "classification")):
+        r = run_cli(cmd, "--in", str(path))
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(f"{verb} failed: ")
+        assert reason in r.stderr
+
+
+# -- byte stability -------------------------------------------------------------
+
+# SHA-256 of stdout, recorded from the per-entry loader these outputs must
+# not drift from.
+STDOUT_SHA256 = {
+    (5, "gen"): "24b512eb2191426c1969efcc507a4b8f7324a24b2d10d1f963eea99137c5de24",
+    (5, "check"): "d08e964bad76f04dad2a85e3ea97c9471591aeb43ad141eb7e7eb0890a2d2cdd",
+    (5, "reconstruct"): "4f6446f7f27d83711b0436fcfef77c34bbdc7b256263a2d816c79e9a7eeb2202",
+    (5, "classify"): "43f88456d1e505de2e14472cab63e07b07952c68604ffe2f5c72e8794396fa45",
+    (7, "gen"): "a03e8339ad5235dff55618f3665f8eafdf1dab41554526bca7eb4750e3a266a9",
+    (7, "check"): "400e544e73c09e4e1eeb85009bc99222e074c4e40eac25ba413eb4affe0e6361",
+    (7, "reconstruct"): "4b0b1d901d17e99632df3e9045a193d93777276fe26ecdea3e295f2616e59d12",
+    (7, "classify"): "eaa97fe68d8c872b3b31d1bf3a718e60de2bfe0fc111ab0a6df92c977f4ea606",
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pipeline_stdout_bytes_are_pinned(tmp_path, p):
+    path = tmp_path / f"f{p}.json"
+    gen = run_cli("gen", "--p", str(p), binary=True)
+    assert gen.returncode == 0
+    path.write_bytes(gen.stdout)
+    got = {"gen": hashlib.sha256(gen.stdout).hexdigest()}
+    for cmd in ("check", "reconstruct", "classify"):
+        r = run_cli(cmd, "--in", str(path), "--format", "json", binary=True)
+        assert r.returncode == 0
+        got[cmd] = hashlib.sha256(r.stdout).hexdigest()
+    assert got == {cmd: h for (q, cmd), h in STDOUT_SHA256.items() if q == p}
 
 
 # -- point calculators --------------------------------------------------------
