@@ -8,8 +8,7 @@ arrow space itself), so a table is exactly the data of the composition
 map plus the identity designations.
 
 Everything here is exact and deterministic.  Checks report counts and
-capped witness samples; sweeps can be sharded across processes without
-changing any output byte.
+capped witness samples; every sweep is exhaustive and runs in one process.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import json
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice, permutations, product, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -209,9 +208,11 @@ class CandidateTable:
         arrows: list[AbstractArrow] = []
         src_i: list[int] = []
         dst_i: list[int] = []
-        self._ne3: dict[tuple[int, int, int], int] = {}
-        self._endo_i: dict[tuple[int, str], int] = {}
         n = len(self.objects)
+        # Index of the arrow src -> dst named by label, -1 unless the
+        # three objects are pairwise distinct.
+        self._ne3 = np.full((n, n, n), -1, dtype=np.int32)
+        self._endo_i: dict[tuple[int, str], int] = {}
         for si, s in enumerate(self.objects):
             for di, d in enumerate(self.objects):
                 if si == di:
@@ -224,7 +225,7 @@ class CandidateTable:
                     for li, lab in enumerate(self.objects):
                         if li in (si, di):
                             continue
-                        self._ne3[(si, di, li)] = len(arrows)
+                        self._ne3[si, di, li] = len(arrows)
                         arrows.append(NonEndo(s, d, lab))
                         src_i.append(si)
                         dst_i.append(di)
@@ -358,7 +359,8 @@ class CandidateTable:
             out = self._out[int(self._dst_i[i])]
             composites = self._comp[i, out].tolist()
             entries.extend([names[i], names[j], names[r]] for j, r in zip(out, composites))
-        entries.sort(key=lambda e: (e[0], e[1]))
+        # Each (first, second) pair occurs once, so list order is pair order.
+        entries.sort()
         return {
             "format": self.FORMAT,
             "objects": list(self.objects),
@@ -528,45 +530,37 @@ def _fmt_arrow_idx(table: CandidateTable, i: int) -> str:
     return str(table.arrows[i])
 
 
-def _assoc_shard(
-    table: CandidateTable, shard: int, nshards: int, cap: int
-) -> dict:
+def _associativity(table: CandidateTable, cap: int) -> CheckReport:
     """Associativity over all composable triples, vectorized per object pair.
 
     Blocks are indexed by (mid, far) object pairs; a block covers every
-    f into mid, g from mid to far, h out of far.
+    f into mid, g from mid to far, h out of far.  Arrows are numbered
+    source-major and then by target, so g and h are index ranges.
     """
     comp = table._comp
     n = table.n_objects
+    # Arrows from src to dst are the range edge[src*n + dst] .. edge[src*n + dst + 1].
+    edge = np.searchsorted(table._src_i * n + table._dst_i, np.arange(n * n + 1))
     checked = 0
     failures = 0
     witnesses: list[tuple[tuple[int, int, int], str]] = []
-    block = -1
     for mid in range(n):
         f_idx = np.array(table._in[mid], dtype=np.int32)
-        if f_idx.size == 0:
-            continue
+        rows = comp[f_idx]
         for far in range(n):
-            block += 1
-            if block % nshards != shard:
-                continue
-            g_idx = np.array(
-                [j for j in table._out[mid] if int(table._dst_i[j]) == far], dtype=np.int32
-            )
-            h_idx = np.array(table._out[far], dtype=np.int32)
-            if g_idx.size == 0 or h_idx.size == 0:
-                continue
-            fg = comp[np.ix_(f_idx, g_idx)]
-            gh = comp[np.ix_(g_idx, h_idx)]
-            left = comp[fg[:, :, None], h_idx[None, None, :]]
-            right = comp[f_idx[:, None, None], gh[None, :, :]]
+            g = slice(edge[mid * n + far], edge[mid * n + far + 1])
+            h = slice(edge[far * n], edge[far * n + n])
+            left = comp[:, h][rows[:, g]]
+            right = rows[:, comp[g, h]]
             bad = left != right
             checked += int(bad.size)
-            nbad = int(bad.sum())
+            nbad = int(np.count_nonzero(bad))
             if nbad:
                 failures += nbad
-                for fi, gi, hi in np.argwhere(bad):
-                    key = (int(f_idx[fi]), int(g_idx[gi]), int(h_idx[hi]))
+                # argwhere yields a block's failures in key order, so only
+                # its first cap can be among the reported ones.
+                for fi, gi, hi in np.argwhere(bad)[:cap]:
+                    key = (int(f_idx[fi]), int(g.start + gi), int(h.start + hi))
                     text = (
                         f"assoc({_fmt_arrow_idx(table, key[0])}, "
                         f"{_fmt_arrow_idx(table, key[1])}, {_fmt_arrow_idx(table, key[2])}): "
@@ -575,12 +569,10 @@ def _assoc_shard(
                     witnesses.append((key, text))
                 witnesses.sort(key=lambda w: w[0])
                 del witnesses[cap:]
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    return make_check("associativity", checked, failures, [t for _, t in witnesses])
 
 
-def validate_structure(
-    table: CandidateTable, max_witnesses: int = 5, jobs: int = 1
-) -> ReportGroup:
+def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportGroup:
     """Groupoid-structure checks, run before any axiom is interpreted.
 
     Layer order (later layers are only meaningful when earlier ones
@@ -634,8 +626,7 @@ def validate_structure(
     ]
     checks.append(make_check("inverses", n_arr, int(bad.size), wit_t))
 
-    parts = _run_sharded(table, "_assoc", jobs, cap)
-    checks.append(_merge_simple("associativity", parts, cap))
+    checks.append(_associativity(table, cap))
 
     # Nonempty homsets are built into the arrow space: with >= 3 objects
     # every distinct pair has a label and every object has an identity.
@@ -654,323 +645,151 @@ def validate_structure(
 AXIOM_NAMES = ("one", "two", "pappus", "hex1", "hex2", "as")
 
 
-def _axiom_one_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _distinct(n: int, k: int) -> np.ndarray:
+    """The k-tuples of distinct indices below n, one per row, in lexicographic order."""
+    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
+
+
+def _sweep(name: str, got: np.ndarray, want: np.ndarray, cap: int, describe) -> CheckReport:
+    """A check with one instance per entry of ``got``, failing where it
+    differs from ``want``; ``describe(k)`` words instance k's witness."""
+    bad = np.flatnonzero(got != want)
+    return make_check(name, int(got.size), int(bad.size), [describe(k) for k in bad[:cap]])
+
+
+def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
     """Round trip through one label: a -> b via c then b -> a via c is the unit."""
-    comp = table._comp
-    n = table.n_objects
-    checked = failures = 0
-    witnesses = []
-    for ai in range(n):
-        if ai % nshards != shard:
-            continue
-        want = table._id_idx[ai]
-        for bi in range(n):
-            if bi == ai:
-                continue
-            for ci in range(n):
-                if ci in (ai, bi):
-                    continue
-                checked += 1
-                got = int(comp[table._ne3[(ai, bi, ci)], table._ne3[(bi, ai, ci)]])
-                if got != want:
-                    failures += 1
-                    if len(witnesses) < cap:
-                        a, b, c = table.objects[ai], table.objects[bi], table.objects[ci]
-                        witnesses.append(
-                            (
-                                (ai, bi, ci),
-                                f"one({a},{b};{c}): round trip gives "
-                                f"{_fmt_arrow_idx(table, got)}, not the unit",
-                            )
-                        )
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    ne3, obj = table._ne3, table.objects
+    a, b, c = _distinct(table.n_objects, 3).T
+    got = table._comp[ne3[a, b, c], ne3[b, a, c]]
+    return _sweep(
+        "one", got, np.array(table._id_idx)[a], cap,
+        lambda k: f"one({obj[a[k]]},{obj[b[k]]};{obj[c[k]]}): round trip gives "
+        f"{_fmt_arrow_idx(table, got[k])}, not the unit",
+    )
 
 
-def _axiom_two_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
     """Chaining through one label skips the midpoint: (a->b via c)(b->d via c) = a->d via c."""
-    comp = table._comp
-    n = table.n_objects
-    checked = failures = 0
-    witnesses = []
-    for ai in range(n):
-        if ai % nshards != shard:
-            continue
-        for bi in range(n):
-            if bi == ai:
-                continue
-            for di in range(n):
-                if di in (ai, bi):
-                    continue
-                for ci in range(n):
-                    if ci in (ai, bi, di):
-                        continue
-                    checked += 1
-                    got = int(comp[table._ne3[(ai, bi, ci)], table._ne3[(bi, di, ci)]])
-                    want = table._ne3[(ai, di, ci)]
-                    if got != want:
-                        failures += 1
-                        if len(witnesses) < cap:
-                            a, b, d, c = (
-                                table.objects[ai],
-                                table.objects[bi],
-                                table.objects[di],
-                                table.objects[ci],
-                            )
-                            witnesses.append(
-                                (
-                                    (ai, bi, di, ci),
-                                    f"two({a},{b},{d};{c}): chain gives "
-                                    f"{_fmt_arrow_idx(table, got)}, want "
-                                    f"{_fmt_arrow_idx(table, want)}",
-                                )
-                            )
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    ne3, obj = table._ne3, table.objects
+    a, b, d, c = _distinct(table.n_objects, 4).T
+    got = table._comp[ne3[a, b, c], ne3[b, d, c]]
+    want = ne3[a, d, c]
+    return _sweep(
+        "two", got, want, cap,
+        lambda k: f"two({obj[a[k]]},{obj[b[k]]},{obj[d[k]]};{obj[c[k]]}): chain gives "
+        f"{_fmt_arrow_idx(table, got[k])}, want {_fmt_arrow_idx(table, want[k])}",
+    )
 
 
-def _axiom_pappus_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     """Commutativity of every vertex group."""
+    i, j = np.array(
+        [
+            ij
+            for oi, o in enumerate(table.objects)
+            for ij in product([table._endo_i[(oi, s)] for s in table.scalars[o]], repeat=2)
+        ]
+    ).T
     comp = table._comp
-    checked = failures = 0
-    witnesses = []
-    for oi in range(table.n_objects):
-        if oi % nshards != shard:
-            continue
-        endos = [table._endo_i[(oi, s)] for s in table.scalars[table.objects[oi]]]
-        for i in endos:
-            for j in endos:
-                checked += 1
-                if comp[i, j] != comp[j, i]:
-                    failures += 1
-                    if len(witnesses) < cap:
-                        witnesses.append(
-                            (
-                                (oi, i, j),
-                                f"pappus({_fmt_arrow_idx(table, i)}, {_fmt_arrow_idx(table, j)}): "
-                                f"products differ by order",
-                            )
-                        )
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    return _sweep(
+        "pappus", comp[i, j], comp[j, i], cap,
+        lambda k: f"pappus({_fmt_arrow_idx(table, i[k])}, {_fmt_arrow_idx(table, j[k])}): "
+        f"products differ by order",
+    )
 
 
-def _axiom_hex1_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _axiom_hex1(table: CandidateTable, cap: int) -> CheckReport:
     """Row swap of the cross ratio, as a commuting square.
 
     The scalar of (a,b;c,d) at a, pushed through the arrow a -> c named
     b, must match the scalar of (c,d;a,b) at c pulled the same way.
     """
-    comp = table._comp
-    n = table.n_objects
-    checked = failures = 0
-    witnesses = []
-    for ai in range(n):
-        if ai % nshards != shard:
-            continue
-        for bi in range(n):
-            if bi == ai:
-                continue
-            for ci in range(n):
-                if ci in (ai, bi):
-                    continue
-                bridge = table._ne3[(ai, ci, bi)]
-                for di in range(n):
-                    if di in (ai, bi, ci):
-                        continue
-                    checked += 1
-                    cr1 = comp[table._ne3[(ai, bi, ci)], table._ne3[(bi, ai, di)]]
-                    cr2 = comp[table._ne3[(ci, di, ai)], table._ne3[(di, ci, bi)]]
-                    if comp[cr1, bridge] != comp[bridge, cr2]:
-                        failures += 1
-                        if len(witnesses) < cap:
-                            quad = ",".join(
-                                table.objects[i] for i in (ai, bi, ci, di)
-                            )
-                            witnesses.append(
-                                (
-                                    (ai, bi, ci, di),
-                                    f"hex1({quad}): the two routes around the square differ",
-                                )
-                            )
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    comp, ne3 = table._comp, table._ne3
+    quads = _distinct(table.n_objects, 4)
+    a, b, c, d = quads.T
+    bridge = ne3[a, c, b]
+    cr1 = comp[ne3[a, b, c], ne3[b, a, d]]
+    cr2 = comp[ne3[c, d, a], ne3[d, c, b]]
+    return _sweep(
+        "hex1", comp[cr1, bridge], comp[bridge, cr2], cap,
+        lambda k: f"hex1({','.join(table.objects[x] for x in quads[k])}): "
+        f"the two routes around the square differ",
+    )
 
 
-def _axiom_hex2_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _axiom_hex2(table: CandidateTable, cap: int) -> CheckReport:
     """The three-leg cycle a->b->c->a with labels c,a,b names one scalar.
 
     For each base object the value must not depend on the two helper
     objects; all helper pairs are compared against the least one.
     """
-    comp = table._comp
+    comp, ne3, obj = table._comp, table._ne3, table.objects
     n = table.n_objects
-    checked = failures = 0
-    witnesses = []
-    for ai in range(n):
-        if ai % nshards != shard:
-            continue
-        first = -1
-        first_pair = None
-        for bi in range(n):
-            if bi == ai:
-                continue
-            for ci in range(n):
-                if ci in (ai, bi):
-                    continue
-                checked += 1
-                inner = comp[table._ne3[(ai, bi, ci)], table._ne3[(bi, ci, ai)]]
-                val = int(comp[inner, table._ne3[(ci, ai, bi)]])
-                if first < 0:
-                    first = val
-                    first_pair = (bi, ci)
-                elif val != first:
-                    failures += 1
-                    if len(witnesses) < cap:
-                        a = table.objects[ai]
-                        b1, c1 = (table.objects[i] for i in first_pair)
-                        b2, c2 = table.objects[bi], table.objects[ci]
-                        witnesses.append(
-                            (
-                                (ai, bi, ci),
-                                f"hex2({a}): helpers ({b1},{c1}) give "
-                                f"{_fmt_arrow_idx(table, first)} but ({b2},{c2}) give "
-                                f"{_fmt_arrow_idx(table, val)}",
-                            )
-                        )
-    return {"checked": checked, "failures": failures, "witnesses": witnesses}
+    a, b, c = _distinct(n, 3).T
+    val = comp[comp[ne3[a, b, c], ne3[b, c, a]], ne3[c, a, b]]
+    # The triples with base a start at row a * (n-1)(n-2).
+    first = a * ((n - 1) * (n - 2))
+    return _sweep(
+        "hex2", val, val[first], cap,
+        lambda k: f"hex2({obj[a[k]]}): helpers ({obj[b[first[k]]]},{obj[c[first[k]]]}) give "
+        f"{_fmt_arrow_idx(table, val[first[k]])} but ({obj[b[k]]},{obj[c[k]]}) give "
+        f"{_fmt_arrow_idx(table, val[k])}",
+    )
 
 
-def _axiom_as_shard(table: CandidateTable, shard: int, nshards: int, cap: int) -> dict:
+def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
     """Equal cross ratios must stay equal after swapping the inner entries.
 
     Quadruples are grouped by the canonical form of (a,b;c,d); within a
-    group every canonical (a,c;b,d) must agree.  Grouping makes the
-    sweep near-linear in the quadruple count.
+    group every canonical (a,c;b,d) must agree.  A failing group is
+    witnessed by its two least quadruples with different swaps.
     """
-    comp = table._comp
+    comp, ne3 = table._comp, table._ne3
     n = table.n_objects
-    checked = 0
-    groups: dict[int, dict[int, tuple[int, ...]]] = {}
-    base_i = 0
-    # Conjugating arrow to the base object, per source object.
-    conj_f: list[Optional[tuple[int, int]]] = []
-    inv = table._ensure_inverses()
-    for ai in range(n):
-        if ai == base_i:
-            conj_f.append(None)
-        else:
-            li = min(i for i in range(n) if i not in (ai, base_i))
-            fi = table._ne3[(ai, base_i, li)]
-            conj_f.append((int(inv[fi]), fi))
+    quads = _distinct(n, 4)
+    a, b, c, d = quads.T
+    # Scalars are compared after transport to object 0 along the arrow
+    # named by the least other object.
+    to_base = np.array([0] + [ne3[o, 0, 2 if o == 1 else 1] for o in range(1, n)])
+    from_base = table._ensure_inverses()[to_base]
 
-    def canon(endo_idx: int, ai: int) -> int:
-        if ai == base_i:
-            return int(endo_idx)
-        finv, f = conj_f[ai]
-        return int(comp[comp[finv, endo_idx], f])
+    def canon(endo: np.ndarray) -> np.ndarray:
+        return np.where(a == 0, endo, comp[comp[from_base[a], endo], to_base[a]])
 
-    for ai in range(n):
-        if ai % nshards != shard:
-            continue
-        for bi in range(n):
-            if bi == ai:
-                continue
-            for ci in range(n):
-                if ci in (ai, bi):
-                    continue
-                for di in range(n):
-                    if di in (ai, bi, ci):
-                        continue
-                    checked += 1
-                    key = canon(comp[table._ne3[(ai, bi, ci)], table._ne3[(bi, ai, di)]], ai)
-                    val = canon(comp[table._ne3[(ai, ci, bi)], table._ne3[(ci, ai, di)]], ai)
-                    quad = (ai, bi, ci, di)
-                    slot = groups.setdefault(key, {})
-                    if val not in slot or quad < slot[val]:
-                        slot[val] = quad
-    return {"checked": checked, "groups": groups}
-
-
-_SHARD_FNS = {
-    "_assoc": _assoc_shard,
-    "one": _axiom_one_shard,
-    "two": _axiom_two_shard,
-    "pappus": _axiom_pappus_shard,
-    "hex1": _axiom_hex1_shard,
-    "hex2": _axiom_hex2_shard,
-    "as": _axiom_as_shard,
-}
-
-_WORKER_TABLE: Optional[CandidateTable] = None
-
-
-def _worker_entry(name: str, shard: int, nshards: int, cap: int) -> dict:
-    return _SHARD_FNS[name](_WORKER_TABLE, shard, nshards, cap)
-
-
-def _run_sharded(table: CandidateTable, name: str, jobs: int, cap: int) -> list[dict]:
-    """Run one named sweep in shards; results merge identically for any job count."""
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        return [_SHARD_FNS[name](table, 0, 1, cap)]
-    global _WORKER_TABLE
-    import concurrent.futures
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [_SHARD_FNS[name](table, 0, 1, cap)]
-    _WORKER_TABLE = table
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-            futs = [ex.submit(_worker_entry, name, s, jobs, cap) for s in range(jobs)]
-            return [f.result() for f in futs]
-    finally:
-        _WORKER_TABLE = None
-
-
-def _merge_simple(name: str, parts: list[dict], cap: int) -> CheckReport:
-    checked = sum(p["checked"] for p in parts)
-    failures = sum(p["failures"] for p in parts)
-    witnesses = sorted((w for p in parts for w in p["witnesses"]), key=lambda w: w[0])
-    return make_check(name, checked, failures, [t for _, t in witnesses[:cap]])
-
-
-def _merge_as(table: CandidateTable, parts: list[dict], cap: int) -> CheckReport:
-    checked = sum(p["checked"] for p in parts)
-    groups: dict[int, dict[int, tuple[int, ...]]] = {}
-    for p in parts:
-        for key, slot in p["groups"].items():
-            dst = groups.setdefault(key, {})
-            for val, quad in slot.items():
-                if val not in dst or quad < dst[val]:
-                    dst[val] = quad
-    failures = 0
+    key = canon(comp[ne3[a, b, c], ne3[b, a, d]])
+    val = canon(comp[ne3[a, c, b], ne3[c, a, d]])
+    # Distinct (key, val) pairs in sorted order, each with its least quadruple.
+    pairs, least = np.unique(np.stack([key, val], axis=1), axis=0, return_index=True)
+    keys, start, count = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    split = np.flatnonzero(count > 1)
     witnesses = []
-    for key in sorted(groups):
-        slot = groups[key]
-        if len(slot) <= 1:
-            continue
-        failures += 1
-        by_quad = sorted((quad, val) for val, quad in slot.items())
-        (q1, v1), (q2, v2) = by_quad[0], by_quad[1]
-        name1 = ",".join(table.objects[i] for i in q1)
-        name2 = ",".join(table.objects[i] for i in q2)
+    for g in split[:cap]:
+        q1, q2 = np.sort(least[start[g] : start[g] + count[g]])[:2]
+        name1 = ",".join(table.objects[x] for x in quads[q1])
+        name2 = ",".join(table.objects[x] for x in quads[q2])
         witnesses.append(
-            (
-                (key,),
-                f"as: ({name1}) and ({name2}) share cross ratio "
-                f"{_fmt_arrow_idx(table, key)} but their swaps differ: "
-                f"{_fmt_arrow_idx(table, int(v1))} vs {_fmt_arrow_idx(table, int(v2))}",
-            )
+            f"as: ({name1}) and ({name2}) share cross ratio "
+            f"{_fmt_arrow_idx(table, keys[g])} but their swaps differ: "
+            f"{_fmt_arrow_idx(table, val[q1])} vs {_fmt_arrow_idx(table, val[q2])}"
         )
-    witnesses.sort(key=lambda w: w[0])
-    return make_check("as", checked, failures, [t for _, t in witnesses[:cap]])
+    return make_check("as", len(quads), int(split.size), witnesses)
+
+
+_AXIOMS = {
+    "one": _axiom_one,
+    "two": _axiom_two,
+    "pappus": _axiom_pappus,
+    "hex1": _axiom_hex1,
+    "hex2": _axiom_hex2,
+    "as": _axiom_as,
+}
 
 
 def check_axioms(
     table: CandidateTable,
     which: Optional[Sequence[str]] = None,
     max_witnesses: int = 5,
-    jobs: int = 1,
 ) -> ReportGroup:
     """Run the named axiom sweeps (all six by default) over a table.
 
@@ -986,11 +805,4 @@ def check_axioms(
         if unknown:
             raise ValueError(f"unknown axiom names {unknown}; valid: {', '.join(AXIOM_NAMES)}")
         names = [n for n in AXIOM_NAMES if n in set(which)]
-    checks = []
-    for name in names:
-        parts = _run_sharded(table, name, jobs, max_witnesses)
-        if name == "as":
-            checks.append(_merge_as(table, parts, max_witnesses))
-        else:
-            checks.append(_merge_simple(name, parts, max_witnesses))
-    return ReportGroup("axioms", checks)
+    return ReportGroup("axioms", [_AXIOMS[name](table, max_witnesses) for name in names])

@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks pass, 1 a check or mathematical
 precondition fails, 2 unusable input (bad file, bad arguments), 3
 unexpected internal error.  JSON output is deterministic: same input
-and flags give the same bytes, regardless of --jobs.
+and flags give the same bytes.  ``check --jobs N`` is accepted for
+compatibility; every sweep runs in one process whatever N is.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .candidate import (
@@ -68,6 +70,13 @@ def _load_table(path: str) -> CandidateTable:
         raise _InputError(f"{path}: {exc}") from exc
 
 
+def _load_with_base(args) -> CandidateTable:
+    table = _load_table(getattr(args, "in"))
+    if args.base is not None and args.base not in table.objects:
+        raise _InputError(f"unknown base object {args.base!r}")
+    return table
+
+
 def _parse_point(text: str, field) -> Point:
     try:
         return Point.parse(field, text)
@@ -110,12 +119,10 @@ def _cmd_check(args) -> int:
             raise _InputError(
                 f"unknown axiom names {bad}; valid: {', '.join(AXIOM_NAMES)}"
             )
-    structure = validate_structure(table, max_witnesses=args.max_witnesses, jobs=args.jobs)
+    structure = validate_structure(table, max_witnesses=args.max_witnesses)
     axioms = None
     if structure.passed:
-        axioms = check_axioms(
-            table, which=which, max_witnesses=args.max_witnesses, jobs=args.jobs
-        )
+        axioms = check_axioms(table, which=which, max_witnesses=args.max_witnesses)
     doc = {
         "structure": structure.to_dict(),
         "axioms": axioms.to_dict() if axioms is not None else None,
@@ -135,7 +142,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    table = _load_table(getattr(args, "in"))
+    table = _load_with_base(args)
     try:
         ft = build_field(table, base=args.base)
     except ReconstructionError as exc:
@@ -163,7 +170,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    table = _load_table(getattr(args, "in"))
+    table = _load_with_base(args)
     try:
         ft = build_field(table, base=args.base)
         report = verify_field(ft, max_witnesses=args.max_witnesses)
@@ -228,19 +235,9 @@ def _cmd_harmonic(args) -> int:
 
 
 def _find_quadruple(field: PrimeField, mu) -> tuple:
-    pts = points(field)
-    for a in pts:
-        for b in pts:
-            if b == a:
-                continue
-            for c in pts:
-                if c in (a, b):
-                    continue
-                for d in pts:
-                    if d in (a, b, c):
-                        continue
-                    if cross_ratio(a, b, c, d) == mu:
-                        return a, b, c, d
+    for quad in permutations(points(field), 4):
+        if cross_ratio(*quad) == mu:
+            return quad
     raise _InputError(f"no pairwise distinct quadruple has cross ratio {mu}")
 
 
@@ -311,7 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--axioms", default=None,
         help=f"comma separated subset of: {','.join(AXIOM_NAMES)} (default all)",
     )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    sp.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; sweeps run in one process",
+    )
     add_witnesses(sp)
     add_format(sp)
     sp.set_defaults(fn=_cmd_check)

@@ -14,6 +14,7 @@ applies ``f`` first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .reports import TableReport, TableRowReport
@@ -379,30 +380,18 @@ def verify_classical_tables(field: Field, max_witnesses: int = 3) -> TableReport
     """
     if not isinstance(field, PrimeField):
         raise ValueError("table sweeps enumerate points, so they need a prime field")
-    pts = points(field)
-    n = len(pts)
     row_ids = table_row_ids()
     checked = {r: 0 for r in row_ids}
     failures = {r: 0 for r in row_ids}
     witnesses: dict[str, list[dict]] = {r: [] for r in row_ids}
-    for ia in range(n):
-        for ib in range(n):
-            if ib == ia:
-                continue
-            for ic in range(n):
-                if ic in (ia, ib):
-                    continue
-                for idd in range(n):
-                    if idd in (ia, ib, ic):
-                        continue
-                    quad = (pts[ia], pts[ib], pts[ic], pts[idd])
-                    for rec in evaluate_table_rows(quad):
-                        rid = rec["row"]
-                        checked[rid] += 1
-                        if not rec["pass"]:
-                            failures[rid] += 1
-                            if len(witnesses[rid]) < max_witnesses:
-                                witnesses[rid].append(rec)
+    for quad in permutations(points(field), 4):
+        for rec in evaluate_table_rows(quad):
+            rid = rec["row"]
+            checked[rid] += 1
+            if not rec["pass"]:
+                failures[rid] += 1
+                if len(witnesses[rid]) < max_witnesses:
+                    witnesses[rid].append(rec)
     rows = [
         TableRowReport(row=r, checked=checked[r], failures=failures[r], witnesses=witnesses[r])
         for r in row_ids

@@ -1,5 +1,5 @@
-"""Shared test utilities: a CLI runner, the documented mutations and a
-reference table loader.
+"""Shared test utilities: a CLI runner, the documented and seeded
+mutations and a reference table loader.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -7,6 +7,7 @@ are (first arrow, second arrow, replacement result).
 """
 
 import copy
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import numpy as np
 from projline.candidate import (
     CandidateFormatError,
     CandidateTable,
+    Endo,
     _check_name,
     parse_arrow,
 )
@@ -47,6 +49,22 @@ def mutate_doc(doc: dict, name: str) -> dict:
     assert len(hits) == 1, f"mutation {name} must hit exactly one entry"
     assert hits[0][2] != replacement, f"mutation {name} must change the entry"
     hits[0][2] = replacement
+    return out
+
+
+def seeded_mutation(doc: dict, seed: int) -> dict:
+    """A deep copy of a table document with one seeded compose entry
+    rewritten to another arrow of the same homset, so every composite
+    keeps its endpoints."""
+    rng = random.Random(seed)
+    out = copy.deepcopy(doc)
+    entry = rng.choice(out["compose"])
+    r = parse_arrow(entry[2])
+    if isinstance(r, Endo):
+        homset = [f"{r.obj}#{s}" for s in out["scalars"][r.obj]]
+    else:
+        homset = [f"{r.src}>{lab}>{r.dst}" for lab in out["objects"] if lab not in (r.src, r.dst)]
+    entry[2] = rng.choice([x for x in homset if x != entry[2]])
     return out
 
 

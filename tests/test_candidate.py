@@ -244,15 +244,17 @@ def test_axiom_subset_and_unknown_names():
         check_axioms(t, which=["bogus"])
 
 
-def test_jobs_do_not_change_reports():
-    t = from_model(5)
-    base = (validate_structure(t, jobs=1).to_dict(), check_axioms(t, jobs=1).to_dict())
-    for jobs in (2, 3):
-        got = (
-            validate_structure(t, jobs=jobs).to_dict(),
-            check_axioms(t, jobs=jobs).to_dict(),
-        )
-        assert got == base
+def test_arrows_are_numbered_source_major(f5_doc):
+    # The associativity sweep reads each object's outgoing arrows as one
+    # index range.
+    reordered = dict(f5_doc, objects=f5_doc["objects"][::-1])
+    for t in (from_model(5), CandidateTable.from_doc(reordered)):
+        start = 0
+        for o, obj in enumerate(t.objects):
+            stop = start + sum(len(t.hom(obj, b)) for b in t.objects)
+            assert t._out[o] == list(range(start, stop))
+            start = stop
+        assert start == t.n_arrows
 
 
 @pytest.mark.parametrize("name", ["one", "two", "pappus", "hex1", "hex2", "as"])

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from helpers import MUTATIONS, mutate_doc, run_cli
-from projline.candidate import AXIOM_NAMES
+from helpers import MUTATIONS, mutate_doc, run_cli, seeded_mutation
+from projline.candidate import AXIOM_NAMES, CandidateTable, check_axioms, from_model
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,10 @@ def test_reconstruct_base_flag(f5_path):
     r = run_cli("reconstruct", "--in", f5_path, "--base", "2:1")
     assert r.returncode == 0
     assert "base object 2:1" in r.stdout
-    assert run_cli("reconstruct", "--in", f5_path, "--base", "9:9").returncode == 1
+    for cmd in ("reconstruct", "classify"):
+        r = run_cli(cmd, "--in", f5_path, "--base", "9:9")
+        assert r.returncode == 2
+        assert r.stderr == "unknown base object '9:9'\n"
 
 
 def test_reconstruct_json_deterministic(f5_path):
@@ -245,10 +248,14 @@ STDOUT_SHA256 = {
     (7, "check"): "400e544e73c09e4e1eeb85009bc99222e074c4e40eac25ba413eb4affe0e6361",
     (7, "reconstruct"): "4b0b1d901d17e99632df3e9045a193d93777276fe26ecdea3e295f2616e59d12",
     (7, "classify"): "eaa97fe68d8c872b3b31d1bf3a718e60de2bfe0fc111ab0a6df92c977f4ea606",
+    (11, "gen"): "15df9534312d9a7307b0a22559e509855779a28bde9b03a2c918b6c2983e2430",
+    (11, "check"): "24246e7e9e74fa6e35b5c32156d5363c2fc471595fb7a52bb1624d137909e2dd",
+    (11, "reconstruct"): "7f9bb31c9e91f34675f2903bb381185cf2ef947e392eb7ed11c4d87be60f162a",
+    (11, "classify"): "b16debe151e530816e1c15de934a028e65ce472e589e161df2270eb9d26ef7da",
 }
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11])
 def test_pipeline_stdout_bytes_are_pinned(tmp_path, p):
     path = tmp_path / f"f{p}.json"
     gen = run_cli("gen", "--p", str(p), binary=True)
@@ -260,6 +267,117 @@ def test_pipeline_stdout_bytes_are_pinned(tmp_path, p):
         assert r.returncode == 0
         got[cmd] = hashlib.sha256(r.stdout).hexdigest()
     assert got == {cmd: h for (q, cmd), h in STDOUT_SHA256.items() if q == p}
+
+
+# SHA-256 of `check --format json --max-witnesses 50` stdout and of the
+# compact JSON of check_axioms(table, max_witnesses=50), recorded from the
+# nested-loop sweeps these reports must not drift from.  Every case fails
+# associativity, so the check stdout skips the axioms; the second hash
+# pins the axiom witnesses.  Cases are a documented mutation of F_5 or a
+# seeded homset-preserving mutation of F_p.
+FAILING_SHA256 = {
+    ("doc", "as"): (
+        "03e82029e1f105b7fb895e9f19a1db1e98ec1c8aa5a54ef02d6f413e6b8bda5e",
+        "b0ee09b754ef6d1b631cbc3634cf9e706ccacf348034168e30ef373aad03d29d",
+    ),
+    ("doc", "field"): (
+        "6f6e3a0e7130e1fccde1542fba1f2dfbfadc7dc8d2e2e92e109c56e99b032c22",
+        "1e46ae28198c987ed528720fbf710e441c1b406082154f30463251353c5de578",
+    ),
+    ("doc", "hex1"): (
+        "10cfd34e477d0feca49530ad2dea9a81cb84ed1d0eff00b2515c5b19007a9ba8",
+        "e6acd55398aff03196d14831f0c3c0b245e114d27536d4657ae40bf4199c9ed4",
+    ),
+    ("doc", "hex2"): (
+        "46e482c2ec16e130fc95cea85232c5339585ff8c28e06a1d8326666e1c3e27ee",
+        "c719db43100d5d25a7248fd76145808c0e820ce46e0e168117ea4a42565b5774",
+    ),
+    ("doc", "one"): (
+        "e507fddd7e3439cd2c3e25562620b1b966802fa296561d371668d4902a70943d",
+        "36cf1383dab08591cab7040032837d1befcbfab234e3744fc3b4b83f4f5a70d7",
+    ),
+    ("doc", "pappus"): (
+        "03bdeb2c7cdcf900b0c40276683d59c2937f22a146e263097cbea45735ecb2ef",
+        "bfd1b2acb37a560ef53e0b1df10803c8f65b79bd6670f92166825f1903e0595a",
+    ),
+    ("doc", "two"): (
+        "68b171a4f91ab131519cc767e0f96a3f89190860269c6f516326a7f6fc9feebc",
+        "c4a0a0804b3e18dc32024b57111180e649d42bd9352fadf5fd6885e166dfc7ea",
+    ),
+    (5, 0): (
+        "a388833d9aad32a4bde3739a88dfc5a2f3c4ccd93e73212fbaddeaaa4458845a",
+        "d2226bd2f2cbfc6319f02ebc9b9683319bb66945fa16fcb78381b53233bd3304",
+    ),
+    (5, 1): (
+        "802a711473024664de9e09ee8cc16cf4f6830742d1b373c680b1aee5b89231d5",
+        "81eec5530697f84f651b97c8b5a4f7f5aeb7e42b6c58098aa031ea4cd13fc634",
+    ),
+    (5, 2): (
+        "f01f808cb53e128293b27842f6e57dc67ebd24cc7345d8eaac9d8bd409726157",
+        "a4bdeaccb4334508a7790d23d5a04c43d34f15a1f20d264165e4e30b9a2b141c",
+    ),
+    (5, 3): (
+        "6ba357fefcbafe333b9eb4e22bde92b17d0bf3e1d9e623e268d750575a07e213",
+        "f7da2318007afa4302709a40e493f0847e2b6735f19e0653a111396ab76d1e87",
+    ),
+    (5, 4): (
+        "a09849e8be706b8565000935804162be4d06b91e5a288d27fad3517d00ab48c5",
+        "38c420ba2d3ce7e4a5c4ec2ecf05865c5551b5956cbfa7311f3ecd871ef2c24c",
+    ),
+    (5, 5): (
+        "7d55001a2ef514e98653f0e29a10cff2cb221ab4518189f4e2bf926b58dafda6",
+        "f7da2318007afa4302709a40e493f0847e2b6735f19e0653a111396ab76d1e87",
+    ),
+    (7, 0): (
+        "7515e0ca57853f008dd6ae649c685931dfe411a0a120900e94b2a784033961b5",
+        "e84fbe0169793b8e1d5d503a467256d74225417b6b410a32279c70c7ead03164",
+    ),
+    (7, 1): (
+        "cdc3dffe07c83b215d862022a26e27fb875e0c2d20c488c98b38cdbc4baf144e",
+        "d22a662d941f524e99b35bc34d50362da51cd0da7ce153e73f281b7b78f9dd77",
+    ),
+    (7, 2): (
+        "c3c5105983c28116d6fe3c12572293a44e07f8ae5fa5f117c034ea1ac8fd9bc5",
+        "d22a662d941f524e99b35bc34d50362da51cd0da7ce153e73f281b7b78f9dd77",
+    ),
+    (7, 3): (
+        "b8ed0e2db905b998ff0f6c897e35d0f8df41da3f768c46d4163e9d1674df8210",
+        "d22a662d941f524e99b35bc34d50362da51cd0da7ce153e73f281b7b78f9dd77",
+    ),
+    (7, 4): (
+        "d2856a375b0bb30e5bd89fe9f4275e566d9346adbe2e949f6fecd3fa31e017ac",
+        "d22a662d941f524e99b35bc34d50362da51cd0da7ce153e73f281b7b78f9dd77",
+    ),
+    (7, 5): (
+        "8a4df50b168ec74dc6c5b3696d9576a1eb0a5771020b31886f507770dbf4bef9",
+        "d22a662d941f524e99b35bc34d50362da51cd0da7ce153e73f281b7b78f9dd77",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def model_docs():
+    return {p: from_model(p).to_doc() for p in (5, 7)}
+
+
+@pytest.mark.parametrize("case", list(FAILING_SHA256), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_failing_report_bytes_are_pinned(tmp_path, model_docs, case):
+    kind, arg = case
+    if kind == "doc":
+        doc = mutate_doc(model_docs[5], arg)
+    else:
+        doc = seeded_mutation(model_docs[kind], arg)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--in", str(path), "--format", "json", "--max-witnesses", "50",
+                binary=True)
+    assert r.returncode == 1
+    axioms = check_axioms(CandidateTable.from_doc(doc), max_witnesses=50).to_dict()
+    got = (
+        hashlib.sha256(r.stdout).hexdigest(),
+        hashlib.sha256(json.dumps(axioms, separators=(",", ":")).encode()).hexdigest(),
+    )
+    assert got == FAILING_SHA256[case]
 
 
 # -- point calculators --------------------------------------------------------
