@@ -632,10 +632,17 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     # every distinct pair has a label and every object has an identity.
     checks.append(make_check("transitivity", table.n_objects**2, 0, []))
 
+    # In a groupoid s -> s.f is a bijection from the scalars at a onto
+    # the arrows a -> b for any f: a -> b, so every endo count must equal
+    # n-2, the size of each homset between distinct objects.
     sizes = {o: len(table.scalars[o]) for o in table.objects}
-    distinct = sorted(set(sizes.values()))
-    wit_t = [] if len(distinct) == 1 else [f"endo counts differ: {sizes}"]
-    checks.append(make_check("homsets", table.n_objects, 0 if len(distinct) == 1 else 1, wit_t))
+    want = table.n_objects - 2
+    off = [o for o in table.objects if sizes[o] != want]
+    wit_t = [] if len(set(sizes.values())) == 1 else [f"endo counts differ: {sizes}"]
+    wit_t += [
+        f"homsets({o}): endo count {sizes[o]}, but each non-endo homset has {want}" for o in off
+    ]
+    checks.append(make_check("homsets", table.n_objects, len(off), wit_t[:cap]))
 
     return ReportGroup("structure", checks)
 

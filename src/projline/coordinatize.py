@@ -5,20 +5,22 @@ points 0, infinity, and 1.  Every other object gets the coordinate cut
 out by its round trip against the frame, the reconstructed field names
 the scalars, and the resulting object and scalar maps determine a full
 arrow map whose functoriality is checked exhaustively.
+
+The target model over F_p is built once per p and the last one is
+kept, so repeated calls at the same p share it; it is only read.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .candidate import (
     CandidateTable,
-    Endo,
     NonEndo,
     canonical_scalar,
     cross_ratio_abs,
@@ -72,44 +74,66 @@ def _default_frame(table: CandidateTable) -> Frame:
     return Frame(a, b, c)
 
 
+@functools.lru_cache(maxsize=1)
+def _model(p: int) -> CandidateTable:
+    """The model over F_p, kept for the next call at the same p."""
+    return from_model(p)
+
+
 def _target_model(table: CandidateTable) -> CandidateTable:
     p = table.n_objects - 1
     if not is_prime(p):
         raise CoordinatizationError(
             f"{table.n_objects} objects would need a field of order {p}, which is not prime"
         )
-    return from_model(p)
+    return _model(p)
 
 
-def _forced_arrow_map(
-    table: CandidateTable, model: CandidateTable, obj_to: list[int]
-) -> np.ndarray:
-    """Arrow map induced by an object bijection.
+class _Forcing:
+    """The forced arrow map of one table, as a function of the object bijection.
 
-    Arrows between distinct objects go to the arrow with the image
-    label.  Each scalar s at X is forced by functoriality through any
-    arrow f out of X: the image of s must be (image of s.f) then the
-    inverse image of f.  The least outgoing arrow is used.
+    Called with ``obj_to``, which maps each table object index to a model
+    object index.  Arrows between distinct objects go to the arrow with
+    the image label, all in one gather.  Each scalar s at X is forced by
+    functoriality through an arrow f out of X: the image of s must be
+    (image of s.f) then the inverse image of f.  The least outgoing
+    non-endo arrow f_X is used.  Objects are done in order, each over
+    all its scalars at once, so a composite s.f_X that is a scalar of an
+    earlier object reads its image and one of a later object reads -1,
+    as in a scalar-by-scalar loop.  Composites that are earlier scalars
+    of X itself (only on tables whose endpoints are wrong) are redone
+    one by one, in order.
     """
-    F = np.full(table.n_arrows, -1, dtype=np.int32)
-    for i, ar in enumerate(table.arrows):
-        if isinstance(ar, NonEndo):
-            key = (
-                obj_to[table._obj_i[ar.src]],
-                obj_to[table._obj_i[ar.dst]],
-                obj_to[table._obj_i[ar.label]],
-            )
-            F[i] = model._ne3[key]
-    m_inv = model._ensure_inverses()
-    comp = table._comp
-    for xi in range(table.n_objects):
-        f = next(j for j in table._out[xi] if int(table._dst_i[j]) != xi)
-        Ff = int(F[f])
-        Ff_inv = int(m_inv[Ff])
-        for sid in table.scalars[table.objects[xi]]:
-            si = table._endo_i[(xi, sid)]
-            F[si] = model._comp[int(F[int(comp[si, f])]), Ff_inv]
-    return F
+
+    def __init__(self, table: CandidateTable, model: CandidateTable):
+        ne3 = table._ne3
+        self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
+        self.non_endo = ne3[self.src, self.dst, self.lab]
+        # Per object X: f_X, the scalar arrows s in declared order, the
+        # composites s.f_X and the (s, earlier scalar of X) positions.
+        self.per_object = []
+        for xi, x in enumerate(table.objects):
+            f = next(j for j in table._out[xi] if int(table._dst_i[j]) != xi)
+            scal = np.array([table._endo_i[(xi, sid)] for sid in table.scalars[x]], dtype=np.intp)
+            comp_f = table._comp[scal, f]
+            pos = {int(a): k for k, a in enumerate(scal)}
+            own = [(k, pos[int(r)]) for k, r in enumerate(comp_f) if pos.get(int(r), k) < k]
+            self.per_object.append((f, scal, comp_f, own))
+        self.n_arrows = table.n_arrows
+        self.model = model
+        self.m_inv = model._ensure_inverses()
+
+    def __call__(self, obj_to) -> np.ndarray:
+        o = np.asarray(obj_to, dtype=np.intp)
+        m_comp = self.model._comp
+        F = np.full(self.n_arrows, -1, dtype=np.int32)
+        F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
+        for f, scal, comp_f, own in self.per_object:
+            Ff_inv = self.m_inv[F[f]]
+            F[scal] = m_comp[F[comp_f], Ff_inv]
+            for k, j in own:
+                F[scal[k]] = m_comp[F[scal[j]], Ff_inv]
+        return F
 
 
 def verify_iso(
@@ -137,7 +161,7 @@ def verify_iso(
         raise CoordinatizationError("scalar map must be a bijection onto the model scalars")
 
     obj_to = [model._obj_i[iso.object_map[o]] for o in table.objects]
-    F = _forced_arrow_map(table, model, obj_to)
+    F = _Forcing(table, model)(obj_to)
 
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
@@ -242,8 +266,29 @@ def verify_uniqueness(
     """Check that exactly one structure map extends the frame assignment.
 
     Every object bijection sending the frame to (0:1, 1:0, 1:1) is
-    tried; the induced arrow map is accepted when fully functorial.
+    covered; its induced arrow map is accepted when fully functorial.
     Returns the check plus the unique passing object map, if unique.
+
+    The search is depth first over the non-frame objects ``others``,
+    assigning ``others[k]`` at depth k+1 and trying the targets in
+    order, so its leaves are the bijections in the order of
+    ``itertools.permutations(targets)``.  Frame objects have depth 0.
+    An arrow between distinct objects has the largest depth of its
+    source, target and label.  A scalar s at X has the largest depth
+    of X, f_X and r = s.f_X when r is an arrow between distinct
+    objects, and the leaf depth otherwise.  A composable pair has the
+    largest depth of its two arrows and its composite, and its images
+    depend on the objects of at most that depth only.  At a node of
+    depth k the unassigned objects take the unused targets in order,
+    and the pairs of depth exactly k are checked on the forced map.
+    A failing pair refutes every bijection below the node, because
+    each gives that pair the same images; those (remaining)! bijections
+    are added to ``checked`` and the subtree is skipped.  A leaf passes
+    only when the pairs of every depth passed on its path, which is
+    every pair.  So ``checked`` counts the bijections covered, always
+    (p-2)!, each refuted by a pair it shares with its subtree or fully
+    checked, and the passing maps and witnesses are those of trying
+    every bijection in turn.
     """
     if frame is None:
         frame = _default_frame(table)
@@ -255,19 +300,45 @@ def verify_uniqueness(
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
     targets = [m for m in model.objects if m not in ("0:1", "1:0", "1:1")]
+    leaf = len(others)
+    forced = _Forcing(table, model)
+
+    obj_depth = np.zeros(table.n_objects, dtype=np.intp)
+    for k, o in enumerate(others):
+        obj_depth[table._obj_i[o]] = k + 1
+    depth = np.full(table.n_arrows, leaf, dtype=np.intp)
+    depth[forced.non_endo] = np.maximum.reduce(
+        [obj_depth[forced.src], obj_depth[forced.dst], obj_depth[forced.lab]]
+    )
+    # f_X leaves X, so its depth is at least that of X.
+    for f, scal, comp_f, _ in forced.per_object:
+        through = table._src_i[comp_f] != table._dst_i[comp_f]
+        depth[scal] = np.where(through, np.maximum(depth[comp_f], depth[f]), leaf)
     comp = table._comp
     I, J = np.nonzero(comp >= 0)
     RK = comp[I, J]
+    pair_depth = np.maximum.reduce([depth[I], depth[J], depth[RK]])
+    order = np.argsort(pair_depth, kind="stable")
+    cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
+    buckets = [(I[sel], J[sel], RK[sel]) for sel in np.split(order, cuts)]
+
     passing: list[dict[str, str]] = []
     checked = 0
-    for perm in itertools.permutations(targets):
-        checked += 1
+    stack: list[list[str]] = [[]]
+    while stack:
+        prefix = stack.pop()
+        k = len(prefix)
         omap = dict(fixed)
-        omap.update(zip(others, perm))
-        obj_to = [model._obj_i[omap[o]] for o in table.objects]
-        F = _forced_arrow_map(table, model, obj_to)
-        if bool(np.all(model._comp[F[I], F[J]] == F[RK])):
+        omap.update(zip(others, prefix + [t for t in targets if t not in prefix]))
+        F = forced([model._obj_i[omap[o]] for o in table.objects])
+        bI, bJ, bR = buckets[k]
+        if not np.array_equal(model._comp[F[bI], F[bJ]], F[bR]):
+            checked += math.factorial(leaf - k)
+        elif k == leaf:
+            checked += 1
             passing.append(omap)
+        else:
+            stack.extend(prefix + [t] for t in reversed(targets) if t not in prefix)
     assert checked == math.factorial(len(others))
     if len(passing) == 1:
         return make_check("uniqueness", checked, 0, []), passing[0]

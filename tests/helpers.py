@@ -1,5 +1,6 @@
 """Shared test utilities: a CLI runner, the documented and seeded
-mutations and a reference table loader.
+mutations, a reference table loader and the brute-force uniqueness
+search with its forced arrow map.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -7,9 +8,12 @@ are (first arrow, second arrow, replacement result).
 """
 
 import copy
+import itertools
+import math
 import random
 import subprocess
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -17,9 +21,17 @@ from projline.candidate import (
     CandidateFormatError,
     CandidateTable,
     Endo,
+    NonEndo,
     _check_name,
     parse_arrow,
 )
+from projline.coordinatize import (
+    CoordinatizationError,
+    Frame,
+    _default_frame,
+    _target_model,
+)
+from projline.reports import CheckReport, make_check
 
 
 def run_cli(*args, binary=False):
@@ -66,6 +78,54 @@ def seeded_mutation(doc: dict, seed: int) -> dict:
         homset = [f"{r.src}>{lab}>{r.dst}" for lab in out["objects"] if lab not in (r.src, r.dst)]
     entry[2] = rng.choice([x for x in homset if x != entry[2]])
     return out
+
+
+def _ends(arrow) -> tuple[str, str]:
+    return (arrow.obj, arrow.obj) if isinstance(arrow, Endo) else (arrow.src, arrow.dst)
+
+
+def cross_homset_mutation(doc: dict, seed: int) -> dict:
+    """A deep copy of a table document with one seeded compose entry
+    rewritten to an arrow of another homset, so the table fails the
+    endpoints layer."""
+    rng = random.Random(seed)
+    out = copy.deepcopy(doc)
+    objs = out["objects"]
+    arrows = [f"{o}#{s}" for o in objs for s in out["scalars"][o]]
+    arrows += [f"{a}>{lab}>{b}" for a, b, lab in itertools.permutations(objs, 3)]
+    entry = rng.choice(out["compose"])
+    ends = _ends(parse_arrow(entry[2]))
+    entry[2] = rng.choice([x for x in arrows if _ends(parse_arrow(x)) != ends])
+    return out
+
+
+def relabel(doc: dict, seed: int) -> dict:
+    """A table document with its object names permuted, each object's
+    scalar ids permuted and its object list shuffled: the same table
+    under other names."""
+    rng = random.Random(seed)
+    objs = doc["objects"]
+    names = dict(zip(objs, rng.sample(objs, len(objs))))
+    ids = {}
+    for o in objs:
+        own = doc["scalars"][o]
+        ids[o] = dict(zip(own, rng.sample(own, len(own))))
+
+    def arrow(a: str) -> str:
+        x = parse_arrow(a)
+        if isinstance(x, Endo):
+            return f"{names[x.obj]}#{ids[x.obj][x.scalar]}"
+        return f"{names[x.src]}>{names[x.label]}>{names[x.dst]}"
+
+    rename = {a: arrow(a) for a in {a for e in doc["compose"] for a in e}}
+    order = rng.sample(objs, len(objs))
+    return {
+        "format": doc["format"],
+        "objects": [names[o] for o in order],
+        "scalars": {names[o]: [ids[o][s] for s in doc["scalars"][o]] for o in order},
+        "identity": {names[o]: ids[o][doc["identity"][o]] for o in order},
+        "compose": [[rename[a], rename[b], rename[r]] for a, b, r in doc["compose"]],
+    }
 
 
 def reference_from_doc(doc) -> CandidateTable:
@@ -140,3 +200,82 @@ def reference_from_doc(doc) -> CandidateTable:
         )
     t._comp = comp
     return t
+
+
+def reference_forced_arrow_map(
+    table: CandidateTable, model: CandidateTable, obj_to: list[int]
+) -> np.ndarray:
+    """Arrow map induced by an object bijection, one arrow at a time.
+
+    The loop that ``coordinatize._Forcing`` replaced, kept as its oracle.
+
+    Arrows between distinct objects go to the arrow with the image
+    label.  Each scalar s at X is forced by functoriality through any
+    arrow f out of X: the image of s must be (image of s.f) then the
+    inverse image of f.  The least outgoing arrow is used.
+    """
+    F = np.full(table.n_arrows, -1, dtype=np.int32)
+    for i, ar in enumerate(table.arrows):
+        if isinstance(ar, NonEndo):
+            key = (
+                obj_to[table._obj_i[ar.src]],
+                obj_to[table._obj_i[ar.dst]],
+                obj_to[table._obj_i[ar.label]],
+            )
+            F[i] = model._ne3[key]
+    m_inv = model._ensure_inverses()
+    comp = table._comp
+    for xi in range(table.n_objects):
+        f = next(j for j in table._out[xi] if int(table._dst_i[j]) != xi)
+        Ff = int(F[f])
+        Ff_inv = int(m_inv[Ff])
+        for sid in table.scalars[table.objects[xi]]:
+            si = table._endo_i[(xi, sid)]
+            F[si] = model._comp[int(F[int(comp[si, f])]), Ff_inv]
+    return F
+
+
+def reference_uniqueness(
+    table: CandidateTable, frame: Optional[Frame] = None, max_witnesses: int = 5
+) -> tuple[CheckReport, Optional[dict[str, str]]]:
+    """Check that exactly one structure map extends the frame assignment.
+
+    The brute force that ``verify_uniqueness`` replaced, kept as its
+    oracle: every object bijection sending the frame to (0:1, 1:0, 1:1)
+    is tried; the induced arrow map is accepted when fully functorial.
+    Returns the check plus the unique passing object map, if unique.
+    """
+    if frame is None:
+        frame = _default_frame(table)
+    for o in frame.members():
+        if o not in table.identities:
+            raise CoordinatizationError(f"frame object {o!r} is not in the table")
+    model = _target_model(table)
+    f0, f1, f2 = frame.members()
+    fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
+    others = [o for o in table.objects if o not in fixed]
+    targets = [m for m in model.objects if m not in ("0:1", "1:0", "1:1")]
+    comp = table._comp
+    I, J = np.nonzero(comp >= 0)
+    RK = comp[I, J]
+    passing: list[dict[str, str]] = []
+    checked = 0
+    for perm in itertools.permutations(targets):
+        checked += 1
+        omap = dict(fixed)
+        omap.update(zip(others, perm))
+        obj_to = [model._obj_i[omap[o]] for o in table.objects]
+        F = reference_forced_arrow_map(table, model, obj_to)
+        if bool(np.all(model._comp[F[I], F[J]] == F[RK])):
+            passing.append(omap)
+    assert checked == math.factorial(len(others))
+    if len(passing) == 1:
+        return make_check("uniqueness", checked, 0, []), passing[0]
+    if not passing:
+        wit = ["no object bijection extending the frame is structure preserving"]
+        return make_check("uniqueness", checked, 1, wit), None
+    wit = []
+    for extra in passing[1 : 1 + max_witnesses]:
+        diff = {k: v for k, v in extra.items() if passing[0][k] != v}
+        wit.append(f"a second structure map exists, differing at {diff}")
+    return make_check("uniqueness", checked, len(passing) - 1, wit), None

@@ -220,6 +220,30 @@ def test_model_tables_validate_and_satisfy_axioms(p):
     assert [c.name for c in a.checks] == list(AXIOM_NAMES)
 
 
+def test_homsets_needs_endo_counts_of_n_minus_two():
+    # Four objects with one scalar each: the endo counts agree with each
+    # other but not with the two arrows in every homset between
+    # distinct objects.
+    objs = ["a", "b", "c", "d"]
+    arrows = [Endo(o, "1") for o in objs]
+    arrows += [NonEndo(u, w, lab) for u, w, lab in itertools.permutations(objs, 3)]
+
+    def ends(x):
+        return (x.obj, x.obj) if isinstance(x, Endo) else (x.src, x.dst)
+
+    def composite(x, y):
+        u, w = ends(x)[0], ends(y)[1]
+        if u == w:
+            return Endo(u, "1")
+        return NonEndo(u, w, next(o for o in objs if o not in (u, w)))
+
+    entries = [(x, y, composite(x, y)) for x in arrows for y in arrows if ends(x)[1] == ends(y)[0]]
+    t = CandidateTable(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}, entries)
+    homsets = validate_structure(t).check("homsets")
+    assert (homsets.status, homsets.checked, homsets.failures) == ("fail", 4, 4)
+    assert homsets.witnesses[0] == "homsets(a): endo count 1, but each non-endo homset has 2"
+
+
 def test_vacuity_pattern_smallest_table():
     # with only three objects nothing quantifies over four distinct ones
     a = check_axioms(from_model(2))

@@ -1,15 +1,30 @@
 """Frame-pinned isomorphisms onto the concrete model."""
 
+import importlib
 import itertools
+import math
+import random
 
+import numpy as np
 import pytest
 
-from helpers import mutate_doc
-from projline.candidate import CandidateTable, from_model
+from helpers import (
+    MUTATIONS,
+    cross_homset_mutation,
+    mutate_doc,
+    reference_forced_arrow_map,
+    reference_uniqueness,
+    relabel,
+    seeded_mutation,
+)
+from projline.candidate import CandidateTable, from_model, validate_structure
 from projline.coordinatize import (
     CandidateIso,
     CoordinatizationError,
     Frame,
+    _Forcing,
+    _model,
+    _target_model,
     coordinatize,
     verify_iso,
     verify_uniqueness,
@@ -102,7 +117,9 @@ def test_scalar_map_must_match_structure():
     assert report.check("scalar-map").witnesses
 
 
-@pytest.mark.parametrize("p,count", [(2, 1), (3, 1), (5, 6), (7, 120)])
+@pytest.mark.parametrize(
+    "p,count", [(2, 1), (3, 1), (5, 6), (7, 120), (11, 362880), (13, 39916800)]
+)
 def test_uniqueness_candidate_counts(p, count):
     t = from_model(p)
     report, found = verify_uniqueness(t)
@@ -117,6 +134,99 @@ def test_uniqueness_with_rotated_frame():
     report, found = verify_uniqueness(t, frame)
     assert report.status == "pass"
     assert found == coordinatize(t, frame).object_map
+
+
+def test_uniqueness_on_relabeled_f11_with_another_frame():
+    t = CandidateTable.from_doc(relabel(from_model(11).to_doc(), 3))
+    frame = Frame(t.objects[5], t.objects[2], t.objects[9])
+    report, found = verify_uniqueness(t, frame)
+    assert report.status == "pass"
+    assert report.checked == math.factorial(9)
+    assert found == coordinatize(t, frame).object_map
+
+
+def _assert_matches_brute_force(table, frames, seed):
+    """The forced map on seeded object bijections and the uniqueness
+    report and map on each frame equal the brute force's."""
+    model = _target_model(table)
+    forced = _Forcing(table, model)
+    rng = random.Random(seed)
+    for _ in range(4):
+        obj_to = rng.sample(range(table.n_objects), table.n_objects)
+        assert np.array_equal(forced(obj_to), reference_forced_arrow_map(table, model, obj_to))
+    for frame in frames:
+        report, found = verify_uniqueness(table, frame)
+        ref, ref_found = reference_uniqueness(table, frame)
+        assert (report.to_dict(), found) == (ref.to_dict(), ref_found)
+
+
+def test_uniqueness_matches_brute_force_on_every_frame_of_f5():
+    t = from_model(5)
+    _assert_matches_brute_force(t, [Frame(*f) for f in itertools.permutations(t.objects, 3)], 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uniqueness_matches_brute_force_on_relabeled_f7(seed):
+    t = CandidateTable.from_doc(relabel(from_model(7).to_doc(), seed))
+    rng = random.Random(seed)
+    _assert_matches_brute_force(t, [Frame(*rng.sample(t.objects, 3)) for _ in range(3)], seed)
+
+
+def _own_scalar_rewrite(doc, _):
+    """s.f_X rewritten to an earlier scalar of X, where X is the second
+    object and f_X its least outgoing arrow between distinct objects."""
+    objs = doc["objects"]
+    x = objs[1]
+    first, second = f"{x}#{doc['scalars'][x][2]}", f"{x}>{objs[2]}>{objs[0]}"
+    out = {**doc, "compose": [list(e) for e in doc["compose"]]}
+    hit = next(e for e in out["compose"] if e[:2] == [first, second])
+    hit[2] = f"{x}#{doc['scalars'][x][1]}"
+    return out
+
+
+MUTATORS = {
+    "mutation": mutate_doc,
+    "seeded": seeded_mutation,
+    "cross": cross_homset_mutation,
+    "own-scalar": _own_scalar_rewrite,
+}
+BROKEN = (
+    [("mutation", 5, name) for name in MUTATIONS]
+    + [("seeded", p, s) for p in (5, 7) for s in range(6)]
+    + [("cross", p, s) for p in (5, 7) for s in range(2)]
+    + [("own-scalar", 5, None)]
+)
+
+
+@pytest.mark.parametrize("kind,p,arg", BROKEN)
+def test_uniqueness_matches_brute_force_on_broken_tables(kind, p, arg):
+    t = CandidateTable.from_doc(MUTATORS[kind](from_model(p).to_doc(), arg))
+    if kind in ("cross", "own-scalar"):
+        assert validate_structure(t).check("endpoints").status == "fail"
+    if kind == "own-scalar":
+        assert _Forcing(t, _target_model(t)).per_object[1][3]
+    _assert_matches_brute_force(t, [Frame(*t.objects[:3]), Frame(*t.objects[-3:])], p)
+
+
+def test_target_model_is_built_once_per_p(monkeypatch):
+    built = []
+
+    def counting(p):
+        built.append(p)
+        return from_model(p)
+
+    monkeypatch.setattr(importlib.import_module("projline.coordinatize"), "from_model", counting)
+    _model.cache_clear()
+    t5, t7 = from_model(5), from_model(7)
+    for _ in range(2):
+        verify_iso(t5, coordinatize(t5))
+        verify_uniqueness(t5)
+    assert built == [5]
+    coordinatize(t7)
+    verify_uniqueness(t7)
+    assert built == [5, 7]
+    coordinatize(t5)
+    assert built == [5, 7, 5]
 
 
 def test_object_count_must_fit_a_prime_model():
