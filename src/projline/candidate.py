@@ -213,6 +213,7 @@ class CandidateTable:
         # three objects are pairwise distinct.
         self._ne3 = np.full((n, n, n), -1, dtype=np.int32)
         self._endo_i: dict[tuple[int, str], int] = {}
+        hom = [0]
         for si, s in enumerate(self.objects):
             for di, d in enumerate(self.objects):
                 if si == di:
@@ -229,6 +230,10 @@ class CandidateTable:
                         arrows.append(NonEndo(s, d, lab))
                         src_i.append(si)
                         dst_i.append(di)
+                hom.append(len(arrows))
+        # Arrows are numbered source-major, then by target: hom(a, b) is
+        # the index range _hom[a*n + b] .. _hom[a*n + b + 1].
+        self._hom = np.array(hom, dtype=np.intp)
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
         self._arrow_i: dict[AbstractArrow, int] = {a: i for i, a in enumerate(arrows)}
         self._name_i: dict[str, int] = {str(a): i for i, a in enumerate(arrows)}
@@ -239,7 +244,10 @@ class CandidateTable:
         for i in range(len(arrows)):
             self._out[src_i[i]].append(i)
             self._in[dst_i[i]].append(i)
-        self._id_idx = [self._endo_i[(oi, self.identities[o])] for oi, o in enumerate(self.objects)]
+        self._id_idx = np.array(
+            [self._endo_i[(oi, self.identities[o])] for oi, o in enumerate(self.objects)],
+            dtype=np.int32,
+        )
 
     def _fill(self, entries: Sequence, idx: np.ndarray) -> None:
         """Store the composites of entries whose count is already checked.
@@ -305,17 +313,22 @@ class CandidateTable:
         return Endo(obj, self.identities[obj])
 
     def hom(self, a: str, b: str) -> tuple[AbstractArrow, ...]:
-        ai, bi = self._obj_i[a], self._obj_i[b]
-        if ai == bi:
-            return tuple(Endo(a, s) for s in self.scalars[a])
-        return tuple(
-            NonEndo(a, b, lab)
-            for li, lab in enumerate(self.objects)
-            if li not in (ai, bi)
-        )
+        k = self._obj_i[a] * self.n_objects + self._obj_i[b]
+        return self.arrows[self._hom[k] : self._hom[k + 1]]
 
-    def compose_idx(self, i: int, j: int) -> int:
-        return int(self._comp[i, j])
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every composable pair (I, J), in row-major order.
+
+        The arrows composable after arrow i are those out of its target,
+        one index range, so no n_arrows x n_arrows scan is needed.
+        """
+        n = self.n_objects
+        start = self._hom[self._dst_i * n]
+        count = self._hom[self._dst_i * n + n] - start
+        I = np.repeat(np.arange(self.n_arrows), count)
+        # Position of each pair within its row, added to the row's start.
+        J = np.arange(I.size) - np.repeat(np.cumsum(count) - count - start, count)
+        return I, J
 
     def compose(self, f: AbstractArrow, g: AbstractArrow) -> AbstractArrow:
         """Left-to-right composite: ``f`` then ``g``."""
@@ -329,15 +342,17 @@ class CandidateTable:
         """Two-sided inverse index per arrow, -1 where none exists."""
         if self._inv is not None:
             return self._inv
-        comp = self._comp
+        comp, src, dst = self._comp, self._src_i, self._dst_i
+        I, J = self._pairs()
+        ok = (
+            (dst[J] == src[I])
+            & (comp[I, J] == self._id_idx[src[I]])
+            & (comp[J, I] == self._id_idx[dst[I]])
+        )
+        # Pairs come in row-major order: keep the least J of each I.
+        i, first = np.unique(I[ok], return_index=True)
         inv = np.full(self.n_arrows, -1, dtype=np.int32)
-        for i in range(self.n_arrows):
-            si, di = int(self._src_i[i]), int(self._dst_i[i])
-            want_l, want_r = self._id_idx[si], self._id_idx[di]
-            for j in self._out[di]:
-                if self._dst_i[j] == si and comp[i, j] == want_l and comp[j, i] == want_r:
-                    inv[i] = j
-                    break
+        inv[i] = J[ok][first]
         self._inv = inv
         return inv
 
@@ -353,12 +368,9 @@ class CandidateTable:
     FORMAT = 1
 
     def to_doc(self) -> dict:
-        names = [str(a) for a in self.arrows]
-        entries = []
-        for i in range(self.n_arrows):
-            out = self._out[int(self._dst_i[i])]
-            composites = self._comp[i, out].tolist()
-            entries.extend([names[i], names[j], names[r]] for j, r in zip(out, composites))
+        names = np.array([str(a) for a in self.arrows], dtype=object)
+        I, J = self._pairs()
+        entries = np.stack([names[I], names[J], names[self._comp[I, J]]], axis=1).tolist()
         # Each (first, second) pair occurs once, so list order is pair order.
         entries.sort()
         return {
@@ -442,26 +454,22 @@ def from_model(p: int) -> CandidateTable:
     identities = {nm: "1" for nm in names}
     t = CandidateTable._bare(names, scalars, identities)
 
-    fac: list[int] = [0] * t.n_arrows
-    for i, ar in enumerate(t.arrows):
-        if isinstance(ar, Endo):
-            fac[i] = int(ar.scalar)
-        else:
-            a = pts[t._obj_i[ar.src]]
-            b = pts[t._obj_i[ar.dst]]
-            c = pts[t._obj_i[ar.label]]
-            fac[i] = int(label_to_arrow(a, b, c).factor.value)
-    n = t.n_objects
-    by_factor: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(t.n_arrows):
-        by_factor[int(t._src_i[i])][int(t._dst_i[i])][fac[i]] = i
+    n, src, dst = t.n_objects, t._src_i, t._dst_i
+    # Factor of each arrow: its scalar id 1 .. p-1 at an endo, the
+    # model's factor between distinct points.
+    fac = np.zeros(t.n_arrows, dtype=np.intp)
+    fac[src == dst] = np.tile(np.arange(1, p), n)
+    a, b, c = np.nonzero(t._ne3 >= 0)
+    fac[t._ne3[a, b, c]] = [
+        int(label_to_arrow(pts[x], pts[y], pts[z]).factor.value)
+        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())
+    ]
+    # by_factor[x, y, v] is the arrow x -> y with factor v.
+    by_factor = np.full((n, n, p), -1, dtype=np.int32)
+    by_factor[src, dst, fac] = np.arange(t.n_arrows)
+    I, J = t._pairs()
     comp = np.full((t.n_arrows, t.n_arrows), -1, dtype=np.int32)
-    src_l = [int(v) for v in t._src_i]
-    dst_l = [int(v) for v in t._dst_i]
-    for i in range(t.n_arrows):
-        si, fi = src_l[i], fac[i]
-        for j in t._out[dst_l[i]]:
-            comp[i, j] = by_factor[si][dst_l[j]][(fi * fac[j]) % p]
+    comp[I, J] = by_factor[src[I], dst[J], fac[I] * fac[J] % p]
     t._comp = comp
     return t
 
@@ -469,10 +477,10 @@ def from_model(p: int) -> CandidateTable:
 # -- rapport calculus on abstract tables --------------------------------------
 
 
-def _scalar(out: AbstractArrow, route: str) -> Endo:
-    """``out``, which a groupoid table makes a scalar; ValueError if it is not."""
-    if not isinstance(out, Endo):
-        raise ValueError(f"{route} gives {out}, not a scalar")
+def _scalar(out: AbstractArrow, at: str, route: str) -> Endo:
+    """``out``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
+    if not isinstance(out, Endo) or out.obj != at:
+        raise ValueError(f"{route} gives {out}, not a scalar at {at}")
     return out
 
 
@@ -481,7 +489,7 @@ def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> En
     if len({a, b, c}) != 3 or len({a, b, d}) != 3:
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
     out = table.compose(NonEndo(a, b, c), NonEndo(b, a, d))
-    return _scalar(out, f"round trip ({a},{b};{c},{d})")
+    return _scalar(out, a, f"round trip ({a},{b};{c},{d})")
 
 
 def tri_rapport_abs(
@@ -495,7 +503,7 @@ def tri_rapport_abs(
     out = table.compose(
         table.compose(NonEndo(a, b, d), NonEndo(b, c, e)), NonEndo(c, a, f)
     )
-    return _scalar(out, f"cycle ({a},{b},{c};{d},{e},{f})")
+    return _scalar(out, a, f"cycle ({a},{b},{c};{d},{e},{f})")
 
 
 def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
@@ -504,7 +512,7 @@ def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
         raise ValueError(f"{sigma} does not live at the source of {f}")
     finv = table.inverse_arrow(f)
     out = table.compose(table.compose(finv, sigma), f)
-    return _scalar(out, f"transport of {sigma} along {f}")
+    return _scalar(out, f.dst, f"transport of {sigma} along {f}")
 
 
 def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
@@ -526,10 +534,6 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
 # -- structure validation ------------------------------------------------------
 
 
-def _fmt_arrow_idx(table: CandidateTable, i: int) -> str:
-    return str(table.arrows[i])
-
-
 def _associativity(table: CandidateTable, cap: int) -> CheckReport:
     """Associativity over all composable triples, vectorized per object pair.
 
@@ -537,10 +541,8 @@ def _associativity(table: CandidateTable, cap: int) -> CheckReport:
     f into mid, g from mid to far, h out of far.  Arrows are numbered
     source-major and then by target, so g and h are index ranges.
     """
-    comp = table._comp
+    comp, hom = table._comp, table._hom
     n = table.n_objects
-    # Arrows from src to dst are the range edge[src*n + dst] .. edge[src*n + dst + 1].
-    edge = np.searchsorted(table._src_i * n + table._dst_i, np.arange(n * n + 1))
     checked = 0
     failures = 0
     witnesses: list[tuple[tuple[int, int, int], str]] = []
@@ -548,8 +550,8 @@ def _associativity(table: CandidateTable, cap: int) -> CheckReport:
         f_idx = np.array(table._in[mid], dtype=np.int32)
         rows = comp[f_idx]
         for far in range(n):
-            g = slice(edge[mid * n + far], edge[mid * n + far + 1])
-            h = slice(edge[far * n], edge[far * n + n])
+            g = slice(hom[mid * n + far], hom[mid * n + far + 1])
+            h = slice(hom[far * n], hom[far * n + n])
             left = comp[:, h][rows[:, g]]
             right = rows[:, comp[g, h]]
             bad = left != right
@@ -562,8 +564,8 @@ def _associativity(table: CandidateTable, cap: int) -> CheckReport:
                 for fi, gi, hi in np.argwhere(bad)[:cap]:
                     key = (int(f_idx[fi]), int(g.start + gi), int(h.start + hi))
                     text = (
-                        f"assoc({_fmt_arrow_idx(table, key[0])}, "
-                        f"{_fmt_arrow_idx(table, key[1])}, {_fmt_arrow_idx(table, key[2])}): "
+                        f"assoc({table.arrows[key[0]]}, "
+                        f"{table.arrows[key[1]]}, {table.arrows[key[2]]}): "
                         f"grouping changes the composite"
                     )
                     witnesses.append((key, text))
@@ -586,35 +588,28 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
 
     checks.append(make_check("objects", 1, 0 if table.n_objects >= 3 else 1, []))
 
-    pairs_i, pairs_j = np.nonzero(comp >= 0)
+    pairs_i, pairs_j = table._pairs()
     res = comp[pairs_i, pairs_j]
     ok = (table._src_i[res] == table._src_i[pairs_i]) & (
         table._dst_i[res] == table._dst_i[pairs_j]
     )
+    # Pairs come in row-major order, so the first failures are the least.
     bad_at = np.nonzero(~ok)[0]
-    wit = []
-    for k in bad_at[: cap * 4]:
-        i, j = int(pairs_i[k]), int(pairs_j[k])
-        wit.append(
-            (
-                (i, j),
-                f"endpoints({_fmt_arrow_idx(table, i)}, {_fmt_arrow_idx(table, j)}): "
-                f"composite {_fmt_arrow_idx(table, int(comp[i, j]))} has wrong endpoints",
-            )
-        )
-    wit.sort(key=lambda w: w[0])
-    checks.append(
-        make_check("endpoints", int(pairs_i.size), int(bad_at.size), [t for _, t in wit[:cap]])
-    )
+    wit_t = [
+        f"endpoints({table.arrows[pairs_i[k]]}, {table.arrows[pairs_j[k]]}): "
+        f"composite {table.arrows[res[k]]} has wrong endpoints"
+        for k in bad_at[:cap]
+    ]
+    checks.append(make_check("endpoints", int(pairs_i.size), int(bad_at.size), wit_t))
 
     arange = np.arange(n_arr)
-    id_src = np.array([table._id_idx[int(s)] for s in table._src_i], dtype=np.int32)
-    id_dst = np.array([table._id_idx[int(d)] for d in table._dst_i], dtype=np.int32)
+    id_src = table._id_idx[table._src_i]
+    id_dst = table._id_idx[table._dst_i]
     left_ok = comp[id_src, arange] == arange
     right_ok = comp[arange, id_dst] == arange
     bad = np.nonzero(~(left_ok & right_ok))[0]
     wit_t = [
-        f"identity({_fmt_arrow_idx(table, int(i))}): declared unit does not fix it"
+        f"identity({table.arrows[i]}): declared unit does not fix it"
         for i in bad[:cap]
     ]
     checks.append(make_check("identity", 2 * n_arr, int(bad.size), wit_t))
@@ -622,7 +617,7 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     inv = table._ensure_inverses()
     bad = np.nonzero(inv < 0)[0]
     wit_t = [
-        f"inverses({_fmt_arrow_idx(table, int(i))}): no two-sided inverse" for i in bad[:cap]
+        f"inverses({table.arrows[i]}): no two-sided inverse" for i in bad[:cap]
     ]
     checks.append(make_check("inverses", n_arr, int(bad.size), wit_t))
 
@@ -670,9 +665,9 @@ def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
     a, b, c = _distinct(table.n_objects, 3).T
     got = table._comp[ne3[a, b, c], ne3[b, a, c]]
     return _sweep(
-        "one", got, np.array(table._id_idx)[a], cap,
+        "one", got, table._id_idx[a], cap,
         lambda k: f"one({obj[a[k]]},{obj[b[k]]};{obj[c[k]]}): round trip gives "
-        f"{_fmt_arrow_idx(table, got[k])}, not the unit",
+        f"{table.arrows[got[k]]}, not the unit",
     )
 
 
@@ -685,7 +680,7 @@ def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
     return _sweep(
         "two", got, want, cap,
         lambda k: f"two({obj[a[k]]},{obj[b[k]]},{obj[d[k]]};{obj[c[k]]}): chain gives "
-        f"{_fmt_arrow_idx(table, got[k])}, want {_fmt_arrow_idx(table, want[k])}",
+        f"{table.arrows[got[k]]}, want {table.arrows[want[k]]}",
     )
 
 
@@ -701,7 +696,7 @@ def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     comp = table._comp
     return _sweep(
         "pappus", comp[i, j], comp[j, i], cap,
-        lambda k: f"pappus({_fmt_arrow_idx(table, i[k])}, {_fmt_arrow_idx(table, j[k])}): "
+        lambda k: f"pappus({table.arrows[i[k]]}, {table.arrows[j[k]]}): "
         f"products differ by order",
     )
 
@@ -740,8 +735,8 @@ def _axiom_hex2(table: CandidateTable, cap: int) -> CheckReport:
     return _sweep(
         "hex2", val, val[first], cap,
         lambda k: f"hex2({obj[a[k]]}): helpers ({obj[b[first[k]]]},{obj[c[first[k]]]}) give "
-        f"{_fmt_arrow_idx(table, val[first[k]])} but ({obj[b[k]]},{obj[c[k]]}) give "
-        f"{_fmt_arrow_idx(table, val[k])}",
+        f"{table.arrows[val[first[k]]]} but ({obj[b[k]]},{obj[c[k]]}) give "
+        f"{table.arrows[val[k]]}",
     )
 
 
@@ -777,8 +772,8 @@ def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
         name2 = ",".join(table.objects[x] for x in quads[q2])
         witnesses.append(
             f"as: ({name1}) and ({name2}) share cross ratio "
-            f"{_fmt_arrow_idx(table, keys[g])} but their swaps differ: "
-            f"{_fmt_arrow_idx(table, val[q1])} vs {_fmt_arrow_idx(table, val[q2])}"
+            f"{table.arrows[keys[g]]} but their swaps differ: "
+            f"{table.arrows[val[q1]]} vs {table.arrows[val[q2]]}"
         )
     return make_check("as", len(quads), int(split.size), witnesses)
 

@@ -364,6 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if (args.p is None) == (args.field is None):
             print("exactly one of --p or --field is required", file=sys.stderr)
             return 2
+    if getattr(args, "max_witnesses", 0) < 0:
+        return _fail(f"--max-witnesses must be at least 0, got {args.max_witnesses}", 2)
     try:
         return args.fn(args)
     except _InputError as exc:

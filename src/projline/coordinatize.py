@@ -190,7 +190,7 @@ def verify_iso(
     )
 
     comp = table._comp
-    I, J = np.nonzero(comp >= 0)
+    I, J = table._pairs()
     lhs = model._comp[F[I], F[J]]
     rhs = F[comp[I, J]]
     bad_at = np.nonzero(lhs != rhs)[0]
@@ -314,9 +314,8 @@ def verify_uniqueness(
     for f, scal, comp_f, _ in forced.per_object:
         through = table._src_i[comp_f] != table._dst_i[comp_f]
         depth[scal] = np.where(through, np.maximum(depth[comp_f], depth[f]), leaf)
-    comp = table._comp
-    I, J = np.nonzero(comp >= 0)
-    RK = comp[I, J]
+    I, J = table._pairs()
+    RK = table._comp[I, J]
     pair_depth = np.maximum.reduce([depth[I], depth[J], depth[RK]])
     order = np.argsort(pair_depth, kind="stable")
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))

@@ -226,7 +226,7 @@ def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
         return Endo(base, sid)
 
     def mul2(x: str, y: str) -> str:
-        return _scalar(table.compose(endo(x), endo(y)), f"{endo(x)} then {endo(y)}").scalar
+        return _scalar(table.compose(endo(x), endo(y)), base, f"{endo(x)} then {endo(y)}").scalar
 
     phi_map: dict[Optional[str], Optional[str]] = {None: one}
     for sid in ids:

@@ -1,6 +1,7 @@
 """Shared test utilities: a CLI runner, the documented and seeded
-mutations, a reference table loader and the brute-force uniqueness
-search with its forced arrow map.
+mutations, and reference implementations kept as oracles: the table
+loader, the brute-force uniqueness search with its forced arrow map,
+the inverse search, the model table builder and the homset listing.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -31,7 +32,9 @@ from projline.coordinatize import (
     _default_frame,
     _target_model,
 )
+from projline.model import label_to_arrow, points
 from projline.reports import CheckReport, make_check
+from projline.scalars import PrimeField
 
 
 def run_cli(*args, binary=False):
@@ -53,15 +56,19 @@ MUTATIONS = {
 }
 
 
-def mutate_doc(doc: dict, name: str) -> dict:
-    """A deep copy of a table document with one compose entry rewritten."""
-    first, second, replacement = MUTATIONS[name]
+def rewrite_entry(doc: dict, first: str, second: str, replacement: str) -> dict:
+    """A deep copy of a table document with the entry for (first, second) rewritten."""
     out = copy.deepcopy(doc)
     hits = [e for e in out["compose"] if e[0] == first and e[1] == second]
-    assert len(hits) == 1, f"mutation {name} must hit exactly one entry"
-    assert hits[0][2] != replacement, f"mutation {name} must change the entry"
+    assert len(hits) == 1, f"({first}, {second}) must hit exactly one entry"
+    assert hits[0][2] != replacement, f"({first}, {second}) must change the entry"
     hits[0][2] = replacement
     return out
+
+
+def mutate_doc(doc: dict, name: str) -> dict:
+    """A deep copy of a table document with one documented compose entry rewritten."""
+    return rewrite_entry(doc, *MUTATIONS[name])
 
 
 def seeded_mutation(doc: dict, seed: int) -> dict:
@@ -279,3 +286,71 @@ def reference_uniqueness(
         diff = {k: v for k, v in extra.items() if passing[0][k] != v}
         wit.append(f"a second structure map exists, differing at {diff}")
     return make_check("uniqueness", checked, len(passing) - 1, wit), None
+
+
+def reference_inverses(table: CandidateTable) -> np.ndarray:
+    """Two-sided inverse index per arrow, -1 where none exists.
+
+    The per-arrow loop that ``CandidateTable._ensure_inverses`` replaced,
+    kept as its oracle: for each arrow i, the first arrow j out of its
+    target that returns to its source with both composites the units.
+    """
+    comp = table._comp
+    inv = np.full(table.n_arrows, -1, dtype=np.int32)
+    for i in range(table.n_arrows):
+        si, di = int(table._src_i[i]), int(table._dst_i[i])
+        want_l, want_r = table._id_idx[si], table._id_idx[di]
+        for j in table._out[di]:
+            if table._dst_i[j] == si and comp[i, j] == want_l and comp[j, i] == want_r:
+                inv[i] = j
+                break
+    return inv
+
+
+def reference_from_model(p: int) -> CandidateTable:
+    """The candidate table of the projective line over F_p, filled pair by pair.
+
+    The loop that ``from_model`` replaced, kept as its oracle: each
+    arrow gets its factor, and the composite of i then j is the arrow
+    from the source of i to the target of j whose factor is the product.
+    """
+    field = PrimeField(p)
+    pts = points(field)
+    names = [str(q) for q in pts]
+    scalar_ids = [str(v) for v in range(1, p)]
+    scalars = {nm: list(scalar_ids) for nm in names}
+    identities = {nm: "1" for nm in names}
+    t = CandidateTable._bare(names, scalars, identities)
+
+    fac: list[int] = [0] * t.n_arrows
+    for i, ar in enumerate(t.arrows):
+        if isinstance(ar, Endo):
+            fac[i] = int(ar.scalar)
+        else:
+            a = pts[t._obj_i[ar.src]]
+            b = pts[t._obj_i[ar.dst]]
+            c = pts[t._obj_i[ar.label]]
+            fac[i] = int(label_to_arrow(a, b, c).factor.value)
+    n = t.n_objects
+    by_factor: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(t.n_arrows):
+        by_factor[int(t._src_i[i])][int(t._dst_i[i])][fac[i]] = i
+    comp = np.full((t.n_arrows, t.n_arrows), -1, dtype=np.int32)
+    src_l = [int(v) for v in t._src_i]
+    dst_l = [int(v) for v in t._dst_i]
+    for i in range(t.n_arrows):
+        si, fi = src_l[i], fac[i]
+        for j in t._out[dst_l[i]]:
+            comp[i, j] = by_factor[si][dst_l[j]][(fi * fac[j]) % p]
+    t._comp = comp
+    return t
+
+
+def reference_hom(table: CandidateTable, a: str, b: str) -> tuple:
+    """The arrows from ``a`` to ``b``, built from the names as ``hom`` once did."""
+    ai, bi = table._obj_i[a], table._obj_i[b]
+    if ai == bi:
+        return tuple(Endo(a, s) for s in table.scalars[a])
+    return tuple(
+        NonEndo(a, b, lab) for li, lab in enumerate(table.objects) if li not in (ai, bi)
+    )

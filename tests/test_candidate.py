@@ -9,11 +9,24 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MUTATIONS, mutate_doc, reference_from_doc
+from helpers import (
+    MUTATIONS,
+    _ends,
+    cross_homset_mutation,
+    mutate_doc,
+    reference_from_doc,
+    reference_from_model,
+    reference_hom,
+    reference_inverses,
+    relabel,
+    rewrite_entry,
+    seeded_mutation,
+)
 from projline import cli
 from projline.candidate import (
     AXIOM_NAMES,
@@ -220,10 +233,12 @@ def test_model_tables_validate_and_satisfy_axioms(p):
     assert [c.name for c in a.checks] == list(AXIOM_NAMES)
 
 
-def test_homsets_needs_endo_counts_of_n_minus_two():
-    # Four objects with one scalar each: the endo counts agree with each
-    # other but not with the two arrows in every homset between
-    # distinct objects.
+def four_object_table() -> CandidateTable:
+    """Four objects with one scalar each, built through the constructor.
+
+    The endo counts agree with each other but not with the two arrows
+    in every homset between distinct objects.
+    """
     objs = ["a", "b", "c", "d"]
     arrows = [Endo(o, "1") for o in objs]
     arrows += [NonEndo(u, w, lab) for u, w, lab in itertools.permutations(objs, 3)]
@@ -238,8 +253,11 @@ def test_homsets_needs_endo_counts_of_n_minus_two():
         return NonEndo(u, w, next(o for o in objs if o not in (u, w)))
 
     entries = [(x, y, composite(x, y)) for x in arrows for y in arrows if ends(x)[1] == ends(y)[0]]
-    t = CandidateTable(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}, entries)
-    homsets = validate_structure(t).check("homsets")
+    return CandidateTable(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}, entries)
+
+
+def test_homsets_needs_endo_counts_of_n_minus_two():
+    homsets = validate_structure(four_object_table()).check("homsets")
     assert (homsets.status, homsets.checked, homsets.failures) == ("fail", 4, 4)
     assert homsets.witnesses[0] == "homsets(a): endo count 1, but each non-endo homset has 2"
 
@@ -279,6 +297,69 @@ def test_arrows_are_numbered_source_major(f5_doc):
             assert t._out[o] == list(range(start, stop))
             start = stop
         assert start == t.n_arrows
+
+
+_F5, _F7 = from_model(5).to_doc(), from_model(7).to_doc()
+NO_INVERSE = ("0:1#3", "0:1#5", "0:1#4")
+
+# Documents that load but differ from a model table: relabeled, with one
+# entry rewritten inside or across homsets, or without an inverse.
+EDITED_DOCS = {
+    **{f"relabel-f7-{seed}": (relabel, _F7, seed) for seed in (0, 1)},
+    **{
+        f"{fn.__name__}-f{len(doc['objects']) - 1}-{seed}": (fn, doc, seed)
+        for fn in (seeded_mutation, cross_homset_mutation)
+        for doc in (_F5, _F7)
+        for seed in range(3)
+    },
+    "no-inverse-f7": (lambda doc, _: rewrite_entry(doc, *NO_INVERSE), _F7, None),
+}
+
+
+def edited_doc(name: str) -> dict:
+    fn, doc, seed = EDITED_DOCS[name]
+    return fn(doc, seed)
+
+
+def layout_table(case: str) -> CandidateTable:
+    if case.startswith("model-"):
+        return from_model(int(case.removeprefix("model-")))
+    if case == "four-objects":
+        return four_object_table()
+    return CandidateTable.from_doc(edited_doc(case))
+
+
+@pytest.mark.parametrize(
+    "case", [f"model-{p}" for p in (2, 3, 5, 7, 11)] + list(EDITED_DOCS) + ["four-objects"]
+)
+def test_pairs_inverses_and_homsets_match_the_references(case):
+    t = layout_table(case)
+    pairs = t._pairs()
+    want = np.nonzero(t._comp >= 0)
+    assert all(np.array_equal(x, y) for x, y in zip(pairs, want))
+    assert np.array_equal(t._ensure_inverses(), reference_inverses(t))
+    for a, b in itertools.product(t.objects, repeat=2):
+        assert t.hom(a, b) == reference_hom(t, a, b)
+    if case == "no-inverse-f7":
+        assert (t._ensure_inverses() < 0).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_from_model_matches_the_pairwise_reference(p):
+    t, ref = from_model(p), reference_from_model(p)
+    assert t == ref
+    assert t._comp.dtype == ref._comp.dtype
+
+
+@pytest.mark.parametrize("case", list(EDITED_DOCS))
+def test_edited_documents_round_trip(case):
+    doc = edited_doc(case)
+    assert CandidateTable.from_doc(doc).to_doc() == dict(doc, compose=sorted(doc["compose"]))
+
+
+def test_constructor_table_round_trips():
+    t = four_object_table()
+    assert CandidateTable.from_doc(t.to_doc()) == t
 
 
 @pytest.mark.parametrize("name", ["one", "two", "pappus", "hex1", "hex2", "as"])
@@ -359,6 +440,23 @@ def test_witness_cap_respected(f5_doc):
     s = validate_structure(t, max_witnesses=2)
     for c in s.checks:
         assert len(c.witnesses) <= 2
+
+
+def test_endpoints_witnesses_are_the_least_failing_pairs(f5_doc):
+    doc = f5_doc
+    for seed in range(4):
+        doc = cross_homset_mutation(doc, seed)
+    t = CandidateTable.from_doc(doc)
+    bad = sorted(
+        (t.arrow_index(parse_arrow(a)), t.arrow_index(parse_arrow(b)), a, b, r)
+        for a, b, r in doc["compose"]
+        if _ends(parse_arrow(r)) != (_ends(parse_arrow(a))[0], _ends(parse_arrow(b))[1])
+    )
+    c = validate_structure(t, max_witnesses=2).check("endpoints")
+    assert c.failures == len(bad) > 2
+    assert c.witnesses == [
+        f"endpoints({a}, {b}): composite {r} has wrong endpoints" for *_, a, b, r in bad[:2]
+    ]
 
 
 # -- loader against the per-entry reference ------------------------------------

@@ -51,10 +51,15 @@ def test_gen_size_cap(tmp_path):
     assert run_cli("gen", "--p", "17", "--cap", "17", "--out", str(tmp_path / "b")).returncode == 0
 
 
-def test_argparse_errors_exit_2():
+def test_argparse_errors_exit_2(f5_path):
     assert run_cli("gen").returncode == 2  # missing --p
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("check").returncode == 2  # missing --in
+    for cmd in ("check", "reconstruct", "classify"):
+        r = run_cli(cmd, "--in", f5_path, "--max-witnesses", "-1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--max-witnesses" in r.stderr
+        assert run_cli(cmd, "--in", f5_path, "--max-witnesses", "0").returncode == 0
 
 
 # -- check -----------------------------------------------------------------
@@ -217,8 +222,9 @@ def f7_doc():
         (("0:1#3", "0:1#5", "0:1#4"), "0:1#3 has no two-sided inverse"),
         (("0:1>2:1>3:1", "3:1>6:1>0:1", "0:1>1:0>6:1"), "gives 0:1>1:0>6:1, not a scalar"),
         (("0:1#2", "0:1#3", "0:1>1:0>6:1"), "0:1#2 then 0:1#3 gives 0:1>1:0>6:1"),
+        (("0:1#2", "0:1#3", "1:0#6"), "0:1#2 then 0:1#3 gives 1:0#6, not a scalar at 0:1"),
     ],
-    ids=["no-inverse", "cycle-not-scalar", "product-not-scalar"],
+    ids=["no-inverse", "cycle-not-scalar", "product-not-scalar", "product-at-another-object"],
 )
 def test_non_groupoid_table_fails_reconstruction_with_exit_1(tmp_path, f7_doc, entry, reason):
     doc = json.loads(json.dumps(f7_doc))
@@ -253,6 +259,15 @@ STDOUT_SHA256 = {
     (11, "reconstruct"): "7f9bb31c9e91f34675f2903bb381185cf2ef947e392eb7ed11c4d87be60f162a",
     (11, "classify"): "b16debe151e530816e1c15de934a028e65ce472e589e161df2270eb9d26ef7da",
 }
+
+
+GEN_P13_SHA256 = "fe6a8d3647ee80d546b2a3e85edc5400dea28cff23fec4d73a92b64ac189ddfb"
+
+
+def test_gen_p13_stdout_bytes_are_pinned():
+    r = run_cli("gen", "--p", "13", binary=True)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout).hexdigest() == GEN_P13_SHA256
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
