@@ -17,12 +17,12 @@ import json
 import re
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import chain, compress, islice, permutations, product, repeat
+from itertools import chain, islice, permutations, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import label_to_arrow, points
+from .model import points
 from .reports import CheckReport, ReportGroup, make_check
 from .scalars import PrimeField
 
@@ -161,7 +161,7 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
     if not set(map(type, flat)) <= {str}:
         typed = next((k for k, s in enumerate(flat) if not isinstance(s, str)), typed)
     idx = np.fromiter(map(names.get, islice(flat, typed), repeat(-1)), np.int32, typed)
-    for s in dict.fromkeys(compress(flat, (idx < 0).tolist())):
+    for s in dict.fromkeys([flat[k] for k in np.flatnonzero(idx < 0).tolist()]):
         parse_arrow(s)
     if typed < len(flat):
         parse_arrow(flat[typed])
@@ -186,10 +186,14 @@ class CandidateTable:
         objects, scalars, identities = _check_space(objects, scalars, identities)
         _check_count(objects, scalars, len(entries))
         self._init_space(objects, scalars, identities)
-        get = self._arrow_i.get
-        idx = np.array(
-            [(get(a, -1), get(b, -1), get(r, -1)) for a, b, r in entries], dtype=np.int32
-        )
+
+        def index(arrow) -> int:
+            try:
+                return self.arrow_index(arrow)
+            except CandidateFormatError:
+                return -1
+
+        idx = np.array([(index(a), index(b), index(r)) for a, b, r in entries], dtype=np.int32)
         self._fill(entries, idx)
 
     # -- construction helpers -------------------------------------------------
@@ -206,46 +210,34 @@ class CandidateTable:
         self.identities: dict[str, str] = identities
         self._obj_i: dict[str, int] = {o: i for i, o in enumerate(self.objects)}
         arrows: list[AbstractArrow] = []
-        src_i: list[int] = []
-        dst_i: list[int] = []
         n = len(self.objects)
         # Index of the arrow src -> dst named by label, -1 unless the
         # three objects are pairwise distinct.
         self._ne3 = np.full((n, n, n), -1, dtype=np.int32)
-        self._endo_i: dict[tuple[int, str], int] = {}
         hom = [0]
         for si, s in enumerate(self.objects):
             for di, d in enumerate(self.objects):
                 if si == di:
-                    for sid in self.scalars[s]:
-                        self._endo_i[(si, sid)] = len(arrows)
-                        arrows.append(Endo(s, sid))
-                        src_i.append(si)
-                        dst_i.append(si)
+                    arrows.extend(Endo(s, sid) for sid in self.scalars[s])
                 else:
                     for li, lab in enumerate(self.objects):
                         if li in (si, di):
                             continue
                         self._ne3[si, di, li] = len(arrows)
                         arrows.append(NonEndo(s, d, lab))
-                        src_i.append(si)
-                        dst_i.append(di)
                 hom.append(len(arrows))
         # Arrows are numbered source-major, then by target: hom(a, b) is
-        # the index range _hom[a*n + b] .. _hom[a*n + b + 1].
+        # the index range _hom[a*n + b] .. _hom[a*n + b + 1], and the
+        # scalars at a, in declared order, start at _hom[a*(n + 1)].
         self._hom = np.array(hom, dtype=np.intp)
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
-        self._arrow_i: dict[AbstractArrow, int] = {a: i for i, a in enumerate(arrows)}
         self._name_i: dict[str, int] = {str(a): i for i, a in enumerate(arrows)}
-        self._src_i = np.array(src_i, dtype=np.int32)
-        self._dst_i = np.array(dst_i, dtype=np.int32)
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        self._in: list[list[int]] = [[] for _ in range(n)]
-        for i in range(len(arrows)):
-            self._out[src_i[i]].append(i)
-            self._in[dst_i[i]].append(i)
+        pair = np.repeat(np.arange(n * n), np.diff(self._hom))
+        self._src_i = (pair // n).astype(np.int32)
+        self._dst_i = (pair % n).astype(np.int32)
         self._id_idx = np.array(
-            [self._endo_i[(oi, self.identities[o])] for oi, o in enumerate(self.objects)],
+            [hom[oi * (n + 1)] + self.scalars[o].index(self.identities[o])
+             for oi, o in enumerate(self.objects)],
             dtype=np.int32,
         )
 
@@ -304,10 +296,27 @@ class CandidateTable:
         return len(self.arrows)
 
     def arrow_index(self, arrow: AbstractArrow) -> int:
-        try:
-            return self._arrow_i[arrow]
-        except KeyError:
-            raise CandidateFormatError(f"unknown arrow {arrow}") from None
+        get, n = self._obj_i.get, self.n_objects
+        if isinstance(arrow, Endo):
+            o = get(arrow.obj)
+            if o is not None and arrow.scalar in self.scalars[arrow.obj]:
+                return int(self._hom[o * (n + 1)]) + self.scalars[arrow.obj].index(arrow.scalar)
+        elif isinstance(arrow, NonEndo):
+            s, d, lab = get(arrow.src, -1), get(arrow.dst, -1), get(arrow.label, -1)
+            if min(s, d, lab) >= 0 and self._ne3[s, d, lab] >= 0:
+                return int(self._ne3[s, d, lab])
+        raise CandidateFormatError(f"unknown arrow {arrow}")
+
+    @property
+    def _out(self) -> list[list[int]]:
+        """The arrow indices out of each object, in increasing order."""
+        n, hom = self.n_objects, self._hom
+        return [list(range(hom[o * n], hom[o * n + n])) for o in range(n)]
+
+    @property
+    def _in(self) -> list[list[int]]:
+        """The arrow indices into each object, in increasing order."""
+        return [np.flatnonzero(self._dst_i == o).tolist() for o in range(self.n_objects)]
 
     def identity_arrow(self, obj: str) -> Endo:
         return Endo(obj, self.identities[obj])
@@ -332,11 +341,7 @@ class CandidateTable:
 
     def compose(self, f: AbstractArrow, g: AbstractArrow) -> AbstractArrow:
         """Left-to-right composite: ``f`` then ``g``."""
-        i, j = self.arrow_index(f), self.arrow_index(g)
-        r = int(self._comp[i, j])
-        if r < 0:
-            raise ValueError(f"cannot compose {f} then {g}")
-        return self.arrows[r]
+        return self.arrows[_compose_i(self, self.arrow_index(f), self.arrow_index(g))]
 
     def _ensure_inverses(self) -> np.ndarray:
         """Two-sided inverse index per arrow, -1 where none exists."""
@@ -357,11 +362,7 @@ class CandidateTable:
         return inv
 
     def inverse_arrow(self, f: AbstractArrow) -> AbstractArrow:
-        inv = self._ensure_inverses()
-        j = int(inv[self.arrow_index(f)])
-        if j < 0:
-            raise ValueError(f"{f} has no two-sided inverse in this table")
-        return self.arrows[j]
+        return self.arrows[_inverse_i(self, self.arrow_index(f))]
 
     # -- serialization ---------------------------------------------------------
 
@@ -369,10 +370,13 @@ class CandidateTable:
 
     def to_doc(self) -> dict:
         names = np.array([str(a) for a in self.arrows], dtype=object)
+        rank = np.empty(self.n_arrows, dtype=np.intp)
+        rank[np.argsort(names)] = np.arange(self.n_arrows)
         I, J = self._pairs()
+        # Entries sorted by (first, second) name; each pair occurs once.
+        order = np.lexsort((rank[J], rank[I]))
+        I, J = I[order], J[order]
         entries = np.stack([names[I], names[J], names[self._comp[I, J]]], axis=1).tolist()
-        # Each (first, second) pair occurs once, so list order is pair order.
-        entries.sort()
         return {
             "format": self.FORMAT,
             "objects": list(self.objects),
@@ -446,9 +450,7 @@ def from_model(p: int) -> CandidateTable:
     object are the nonzero residues, and composition follows the
     concrete arrows (factors multiply).
     """
-    field = PrimeField(p)
-    pts = points(field)
-    names = [str(q) for q in pts]
+    names = [str(q) for q in points(PrimeField(p))]
     scalar_ids = [str(v) for v in range(1, p)]
     scalars = {nm: list(scalar_ids) for nm in names}
     identities = {nm: "1" for nm in names}
@@ -460,10 +462,7 @@ def from_model(p: int) -> CandidateTable:
     fac = np.zeros(t.n_arrows, dtype=np.intp)
     fac[src == dst] = np.tile(np.arange(1, p), n)
     a, b, c = np.nonzero(t._ne3 >= 0)
-    fac[t._ne3[a, b, c]] = [
-        int(label_to_arrow(pts[x], pts[y], pts[z]).factor.value)
-        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())
-    ]
+    fac[t._ne3[a, b, c]] = _label_factors(p, a, b, c)
     # by_factor[x, y, v] is the arrow x -> y with factor v.
     by_factor = np.full((n, n, p), -1, dtype=np.int32)
     by_factor[src, dst, fac] = np.arange(t.n_arrows)
@@ -474,22 +473,88 @@ def from_model(p: int) -> CandidateTable:
     return t
 
 
+def _label_factors(p: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The factor of the model arrow a -> b named by c, for index arrays
+    into ``points(GF(p))``: det(a, c) / det(b, c) mod p, as in
+    ``model.label_to_arrow``.  Point i < p is i:1 and point p is 1:0."""
+    x = np.append(np.arange(p), 1)
+    y = np.append(np.ones(p, dtype=np.intp), 0)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+
+    def det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (x[u] * y[v] - y[u] * x[v]) % p
+
+    return det(a, c) * inverse[det(b, c)] % p
+
+
 # -- rapport calculus on abstract tables --------------------------------------
+#
+# The public functions take and return arrow objects and raise with their
+# names; under them, composition is index arithmetic on ``_comp``.  The
+# array versions below answer for many object tuples at once with -1
+# where the public function would raise, so callers name arrows only when
+# a message needs them.
 
 
-def _scalar(out: AbstractArrow, at: str, route: str) -> Endo:
-    """``out``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
-    if not isinstance(out, Endo) or out.obj != at:
-        raise ValueError(f"{route} gives {out}, not a scalar at {at}")
-    return out
+def _compose_i(table: CandidateTable, i: int, j: int) -> int:
+    r = int(table._comp[i, j])
+    if r < 0:
+        raise ValueError(f"cannot compose {table.arrows[i]} then {table.arrows[j]}")
+    return r
+
+
+def _inverse_i(table: CandidateTable, i: int) -> int:
+    j = int(table._ensure_inverses()[i])
+    if j < 0:
+        raise ValueError(f"{table.arrows[i]} has no two-sided inverse in this table")
+    return j
+
+
+def _scalar_i(table: CandidateTable, r: int, at: str, route: str) -> int:
+    """``r``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
+    o = table._obj_i[at]
+    if table._src_i[r] != o or table._dst_i[r] != o:
+        raise ValueError(f"{route} gives {table.arrows[r]}, not a scalar at {at}")
+    return r
+
+
+def _at(table: CandidateTable, r: np.ndarray, obj) -> np.ndarray:
+    """Where the arrows ``r`` are scalars at the objects ``obj``."""
+    return (table._src_i[r] == obj) & (table._dst_i[r] == obj)
+
+
+def _round_trips(table: CandidateTable, a, b, c, d) -> np.ndarray:
+    """``cross_ratio_abs`` over object index arrays: -1 where it raises."""
+    r = table._comp[table._ne3[a, b, c], table._ne3[b, a, d]]
+    return np.where(_at(table, r, a), r, -1)
+
+
+def _cycles(table: CandidateTable, a, b, c, d, e, f) -> np.ndarray:
+    """``tri_rapport_abs`` over object index arrays: -1 where it raises.
+
+    A pair that does not compose has the composite -1 in ``_comp``.
+    """
+    comp, ne3 = table._comp, table._ne3
+    r = comp[comp[ne3[a, b, d], ne3[b, c, e]], ne3[c, a, f]]
+    return np.where(_at(table, r, a), r, -1)
+
+
+def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
+    """``conjugate`` of the scalars ``sigma`` along the arrows ``f`` out
+    of their objects, by index: -1 where it raises or sigma is -1."""
+    comp = table._comp
+    finv = table._ensure_inverses()[f]
+    r = comp[comp[finv, sigma], f]
+    ok = (sigma >= 0) & (finv >= 0) & _at(table, r, table._dst_i[f])
+    return np.where(ok, r, -1)
 
 
 def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> Endo:
     """The scalar at ``a`` of the round trip a -> b via c, b -> a via d."""
     if len({a, b, c}) != 3 or len({a, b, d}) != 3:
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
-    out = table.compose(NonEndo(a, b, c), NonEndo(b, a, d))
-    return _scalar(out, a, f"round trip ({a},{b};{c},{d})")
+    r = _compose_i(table, table.arrow_index(NonEndo(a, b, c)), table.arrow_index(NonEndo(b, a, d)))
+    return table.arrows[_scalar_i(table, r, a, f"round trip ({a},{b};{c},{d})")]
 
 
 def tri_rapport_abs(
@@ -500,19 +565,19 @@ def tri_rapport_abs(
         raise ValueError(f"base objects must be pairwise distinct: {a},{b},{c}")
     if d in (a, b) or e in (b, c) or f in (c, a):
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
-    out = table.compose(
-        table.compose(NonEndo(a, b, d), NonEndo(b, c, e)), NonEndo(c, a, f)
-    )
-    return _scalar(out, a, f"cycle ({a},{b},{c};{d},{e},{f})")
+    x = _compose_i(table, table.arrow_index(NonEndo(a, b, d)), table.arrow_index(NonEndo(b, c, e)))
+    r = _compose_i(table, x, table.arrow_index(NonEndo(c, a, f)))
+    return table.arrows[_scalar_i(table, r, a, f"cycle ({a},{b},{c};{d},{e},{f})")]
 
 
 def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
     """Transport a scalar along an arrow: the composite f^-1, sigma, f."""
     if sigma.obj != f.src:
         raise ValueError(f"{sigma} does not live at the source of {f}")
-    finv = table.inverse_arrow(f)
-    out = table.compose(table.compose(finv, sigma), f)
-    return _scalar(out, f.dst, f"transport of {sigma} along {f}")
+    fi = table.arrow_index(f)
+    x = _compose_i(table, _inverse_i(table, fi), table.arrow_index(sigma))
+    r = _compose_i(table, x, fi)
+    return table.arrows[_scalar_i(table, r, f.dst, f"transport of {sigma} along {f}")]
 
 
 def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
@@ -547,7 +612,7 @@ def _associativity(table: CandidateTable, cap: int) -> CheckReport:
     failures = 0
     witnesses: list[tuple[tuple[int, int, int], str]] = []
     for mid in range(n):
-        f_idx = np.array(table._in[mid], dtype=np.int32)
+        f_idx = np.flatnonzero(table._dst_i == mid)
         rows = comp[f_idx]
         for far in range(n):
             g = slice(hom[mid * n + far], hom[mid * n + far + 1])
@@ -686,13 +751,11 @@ def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
 
 def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     """Commutativity of every vertex group."""
-    i, j = np.array(
-        [
-            ij
-            for oi, o in enumerate(table.objects)
-            for ij in product([table._endo_i[(oi, s)] for s in table.scalars[o]], repeat=2)
-        ]
-    ).T
+    n, hom = table.n_objects, table._hom
+    # Every ordered pair of scalars at each object, object by object.
+    endos = [np.arange(hom[o * (n + 1)], hom[o * (n + 1) + 1]) for o in range(n)]
+    i = np.concatenate([np.repeat(e, e.size) for e in endos])
+    j = np.concatenate([np.tile(e, e.size) for e in endos])
     comp = table._comp
     return _sweep(
         "pappus", comp[i, j], comp[j, i], cap,

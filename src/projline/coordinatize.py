@@ -22,6 +22,8 @@ import numpy as np
 from .candidate import (
     CandidateTable,
     NonEndo,
+    _round_trips,
+    _transports,
     canonical_scalar,
     cross_ratio_abs,
     from_model,
@@ -97,28 +99,51 @@ class _Forcing:
     the image label, all in one gather.  Each scalar s at X is forced by
     functoriality through an arrow f out of X: the image of s must be
     (image of s.f) then the inverse image of f.  The least outgoing
-    non-endo arrow f_X is used.  Objects are done in order, each over
-    all its scalars at once, so a composite s.f_X that is a scalar of an
-    earlier object reads its image and one of a later object reads -1,
-    as in a scalar-by-scalar loop.  Composites that are earlier scalars
-    of X itself (only on tables whose endpoints are wrong) are redone
-    one by one, in order.
+    non-endo arrow f_X is used: the first of hom(X, Y), Y the first
+    other object.
+
+    The result is that of a loop over the objects in order, each over
+    all its scalars at once, where a composite s.f_X that is a scalar of
+    an earlier object reads its image and one of X itself or a later
+    object reads -1; composites that are earlier scalars of X itself are
+    then redone one by one, in order.  Scalars whose composite is an
+    arrow between distinct objects (on a groupoid table, all of them)
+    read no other scalar, so they are done in one gather; only the
+    others (tables whose endpoints are wrong) go object by object.
     """
 
     def __init__(self, table: CandidateTable, model: CandidateTable):
-        ne3 = table._ne3
+        ne3, hom, n = table._ne3, table._hom, table.n_objects
+        src, dst = table._src_i, table._dst_i
         self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
         self.non_endo = ne3[self.src, self.dst, self.lab]
         # Per object X: f_X, the scalar arrows s in declared order, the
         # composites s.f_X and the (s, earlier scalar of X) positions.
         self.per_object = []
-        for xi, x in enumerate(table.objects):
-            f = next(j for j in table._out[xi] if int(table._dst_i[j]) != xi)
-            scal = np.array([table._endo_i[(xi, sid)] for sid in table.scalars[x]], dtype=np.intp)
+        for xi in range(n):
+            f = int(hom[xi * n + (xi == 0)])
+            scal = np.arange(hom[xi * (n + 1)], hom[xi * (n + 1) + 1])
             comp_f = table._comp[scal, f]
-            pos = {int(a): k for k, a in enumerate(scal)}
-            own = [(k, pos[int(r)]) for k, r in enumerate(comp_f) if pos.get(int(r), k) < k]
+            rel = comp_f - scal[0]
+            own_k = np.flatnonzero((rel >= 0) & (rel < np.arange(scal.size)))
+            own = list(zip(own_k.tolist(), rel[own_k].tolist()))
             self.per_object.append((f, scal, comp_f, own))
+        # Every scalar s whose composite s.f_X is an arrow between distinct
+        # objects, with that composite and f_X.
+        scal = np.concatenate([o[1] for o in self.per_object])
+        comp_f = np.concatenate([o[2] for o in self.per_object])
+        f = np.repeat([o[0] for o in self.per_object], [o[1].size for o in self.per_object])
+        through = src[comp_f] != dst[comp_f]
+        self.through = (scal[through], comp_f[through], f[through])
+        # Per object X with other scalars: f_X, its scalars, those whose
+        # composite is a scalar, that composite or -1 where it is a scalar
+        # of X or a later object, and the (s, earlier scalar of X) positions.
+        self.by_object = []
+        for xi, (f, scal, comp_f, own) in enumerate(self.per_object):
+            endo = src[comp_f] == dst[comp_f]
+            if endo.any():
+                read = np.where(src[comp_f[endo]] < xi, comp_f[endo], -1)
+                self.by_object.append((f, scal, scal[endo], read, own))
         self.n_arrows = table.n_arrows
         self.model = model
         self.m_inv = model._ensure_inverses()
@@ -128,9 +153,11 @@ class _Forcing:
         m_comp = self.model._comp
         F = np.full(self.n_arrows, -1, dtype=np.int32)
         F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
-        for f, scal, comp_f, own in self.per_object:
+        scal, comp_f, f = self.through
+        F[scal] = m_comp[F[comp_f], self.m_inv[F[f]]]
+        for f, scal, endo_scal, read, own in self.by_object:
             Ff_inv = self.m_inv[F[f]]
-            F[scal] = m_comp[F[comp_f], Ff_inv]
+            F[endo_scal] = m_comp[np.where(read < 0, -1, F[read]), Ff_inv]
             for k, j in own:
                 F[scal[k]] = m_comp[F[scal[j]], Ff_inv]
         return F
@@ -165,17 +192,20 @@ def verify_iso(
 
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
-    img_base_i = obj_to[base_i]
-    bad = []
-    for sid in base_scalars:
-        fi = int(F[table._endo_i[(base_i, sid)]])
-        want = model._endo_i[(img_base_i, iso.scalar_map[sid])]
-        if fi != want:
-            bad.append(
-                f"scalar-map({iso.base_object}#{sid}): structure forces "
-                f"{model.arrows[fi]}, map says {model.arrows[want]}"
-            )
-    checks.append(make_check("scalar-map", len(base_scalars), len(bad), bad[:cap]))
+    img_i = obj_to[base_i]
+    lo = table._hom[base_i * (table.n_objects + 1)]
+    got = F[lo : lo + len(base_scalars)]
+    img_ids = model.scalars[model.objects[img_i]]
+    want = model._hom[img_i * (model.n_objects + 1)] + np.array(
+        [img_ids.index(iso.scalar_map[sid]) for sid in base_scalars]
+    )
+    bad = np.flatnonzero(got != want)
+    wit = [
+        f"scalar-map({iso.base_object}#{base_scalars[k]}): structure forces "
+        f"{model.arrows[got[k]]}, map says {model.arrows[want[k]]}"
+        for k in bad[:cap]
+    ]
+    checks.append(make_check("scalar-map", len(base_scalars), int(bad.size), wit))
 
     distinct = int(np.unique(F).size)
     checks.append(
@@ -234,16 +264,23 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
             f"reconstructed field has order {cl.order}; the model needs prime order {p}"
         )
     res = cl.residue_map
-    omap: dict[str, str] = {}
-    for x in table.objects:
-        if x == f0:
-            omap[x] = "0:1"
-        elif x == f1:
-            omap[x] = "1:0"
-        else:
-            sigma = cross_ratio_abs(table, f1, f0, f2, x)
-            moved = canonical_scalar(table, sigma, f0)
-            omap[x] = f"{res[moved.scalar]}:1"
+    # Every other object x: the round trip (f1, f0; f2, x) at f1, moved to
+    # f0 along the arrow f1 -> f0 named by the least other object.
+    n = table.n_objects
+    i0, i1, i2 = (table._obj_i[o] for o in frame.members())
+    xs = np.array([i for i in range(n) if i not in (i0, i1)])
+    lab = min(i for i in range(n) if i not in (i0, i1))
+    moved = _transports(table, _round_trips(table, i1, i0, i2, xs), table._ne3[i1, i0, lab])
+    if (moved < 0).any():
+        x = table.objects[xs[np.argmax(moved < 0)]]
+        canonical_scalar(table, cross_ratio_abs(table, f1, f0, f2, x), f0)
+    ids = table.scalars[f0]
+    coords = {f0: "0:1", f1: "1:0"}
+    lo = table._hom[i0 * (n + 1)]
+    coords.update(
+        (table.objects[x], f"{res[ids[r - lo]]}:1") for x, r in zip(xs.tolist(), moved.tolist())
+    )
+    omap = {x: coords[x] for x in table.objects}
     if sorted(omap.values()) != sorted(model.objects):
         raise CoordinatizationError("coordinates do not exhaust the model points")
     smap = {sid: str(res[sid]) for sid in table.scalars[f0]}
@@ -303,12 +340,15 @@ def verify_uniqueness(
     leaf = len(others)
     forced = _Forcing(table, model)
 
-    obj_depth = np.zeros(table.n_objects, dtype=np.intp)
+    # Depths are at most the leaf depth, p - 2, so they are small unsigned
+    # ints, and a stable sort of those is a radix sort.
+    dtype = np.min_scalar_type(leaf)
+    obj_depth = np.zeros(table.n_objects, dtype=dtype)
     for k, o in enumerate(others):
         obj_depth[table._obj_i[o]] = k + 1
-    depth = np.full(table.n_arrows, leaf, dtype=np.intp)
-    depth[forced.non_endo] = np.maximum.reduce(
-        [obj_depth[forced.src], obj_depth[forced.dst], obj_depth[forced.lab]]
+    depth = np.full(table.n_arrows, leaf, dtype=dtype)
+    depth[forced.non_endo] = np.maximum(
+        np.maximum(obj_depth[forced.src], obj_depth[forced.dst]), obj_depth[forced.lab]
     )
     # f_X leaves X, so its depth is at least that of X.
     for f, scal, comp_f, _ in forced.per_object:
@@ -316,7 +356,7 @@ def verify_uniqueness(
         depth[scal] = np.where(through, np.maximum(depth[comp_f], depth[f]), leaf)
     I, J = table._pairs()
     RK = table._comp[I, J]
-    pair_depth = np.maximum.reduce([depth[I], depth[J], depth[RK]])
+    pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[RK])
     order = np.argsort(pair_depth, kind="stable")
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
     buckets = [(I[sel], J[sel], RK[sel]) for sel in np.split(order, cuts)]

@@ -19,7 +19,12 @@ import numpy as np
 from .candidate import (
     CandidateTable,
     Endo,
-    _scalar,
+    NonEndo,
+    _cycles,
+    _distinct,
+    _round_trips,
+    _scalar_i,
+    _transports,
     canonical_scalar,
     cross_ratio_abs,
     tri_rapport_abs,
@@ -44,40 +49,53 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
     legs are labeled C, base, B.  The value must not depend on the
     helper pair, must square to the identity, and must agree across
     objects under transport; violations raise ReconstructionError.
+    Each law is read in one gather over all helper pairs or objects; the
+    first failing one in object order is reported, worded as the scalar
+    calculus words it.
     """
     if base is None:
         base = table.objects[0]
     if base not in table.identities:
         raise ReconstructionError(f"unknown base object {base!r}")
+    obj, n = table.objects, table.n_objects
+    a = table._obj_i[base]
 
-    def cycle_value(a: str) -> Endo:
-        b, c = _default_helpers(table, a)
-        return tri_rapport_abs(table, a, b, c, c, a, b)
+    def cycle_value(x: str) -> Endo:
+        b, c = _default_helpers(table, x)
+        return tri_rapport_abs(table, x, b, c, c, x, b)
 
-    m = cycle_value(base)
-    for b in table.objects:
-        if b == base:
-            continue
-        for c in table.objects:
-            if c in (base, b):
-                continue
-            got = tri_rapport_abs(table, base, b, c, c, base, b)
-            if got != m:
-                raise ReconstructionError(
-                    f"-1 is not well defined at {base}: helpers ({b},{c}) give {got}, "
-                    f"({_default_helpers(table, base)}) give {m}"
-                )
-    if table.compose(m, m) != table.identity_arrow(base):
-        raise ReconstructionError(f"candidate -1 at {base} does not square to the identity: {m}")
-    for x in table.objects:
-        if x == base:
-            continue
-        moved = canonical_scalar(table, cycle_value(x), base)
-        if moved != m:
-            raise ReconstructionError(
-                f"-1 differs between objects: at {x} it transports to {moved}, not {m}"
-            )
-    return m
+    # Helper pairs (b, c) in order; the first is the default pair.
+    pairs = _distinct(n, 2)
+    b, c = pairs[(pairs != a).all(axis=1)].T
+    vals = _cycles(table, a, b, c, c, a, b)
+    m = int(vals[0])
+    bad = np.flatnonzero((vals < 0) | (vals != m))
+    if bad.size:
+        k = bad[0]
+        got = tri_rapport_abs(table, base, obj[b[k]], obj[c[k]], obj[c[k]], base, obj[b[k]])
+        raise ReconstructionError(
+            f"-1 is not well defined at {base}: helpers ({obj[b[k]]},{obj[c[k]]}) give {got}, "
+            f"({obj[b[0]]},{obj[c[0]]}) give {table.arrows[m]}"
+        )
+    if table._comp[m, m] != table._id_idx[a]:
+        raise ReconstructionError(
+            f"candidate -1 at {base} does not square to the identity: {table.arrows[m]}"
+        )
+    # Each other object x: its value with its default helpers, moved to
+    # the base along the arrow x -> base named by the least other object.
+    x = np.array([i for i in range(n) if i != a])
+    bx, cx = (x == 0).astype(np.intp), np.where(x <= 1, 2, 1)
+    lab = np.where((x != 0) & (a != 0), 0, np.where((x != 1) & (a != 1), 1, 2))
+    moved = _transports(table, _cycles(table, x, bx, cx, cx, x, bx), table._ne3[x, a, lab])
+    bad = np.flatnonzero(moved != m)
+    if bad.size:
+        other = obj[x[bad[0]]]
+        got = canonical_scalar(table, cycle_value(other), base)
+        raise ReconstructionError(
+            f"-1 differs between objects: at {other} it transports to {got}, "
+            f"not {table.arrows[m]}"
+        )
+    return table.arrows[m]
 
 
 def phi(
@@ -90,8 +108,9 @@ def phi(
     """The swap map on scalars at ``base``; None stands for the adjoined zero.
 
     For mu realized as the round trip scalar of (base,b;c,d), the image
-    is the scalar of (base,c;b,d).  Classically this is mu -> 1 - mu:
-    phi(1) is the zero (returned as None) and phi(None) is 1.
+    is the scalar of (base,c;b,d), for the first such d in object order.
+    Classically this is mu -> 1 - mu: phi(1) is the zero (returned as
+    None) and phi(None) is 1.
     """
     if base not in table.identities:
         raise ReconstructionError(f"unknown base object {base!r}")
@@ -103,19 +122,31 @@ def phi(
     one = table.identities[base]
     if mu is None:
         return one
-    if mu not in table.scalars[base]:
+    ids = table.scalars[base]
+    if mu not in ids:
         raise ReconstructionError(f"{mu!r} is not a scalar id at {base!r}")
     if mu == one:
         return None
-    want = Endo(base, mu)
-    for d in table.objects:
-        if d in (base, b):
-            continue
-        if cross_ratio_abs(table, base, b, c, d) == want:
-            return cross_ratio_abs(table, base, c, b, d).scalar
-    raise ReconstructionError(
-        f"no fourth object realizes cross ratio {mu} over ({base},{b};{c},...)"
-    )
+    # An unknown helper names no arrow; arrow_index says which.
+    table.arrow_index(NonEndo(base, b, c))
+    a, bi, ci = table._obj_i[base], table._obj_i[b], table._obj_i[c]
+    lo = int(table._hom[a * (table.n_objects + 1)])
+    d = np.array([i for i in range(table.n_objects) if i not in (a, bi)])
+    vals = _round_trips(table, a, bi, ci, d)
+    # The first d that either realizes mu or has no scalar round trip.
+    stop = np.flatnonzero((vals < 0) | (vals == lo + ids.index(mu)))
+    if not stop.size:
+        raise ReconstructionError(
+            f"no fourth object realizes cross ratio {mu} over ({base},{b};{c},...)"
+        )
+    dk = d[stop[0]]
+    if vals[stop[0]] < 0:
+        cross_ratio_abs(table, base, b, c, table.objects[dk])
+    # The scalars at the base are the arrows lo .. lo+k-1, in order.
+    swapped = int(table._comp[table._ne3[a, ci, bi], table._ne3[ci, a, dk]])
+    if not lo <= swapped < lo + len(ids):
+        cross_ratio_abs(table, base, c, b, table.objects[dk])
+    return ids[swapped - lo]
 
 
 def _zero_name(taken: tuple[str, ...]) -> str:
@@ -217,43 +248,52 @@ def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
         base = table.objects[0]
     minus = reconstruct_minus_one(table, base)
     ids = table.scalars[base]
+    k = len(ids)
     zero = _zero_name(ids)
     carrier = (zero,) + ids
     pos = {nm: i for i, nm in enumerate(carrier)}
     one = table.identities[base]
+    phis = [phi(table, base, sid) for sid in ids]
+    # phi on carrier indices; the zero is carrier index 0.
+    phi_c = np.array([pos[one]] + [0 if v is None else pos[v] for v in phis])
 
-    def endo(sid: str) -> Endo:
-        return Endo(base, sid)
+    # The scalars at the base are the arrows lo .. lo+k-1 in declared
+    # order; scalar position s is carrier index s + 1.
+    lo = int(table._hom[table._obj_i[base] * (table.n_objects + 1)])
+    inv = table._ensure_inverses()[lo : lo + k] - lo
+    if (inv < 0).any():
+        table.inverse_arrow(Endo(base, ids[int(np.argmax(inv < 0))]))
+    M = table._comp[lo : lo + k, lo : lo + k]
+    scalar = (M >= lo) & (M < lo + k)
+    mul = np.where(scalar, M - lo, 0)
+    # x + y = x * phi(-1 * (x^-1 * y)) for scalars x, y: four products,
+    # each of which must be a scalar, taken in this order.
+    x, y = np.indices((k, k))
+    minus_x = np.full((k, k), pos[minus.scalar] - 1)
+    t1 = mul[inv[x], y]
+    t = phi_c[mul[minus_x, t1] + 1] - 1  # -1 where the sum is zero
+    steps = [(x, y), (inv[x], y), (minus_x, t1), (x, np.maximum(t, 0))]
+    fails = [~scalar[f, g] for f, g in steps]
+    fails[3] &= t >= 0
+    bad = np.logical_or.reduce(fails)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        f, g = next((f[i, j], g[i, j]) for (f, g), fail in zip(steps, fails) if fail[i, j])
+        _scalar_i(table, int(M[f, g]), base, f"{Endo(base, ids[f])} then {Endo(base, ids[g])}")
 
-    def mul2(x: str, y: str) -> str:
-        return _scalar(table.compose(endo(x), endo(y)), base, f"{endo(x)} then {endo(y)}").scalar
-
-    phi_map: dict[Optional[str], Optional[str]] = {None: one}
-    for sid in ids:
-        phi_map[sid] = phi(table, base, sid)
-
-    inv_of = {sid: table.inverse_arrow(endo(sid)).scalar for sid in ids}
-
-    n = len(carrier)
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for i, x in enumerate(carrier):
-        for j, y in enumerate(carrier):
-            if x == zero or y == zero:
-                mul[i][j] = 0
-                add[i][j] = j if x == zero else i
-                continue
-            mul[i][j] = pos[mul2(x, y)]
-            t = phi_map[mul2(minus.scalar, mul2(inv_of[x], y))]
-            add[i][j] = 0 if t is None else pos[mul2(x, t)]
+    mul_c = np.zeros((k + 1, k + 1), dtype=np.intp)
+    mul_c[1:, 1:] = mul + 1
+    add_c = np.zeros((k + 1, k + 1), dtype=np.intp)
+    add_c[0, :] = add_c[:, 0] = np.arange(k + 1)
+    add_c[1:, 1:] = np.where(t >= 0, mul[x, np.maximum(t, 0)] + 1, 0)
     return FieldTable(
         base_object=base,
         carrier=carrier,
         zero=zero,
         one=one,
         minus_one=minus.scalar,
-        add=tuple(tuple(r) for r in add),
-        mul=tuple(tuple(r) for r in mul),
+        add=tuple(map(tuple, add_c.tolist())),
+        mul=tuple(map(tuple, mul_c.tolist())),
     )
 
 
@@ -393,11 +433,16 @@ def classify_prime(ft: FieldTable, report: Optional[ReportGroup] = None) -> Clas
         raise ReconstructionError(
             f"order {n} is prime but 1 has additive order {characteristic}"
         )
-    to_res = {ft.carrier[sums[k]]: k for k in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if to_res[ft.carrier[ft.add[sums[i]][sums[j]]]] != (i + j) % n:
-                raise ReconstructionError("residue map does not respect addition")
-            if to_res[ft.carrier[ft.mul[sums[i]][sums[j]]]] != (i * j) % n:
-                raise ReconstructionError("residue map does not respect multiplication")
-    return Classification(n, n, True, to_res)
+    # res[x] is the residue of carrier index x; the first failing pair
+    # (i, j) in row-major order decides the message, addition first.
+    s = np.array(sums[:n])
+    res = np.empty(n, dtype=np.intp)
+    res[s] = np.arange(n)
+    i = np.arange(n)
+    add_bad = res[np.array(ft.add)[np.ix_(s, s)]] != (i[:, None] + i) % n
+    mul_bad = res[np.array(ft.mul)[np.ix_(s, s)]] != (i[:, None] * i) % n
+    bad = (add_bad | mul_bad).ravel()
+    if bad.any():
+        op = "addition" if add_bad.flat[np.argmax(bad)] else "multiplication"
+        raise ReconstructionError(f"residue map does not respect {op}")
+    return Classification(n, n, True, {ft.carrier[x]: k for k, x in enumerate(sums[:n])})

@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     MUTATIONS,
+    REFERENCE_CASES,
+    ObjectCalculus,
     _ends,
     cross_homset_mutation,
     mutate_doc,
+    outcome,
     reference_from_doc,
     reference_from_model,
     reference_hom,
@@ -34,6 +37,7 @@ from projline.candidate import (
     CandidateTable,
     Endo,
     NonEndo,
+    _label_factors,
     canonical_scalar,
     check_axioms,
     conjugate,
@@ -344,6 +348,17 @@ def test_pairs_inverses_and_homsets_match_the_references(case):
         assert (t._ensure_inverses() < 0).any()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_label_factors_equal_the_model_factors(p):
+    pts = points(GF(p))
+    a, b, c = np.array(list(itertools.permutations(range(p + 1), 3))).T
+    want = [
+        int(label_to_arrow(pts[x], pts[y], pts[z]).factor.value)
+        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())
+    ]
+    assert _label_factors(p, a, b, c).tolist() == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 13])
 def test_from_model_matches_the_pairwise_reference(p):
     t, ref = from_model(p), reference_from_model(p)
@@ -395,6 +410,43 @@ def test_conjugation_is_path_independent():
     assert canonical_scalar(t, moved, "0:1") == moved  # already at base
     with pytest.raises(ValueError):
         conjugate(t, sigma, NonEndo("0:1", "1:1", "2:1"))  # wrong source
+
+
+F5_CASES = ["model-5", "swap-f5"] + [
+    name for name in REFERENCE_CASES if name.startswith(("mutation-", "cross_homset_mutation-f5"))
+]
+
+
+@pytest.mark.parametrize("case", F5_CASES)
+def test_rapport_calculus_matches_the_object_level_reference(case):
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    ref = ObjectCalculus(t)
+    rng = np.random.default_rng(0)
+    names = list(t.objects) + ["9:9"]
+    for quad in itertools.product(names, repeat=4):
+        assert outcome(cross_ratio_abs, t, *quad) == outcome(ref.cross_ratio_abs, *quad)
+    for six in rng.choice(names, size=(400, 6)).tolist():
+        assert outcome(tri_rapport_abs, t, *six) == outcome(ref.tri_rapport_abs, *six)
+    for a, b, c in itertools.permutations(t.objects, 3):
+        args = (a, b, c, c, a, b)
+        assert outcome(tri_rapport_abs, t, *args) == outcome(ref.tri_rapport_abs, *args)
+    scalars = [a for a in t.arrows if isinstance(a, Endo)] + [Endo(t.objects[0], "x")]
+    for sigma in scalars:
+        for f in t.hom(sigma.obj, t.objects[1]) + t.hom(t.objects[2], t.objects[0]):
+            assert outcome(conjugate, t, sigma, f) == outcome(ref.conjugate, sigma, f)
+        for base in t.objects:
+            assert outcome(canonical_scalar, t, sigma, base) == outcome(
+                ref.canonical_scalar, sigma, base
+            )
+    unknown = [Endo("0:1", "9"), Endo("9:9", "1"), NonEndo("0:1", "0:1", "1:1"),
+               NonEndo("0:1", "1:1", "9:9"), "0:1#1"]
+    arrows = list(t.arrows) + unknown
+    for f in arrows:
+        assert outcome(t.arrow_index, f) == outcome(ref.arrow_index, f)
+        assert outcome(t.inverse_arrow, f) == outcome(ref.inverse_arrow, f)
+    for i, j in rng.integers(0, len(arrows), size=(3000, 2)).tolist():
+        f, g = arrows[i], arrows[j]
+        assert outcome(t.compose, f, g) == outcome(ref.compose, f, g)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -540,6 +592,15 @@ def _scalar_ids_not_lists(doc) -> bool:
 def _exit_code(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
+
+
+def test_loader_parses_missed_names_in_entry_order(f5_doc):
+    doc = copy.deepcopy(f5_doc)
+    doc["compose"][3][0] = "0:1#2#3"
+    doc["compose"][1][1] = "0:1>2:1"
+    want = outcome(reference_from_doc, doc)
+    assert want == (CandidateFormatError, "bad arrow syntax '0:1>2:1', want src>label>dst")
+    assert outcome(CandidateTable.from_doc, doc) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from helpers import MUTATIONS, mutate_doc, run_cli, seeded_mutation
+from helpers import (
+    MUTATIONS,
+    NON_GROUPOID,
+    SWAPPED_NAMES,
+    mutate_doc,
+    run_cli,
+    seeded_mutation,
+    swap_names,
+)
 from projline.candidate import AXIOM_NAMES, CandidateTable, check_axioms, from_model
 
 
@@ -216,16 +224,7 @@ def f7_doc():
     return json.loads(r.stdout)
 
 
-@pytest.mark.parametrize(
-    "entry, reason",
-    [
-        (("0:1#3", "0:1#5", "0:1#4"), "0:1#3 has no two-sided inverse"),
-        (("0:1>2:1>3:1", "3:1>6:1>0:1", "0:1>1:0>6:1"), "gives 0:1>1:0>6:1, not a scalar"),
-        (("0:1#2", "0:1#3", "0:1>1:0>6:1"), "0:1#2 then 0:1#3 gives 0:1>1:0>6:1"),
-        (("0:1#2", "0:1#3", "1:0#6"), "0:1#2 then 0:1#3 gives 1:0#6, not a scalar at 0:1"),
-    ],
-    ids=["no-inverse", "cycle-not-scalar", "product-not-scalar", "product-at-another-object"],
-)
+@pytest.mark.parametrize("entry, reason", NON_GROUPOID.values(), ids=list(NON_GROUPOID))
 def test_non_groupoid_table_fails_reconstruction_with_exit_1(tmp_path, f7_doc, entry, reason):
     doc = json.loads(json.dumps(f7_doc))
     first, second, replacement = entry
@@ -239,6 +238,22 @@ def test_non_groupoid_table_fails_reconstruction_with_exit_1(tmp_path, f7_doc, e
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith(f"{verb} failed: ")
         assert reason in r.stderr
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_relabeled_groupoid_passes_structure_and_every_command_exits_1(tmp_path, p):
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(swap_names(from_model(p).to_doc(), *SWAPPED_NAMES)))
+    r = run_cli("check", "--in", str(path), "--format", "json")
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert all(c["status"] == "pass" for c in report["structure"]["checks"])
+    failing = {c["name"] for c in report["axioms"]["checks"] if c["status"] == "fail"}
+    assert failing == {"one", "two", "hex1", "hex2", "as"}
+    for cmd, verb in (("reconstruct", "reconstruction"), ("classify", "classification")):
+        r = run_cli(cmd, "--in", str(path))
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(f"{verb} failed: -1 is not well defined at 0:1: ")
 
 
 # -- byte stability -------------------------------------------------------------

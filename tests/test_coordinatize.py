@@ -10,10 +10,14 @@ import pytest
 
 from helpers import (
     MUTATIONS,
+    REFERENCE_CASES,
     cross_homset_mutation,
     mutate_doc,
+    outcome,
+    reference_coordinatize,
     reference_forced_arrow_map,
     reference_uniqueness,
+    reference_verify_iso,
     relabel,
     seeded_mutation,
 )
@@ -184,28 +188,63 @@ def _own_scalar_rewrite(doc, _):
     return out
 
 
+def _scalar_composite_rewrite(doc, where):
+    """s.f_X rewritten to a scalar of X after s, of an earlier object or
+    of a later one, where X is the second object and s its third scalar."""
+    objs = doc["objects"]
+    x = objs[1]
+    y = {"own-later": x, "earlier": objs[0], "later": objs[3]}[where]
+    first, second = f"{x}#{doc['scalars'][x][2]}", f"{x}>{objs[2]}>{objs[0]}"
+    out = {**doc, "compose": [list(e) for e in doc["compose"]]}
+    hit = next(e for e in out["compose"] if e[:2] == [first, second])
+    hit[2] = f"{y}#{doc['scalars'][y][3]}"
+    return out
+
+
 MUTATORS = {
     "mutation": mutate_doc,
     "seeded": seeded_mutation,
     "cross": cross_homset_mutation,
     "own-scalar": _own_scalar_rewrite,
+    "scalar-composite": _scalar_composite_rewrite,
 }
 BROKEN = (
     [("mutation", 5, name) for name in MUTATIONS]
     + [("seeded", p, s) for p in (5, 7) for s in range(6)]
     + [("cross", p, s) for p in (5, 7) for s in range(2)]
     + [("own-scalar", 5, None)]
+    + [("scalar-composite", 5, where) for where in ("own-later", "earlier", "later")]
 )
 
 
 @pytest.mark.parametrize("kind,p,arg", BROKEN)
 def test_uniqueness_matches_brute_force_on_broken_tables(kind, p, arg):
     t = CandidateTable.from_doc(MUTATORS[kind](from_model(p).to_doc(), arg))
-    if kind in ("cross", "own-scalar"):
+    if kind in ("cross", "own-scalar", "scalar-composite"):
         assert validate_structure(t).check("endpoints").status == "fail"
     if kind == "own-scalar":
         assert _Forcing(t, _target_model(t)).per_object[1][3]
     _assert_matches_brute_force(t, [Frame(*t.objects[:3]), Frame(*t.objects[-3:])], p)
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_coordinatize_matches_the_object_level_reference(case):
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    rng = random.Random(case)
+    frames = [None, Frame(*t.objects[-3:][::-1]), Frame(*rng.sample(t.objects, 3))]
+    for frame in frames:
+        got = outcome(coordinatize, t, frame)
+        assert got == outcome(reference_coordinatize, t, frame)
+        if got[0] != "ok":
+            continue
+        iso = got[1]
+        assert verify_iso(t, iso).to_dict() == reference_verify_iso(t, iso).to_dict()
+        # Two scalars of the base swapped in the map: the scalar-map check fails.
+        sm = dict(iso.scalar_map)
+        keys = list(sm)[-2:]
+        sm[keys[0]], sm[keys[-1]] = sm[keys[-1]], sm[keys[0]]
+        other = CandidateIso(iso.base_object, iso.object_map, sm)
+        assert verify_iso(t, other).to_dict() == reference_verify_iso(t, other).to_dict()
 
 
 def test_target_model_is_built_once_per_p(monkeypatch):

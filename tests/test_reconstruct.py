@@ -2,10 +2,20 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
-from helpers import mutate_doc
+from helpers import (
+    REFERENCE_CASES,
+    mutate_doc,
+    outcome,
+    reference_build_field,
+    reference_classify_prime,
+    reference_minus_one,
+    reference_phi,
+    rewrite_entry,
+)
 from projline.candidate import CandidateTable, from_model
 from projline.reconstruct import (
     FieldTable,
@@ -28,15 +38,14 @@ def test_minus_one_at_every_base(p):
 
 
 def test_minus_one_rejects_twisted_table():
-    doc = from_model(5).to_doc()
-    # break well-definedness: twist one helper pair's cycle
-    for e in doc["compose"]:
-        if e[0] == "0:1>1:0>2:1" and e[1] == "2:1>1:1>0:1":
-            e[2] = "0:1#2"
-            break
+    # break well-definedness: twist the cycle of the default helper pair
+    doc = rewrite_entry(from_model(5).to_doc(), "0:1>1:0>2:1", "2:1>1:1>0:1", "0:1#2")
     t = CandidateTable.from_doc(doc)
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(ReconstructionError) as exc:
         reconstruct_minus_one(t, "0:1")
+    assert str(exc.value) == (
+        "-1 is not well defined at 0:1: helpers (1:1,3:1) give 0:1#4, (1:1,2:1) give 0:1#2"
+    )
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -199,3 +208,49 @@ def test_ring_z6_is_rejected():
     assert report.check("mul-inverses").status == "fail"
     with pytest.raises(ReconstructionError):
         classify_prime(z6, report)
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_reconstruction_matches_the_object_level_reference(case):
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    for base in (t.objects[0], t.objects[1], t.objects[-1]):
+        assert outcome(reconstruct_minus_one, t, base) == outcome(reference_minus_one, t, base)
+        helpers = [(None, None)]
+        if t.n_objects <= 6:
+            rest = [o for o in t.objects if o != base]
+            helpers += list(itertools.permutations(rest, 2))
+        for b, c in helpers:
+            for mu in (None,) + t.scalars[base]:
+                got = outcome(phi, t, base, mu, b, c)
+                assert got == outcome(reference_phi, t, base, mu, b, c), (b, c, mu)
+        got = outcome(build_field, t, base)
+        assert got == outcome(reference_build_field, t, base)
+        if got[0] == "ok":
+            assert outcome(classify_prime, got[1]) == outcome(reference_classify_prime, got[1])
+    o, mu = t.objects[0], t.scalars[t.objects[0]][-1]
+    for args in (("9:9", None), (o, "x"), (o, None, o), (o, mu, "9:9"), (o, mu, None, "9:9")):
+        assert outcome(phi, t, *args) == outcome(reference_phi, t, *args)
+    assert outcome(reconstruct_minus_one, t, "9:9") == outcome(reference_minus_one, t, "9:9")
+    assert outcome(build_field, t, "9:9") == outcome(reference_build_field, t, "9:9")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_classify_matches_the_reference_on_edited_tables_with_a_passing_report(p):
+    # A supplied report is trusted, so every residue-map failure is reachable.
+    ft = build_field(from_model(p))
+    report = verify_field(ft)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(60):
+        doc = json.loads(json.dumps(ft.to_doc()))
+        for _ in range(rng.randint(1, 2)):
+            op = rng.choice(["add", "mul"])
+            doc[op][rng.randrange(p)][rng.randrange(p)] = rng.randrange(p)
+        bad = FieldTable.from_doc(doc, ft.base_object)
+        got = outcome(classify_prime, bad, report)
+        assert got == outcome(reference_classify_prime, bad, report)
+        seen.add(got[1] if got[0] != "ok" else "ok")
+    assert {
+        "residue map does not respect addition",
+        "residue map does not respect multiplication",
+    } <= seen
