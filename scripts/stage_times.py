@@ -5,8 +5,8 @@
 
 Run from the repository root; it imports ``projline`` from ``--src``
 (default ``src``).  Every stage runs in this process on the table of
-the projective line over F_p and is timed as the median of ``--repeat``
-calls (fewer above p=7), unscaled wall time.  Each call gets a freshly
+the projective line over F_p, p in ``PRIMES``, and is timed as the
+median of ``REPEAT`` calls (half as many above p=7), unscaled wall time.  Each call gets a freshly
 loaded table, so no call reuses the inverses an earlier one found;
 ``coordinatize`` and ``verify_uniqueness`` reuse the target model,
 which ``coordinatize_first_call`` builds anew every time.  The rows go
@@ -32,6 +32,8 @@ STAGES = (
     "check_axioms", "build_field", "coordinatize_first_call", "coordinatize",
     "verify_uniqueness",
 )
+PRIMES = (5, 7, 11, 13)
+REPEAT = 7
 
 
 def _cpu_model() -> str | None:
@@ -108,8 +110,6 @@ def main() -> None:
     parser.add_argument("--src", default="src", help="directory holding the projline package")
     parser.add_argument("--out", required=True, help="JSON file to create or update")
     parser.add_argument("--label", required=True, help="name of this run in the file")
-    parser.add_argument("--primes", default="5,7,11,13", help="comma separated p values")
-    parser.add_argument("--repeat", type=int, default=7, help="calls per stage up to p=7")
     args = parser.parse_args()
 
     src = os.path.abspath(args.src)
@@ -120,8 +120,8 @@ def main() -> None:
     if not os.path.abspath(projline.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported projline from {projline.__file__}, not from {src}")
     rows = []
-    for p in (int(v) for v in args.primes.split(",")):
-        rows += stage_rows(p, args.repeat if p <= 7 else max(1, args.repeat // 2))
+    for p in PRIMES:
+        rows += stage_rows(p, REPEAT if p <= 7 else REPEAT // 2)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),
         "nproc": len(os.sched_getaffinity(0)),

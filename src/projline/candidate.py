@@ -307,17 +307,6 @@ class CandidateTable:
                 return int(self._ne3[s, d, lab])
         raise CandidateFormatError(f"unknown arrow {arrow}")
 
-    @property
-    def _out(self) -> list[list[int]]:
-        """The arrow indices out of each object, in increasing order."""
-        n, hom = self.n_objects, self._hom
-        return [list(range(hom[o * n], hom[o * n + n])) for o in range(n)]
-
-    @property
-    def _in(self) -> list[list[int]]:
-        """The arrow indices into each object, in increasing order."""
-        return [np.flatnonzero(self._dst_i == o).tolist() for o in range(self.n_objects)]
-
     def identity_arrow(self, obj: str) -> Endo:
         return Endo(obj, self.identities[obj])
 

@@ -250,13 +250,23 @@ def reference_from_doc(doc) -> CandidateTable:
             raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
         comp[ia, ib] = ir
         count += 1
-    expected = int(sum(len(t._in[o]) * len(t._out[o]) for o in range(t.n_objects)))
+    expected = sum(len(i) * len(o) for i, o in zip(in_lists(t), out_lists(t)))
     if count != expected:
         raise CandidateFormatError(
             f"compose table has {count} entries but {expected} composable pairs exist"
         )
     t._comp = comp
     return t
+
+
+def out_lists(table: CandidateTable) -> list[list[int]]:
+    """The arrow indices out of each object, in increasing order."""
+    return [np.flatnonzero(table._src_i == o).tolist() for o in range(table.n_objects)]
+
+
+def in_lists(table: CandidateTable) -> list[list[int]]:
+    """The arrow indices into each object, in increasing order."""
+    return [np.flatnonzero(table._dst_i == o).tolist() for o in range(table.n_objects)]
 
 
 def _endo_index(table: CandidateTable, obj: str, sid: str) -> int:
@@ -286,7 +296,7 @@ def reference_forced_arrow_map(
             F[i] = model._ne3[key]
     m_inv = model._ensure_inverses()
     comp = table._comp
-    out = table._out
+    out = out_lists(table)
     for xi, x in enumerate(table.objects):
         f = next(j for j in out[xi] if int(table._dst_i[j]) != xi)
         Ff = int(F[f])
@@ -351,7 +361,7 @@ def reference_inverses(table: CandidateTable) -> np.ndarray:
     target that returns to its source with both composites the units.
     """
     comp = table._comp
-    out = table._out
+    out = out_lists(table)
     inv = np.full(table.n_arrows, -1, dtype=np.int32)
     for i in range(table.n_arrows):
         si, di = int(table._src_i[i]), int(table._dst_i[i])
@@ -394,7 +404,7 @@ def reference_from_model(p: int) -> CandidateTable:
     comp = np.full((t.n_arrows, t.n_arrows), -1, dtype=np.int32)
     src_l = [int(v) for v in t._src_i]
     dst_l = [int(v) for v in t._dst_i]
-    out = t._out
+    out = out_lists(t)
     for i in range(t.n_arrows):
         si, fi = src_l[i], fac[i]
         for j in out[dst_l[i]]:

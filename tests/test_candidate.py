@@ -291,16 +291,16 @@ def test_axiom_subset_and_unknown_names():
 
 
 def test_arrows_are_numbered_source_major(f5_doc):
-    # The associativity sweep reads each object's outgoing arrows as one
-    # index range.
+    # The associativity sweep and _pairs read each object's outgoing
+    # arrows as one index range, and each homset as one subrange.
     reordered = dict(f5_doc, objects=f5_doc["objects"][::-1])
     for t in (from_model(5), CandidateTable.from_doc(reordered)):
-        start = 0
-        for o, obj in enumerate(t.objects):
-            stop = start + sum(len(t.hom(obj, b)) for b in t.objects)
-            assert t._out[o] == list(range(start, stop))
-            start = stop
-        assert start == t.n_arrows
+        ends = [tuple(t._obj_i[o] for o in _ends(a)) for a in t.arrows]
+        assert ends == sorted(ends)
+        assert ends == list(zip(t._src_i.tolist(), t._dst_i.tolist()))
+        assert len(set(t.arrows)) == t.n_arrows
+        for a, b in itertools.product(t.objects, repeat=2):
+            assert set(t.hom(a, b)) == {x for x in t.arrows if _ends(x) == (a, b)}
 
 
 _F5, _F7 = from_model(5).to_doc(), from_model(7).to_doc()
