@@ -578,8 +578,12 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
     """
     if sigma.obj == base:
         return sigma
-    ai = table._obj_i[sigma.obj]
-    bi = table._obj_i[base]
+    ai = table._obj_i.get(sigma.obj)
+    bi = table._obj_i.get(base)
+    if ai is None:
+        raise CandidateFormatError(f"unknown arrow {sigma}")
+    if bi is None:
+        raise CandidateFormatError(f"unknown base object {base!r}")
     li = min(i for i in range(table.n_objects) if i not in (ai, bi))
     f = NonEndo(sigma.obj, base, table.objects[li])
     return conjugate(table, sigma, f)

@@ -102,48 +102,32 @@ class _Forcing:
     non-endo arrow f_X is used: the first of hom(X, Y), Y the first
     other object.
 
-    The result is that of a loop over the objects in order, each over
-    all its scalars at once, where a composite s.f_X that is a scalar of
-    an earlier object reads its image and one of X itself or a later
-    object reads -1; composites that are earlier scalars of X itself are
-    then redone one by one, in order.  Scalars whose composite is an
-    arrow between distinct objects (on a groupoid table, all of them)
-    read no other scalar, so they are done in one gather; only the
-    others (tables whose endpoints are wrong) go object by object.
+    Precondition: every composite s.f_X is an arrow between distinct
+    objects, as it is on every groupoid table; otherwise the constructor
+    raises CoordinatizationError naming the first scalar where it fails.
+    Under it the image of each scalar reads only images of arrows
+    between distinct objects, never that of another scalar, so forcing
+    the scalars one object at a time, in any order, gives the same map
+    as the second gather here.
     """
 
     def __init__(self, table: CandidateTable, model: CandidateTable):
-        ne3, hom, n = table._ne3, table._hom, table.n_objects
+        ne3, n = table._ne3, table.n_objects
         src, dst = table._src_i, table._dst_i
         self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
         self.non_endo = ne3[self.src, self.dst, self.lab]
-        # Per object X: f_X, the scalar arrows s in declared order, the
-        # composites s.f_X and the (s, earlier scalar of X) positions.
-        self.per_object = []
-        for xi in range(n):
-            f = int(hom[xi * n + (xi == 0)])
-            scal = np.arange(hom[xi * (n + 1)], hom[xi * (n + 1) + 1])
-            comp_f = table._comp[scal, f]
-            rel = comp_f - scal[0]
-            own_k = np.flatnonzero((rel >= 0) & (rel < np.arange(scal.size)))
-            own = list(zip(own_k.tolist(), rel[own_k].tolist()))
-            self.per_object.append((f, scal, comp_f, own))
-        # Every scalar s whose composite s.f_X is an arrow between distinct
-        # objects, with that composite and f_X.
-        scal = np.concatenate([o[1] for o in self.per_object])
-        comp_f = np.concatenate([o[2] for o in self.per_object])
-        f = np.repeat([o[0] for o in self.per_object], [o[1].size for o in self.per_object])
-        through = src[comp_f] != dst[comp_f]
-        self.through = (scal[through], comp_f[through], f[through])
-        # Per object X with other scalars: f_X, its scalars, those whose
-        # composite is a scalar, that composite or -1 where it is a scalar
-        # of X or a later object, and the (s, earlier scalar of X) positions.
-        self.by_object = []
-        for xi, (f, scal, comp_f, own) in enumerate(self.per_object):
-            endo = src[comp_f] == dst[comp_f]
-            if endo.any():
-                read = np.where(src[comp_f[endo]] < xi, comp_f[endo], -1)
-                self.by_object.append((f, scal, scal[endo], read, own))
+        # Every scalar s, f_X for its object X, and the composite s.f_X.
+        self.scal = np.flatnonzero(src == dst)
+        x = src[self.scal]
+        self.f = table._hom[x * n + (x == 0)]
+        self.comp_f = table._comp[self.scal, self.f]
+        endo = np.flatnonzero(src[self.comp_f] == dst[self.comp_f])
+        if endo.size:
+            k = endo[0]
+            s, f, r = (table.arrows[a[k]] for a in (self.scal, self.f, self.comp_f))
+            raise CoordinatizationError(
+                f"{s} then {f} gives {r}, not an arrow between distinct objects"
+            )
         self.n_arrows = table.n_arrows
         self.model = model
         self.m_inv = model._ensure_inverses()
@@ -153,13 +137,7 @@ class _Forcing:
         m_comp = self.model._comp
         F = np.full(self.n_arrows, -1, dtype=np.int32)
         F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
-        scal, comp_f, f = self.through
-        F[scal] = m_comp[F[comp_f], self.m_inv[F[f]]]
-        for f, scal, endo_scal, read, own in self.by_object:
-            Ff_inv = self.m_inv[F[f]]
-            F[endo_scal] = m_comp[np.where(read < 0, -1, F[read]), Ff_inv]
-            for k, j in own:
-                F[scal[k]] = m_comp[F[scal[j]], Ff_inv]
+        F[self.scal] = m_comp[F[self.comp_f], self.m_inv[F[self.f]]]
         return F
 
 
@@ -170,7 +148,8 @@ def verify_iso(
 
     Malformed maps (not bijections onto the model's objects and scalar
     ids, or an unknown base) raise CoordinatizationError; structural
-    failures of a well-formed map are reported as check failures.
+    failures of a well-formed map are reported as check failures.  A
+    table without a forced arrow map (see ``_Forcing``) raises too.
     """
     cap = max_witnesses
     model = _target_model(table)
@@ -273,7 +252,10 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
     moved = _transports(table, _round_trips(table, i1, i0, i2, xs), table._ne3[i1, i0, lab])
     if (moved < 0).any():
         x = table.objects[xs[np.argmax(moved < 0)]]
-        canonical_scalar(table, cross_ratio_abs(table, f1, f0, f2, x), f0)
+        try:
+            canonical_scalar(table, cross_ratio_abs(table, f1, f0, f2, x), f0)
+        except ValueError as exc:
+            raise CoordinatizationError(str(exc)) from exc
     ids = table.scalars[f0]
     coords = {f0: "0:1", f1: "1:0"}
     lo = table._hom[i0 * (n + 1)]
@@ -305,6 +287,10 @@ def verify_uniqueness(
     Every object bijection sending the frame to (0:1, 1:0, 1:1) is
     covered; its induced arrow map is accepted when fully functorial.
     Returns the check plus the unique passing object map, if unique.
+    The forced map requires every scalar s at X, composed with f_X, the
+    least arrow out of X to another object, to give an arrow between
+    distinct objects; a table where one does not raises
+    CoordinatizationError.
 
     The search is depth first over the non-frame objects ``others``,
     assigning ``others[k]`` at depth k+1 and trying the targets in
@@ -312,10 +298,10 @@ def verify_uniqueness(
     ``itertools.permutations(targets)``.  Frame objects have depth 0.
     An arrow between distinct objects has the largest depth of its
     source, target and label.  A scalar s at X has the largest depth
-    of X, f_X and r = s.f_X when r is an arrow between distinct
-    objects, and the leaf depth otherwise.  A composable pair has the
-    largest depth of its two arrows and its composite, and its images
-    depend on the objects of at most that depth only.  At a node of
+    of X, f_X and r = s.f_X, since its image is read from those of
+    f_X and r only.  A composable pair has the largest depth of its
+    two arrows and its composite, and its images depend on the
+    objects of at most that depth only.  At a node of
     depth k the unassigned objects take the unused targets in order,
     and the pairs of depth exactly k are checked on the forced map.
     A failing pair refutes every bijection below the node, because
@@ -346,14 +332,12 @@ def verify_uniqueness(
     obj_depth = np.zeros(table.n_objects, dtype=dtype)
     for k, o in enumerate(others):
         obj_depth[table._obj_i[o]] = k + 1
-    depth = np.full(table.n_arrows, leaf, dtype=dtype)
+    depth = np.empty(table.n_arrows, dtype=dtype)
     depth[forced.non_endo] = np.maximum(
         np.maximum(obj_depth[forced.src], obj_depth[forced.dst]), obj_depth[forced.lab]
     )
     # f_X leaves X, so its depth is at least that of X.
-    for f, scal, comp_f, _ in forced.per_object:
-        through = table._src_i[comp_f] != table._dst_i[comp_f]
-        depth[scal] = np.where(through, np.maximum(depth[comp_f], depth[f]), leaf)
+    depth[forced.scal] = np.maximum(depth[forced.comp_f], depth[forced.f])
     I, J = table._pairs()
     RK = table._comp[I, J]
     pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[RK])

@@ -1,8 +1,8 @@
-"""Structured pass/fail reports with deterministic JSON round-tripping.
+"""Structured pass/fail reports with deterministic JSON output.
 
 Every checker in this package returns one of these types instead of a
 bare bool so that callers always get counts and witnesses.  Reports
-serialize to plain dicts; ``from_dict(to_dict(r)) == r`` holds exactly.
+serialize to plain dicts.
 """
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ class CheckReport:
             "failures": self.failures,
             "witnesses": list(self.witnesses),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CheckReport":
-        return cls(
-            name=d["name"],
-            status=d["status"],
-            checked=int(d["checked"]),
-            failures=int(d["failures"]),
-            witnesses=[str(w) for w in d["witnesses"]],
-        )
 
     def render(self) -> str:
         head = f"{self.name}: {self.status.upper()} (checked={self.checked}"
@@ -98,13 +88,6 @@ class ReportGroup:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ReportGroup":
-        return cls(
-            name=d["name"],
-            checks=[CheckReport.from_dict(c) for c in d["checks"]],
-        )
-
     def render(self) -> str:
         lines = [c.render() for c in self.checks]
         lines.append(f"{self.name}: {'PASS' if self.passed else 'FAIL'}")
@@ -136,15 +119,6 @@ class TableRowReport:
             "witnesses": [dict(w) for w in self.witnesses],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TableRowReport":
-        return cls(
-            row=d["row"],
-            checked=int(d["checked"]),
-            failures=int(d["failures"]),
-            witnesses=[dict(w) for w in d["witnesses"]],
-        )
-
 
 @dataclass
 class TableReport:
@@ -169,13 +143,6 @@ class TableReport:
             "passed": self.passed,
             "rows": [r.to_dict() for r in self.rows],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TableReport":
-        return cls(
-            field_name=d["field"],
-            rows=[TableRowReport.from_dict(r) for r in d["rows"]],
-        )
 
     def render(self) -> str:
         lines = []

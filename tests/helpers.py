@@ -763,8 +763,11 @@ def reference_coordinatize(table: CandidateTable, frame: Optional[Frame] = None)
         elif x == f1:
             omap[x] = "1:0"
         else:
-            sigma = calc.cross_ratio_abs(f1, f0, f2, x)
-            moved = calc.canonical_scalar(sigma, f0)
+            try:
+                sigma = calc.cross_ratio_abs(f1, f0, f2, x)
+                moved = calc.canonical_scalar(sigma, f0)
+            except ValueError as exc:
+                raise CoordinatizationError(str(exc)) from exc
             omap[x] = f"{res[moved.scalar]}:1"
     if sorted(omap.values()) != sorted(model.objects):
         raise CoordinatizationError("coordinates do not exhaust the model points")

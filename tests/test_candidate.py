@@ -412,6 +412,17 @@ def test_conjugation_is_path_independent():
         conjugate(t, sigma, NonEndo("0:1", "1:1", "2:1"))  # wrong source
 
 
+def test_canonical_scalar_rejects_unknown_objects():
+    t = from_model(5)
+    sigma = Endo("9:9", "1")
+    assert outcome(canonical_scalar, t, sigma, "0:1") == outcome(t.arrow_index, sigma)
+    assert outcome(t.arrow_index, sigma) == (CandidateFormatError, "unknown arrow 9:9#1")
+    assert outcome(canonical_scalar, t, Endo("1:1", "3"), "9:9") == (
+        CandidateFormatError,
+        "unknown base object '9:9'",
+    )
+
+
 F5_CASES = ["model-5", "swap-f5"] + [
     name for name in REFERENCE_CASES if name.startswith(("mutation-", "cross_homset_mutation-f5"))
 ]

@@ -212,19 +212,35 @@ BROKEN = (
     [("mutation", 5, name) for name in MUTATIONS]
     + [("seeded", p, s) for p in (5, 7) for s in range(6)]
     + [("cross", p, s) for p in (5, 7) for s in range(2)]
-    + [("own-scalar", 5, None)]
-    + [("scalar-composite", 5, where) for where in ("own-later", "earlier", "later")]
 )
 
 
 @pytest.mark.parametrize("kind,p,arg", BROKEN)
 def test_uniqueness_matches_brute_force_on_broken_tables(kind, p, arg):
     t = CandidateTable.from_doc(MUTATORS[kind](from_model(p).to_doc(), arg))
-    if kind in ("cross", "own-scalar", "scalar-composite"):
+    if kind == "cross":
         assert validate_structure(t).check("endpoints").status == "fail"
-    if kind == "own-scalar":
-        assert _Forcing(t, _target_model(t)).per_object[1][3]
     _assert_matches_brute_force(t, [Frame(*t.objects[:3]), Frame(*t.objects[-3:])], p)
+
+
+# F_5 with 1:1#3 then 1:1>2:1>0:1 rewritten to a scalar, and that scalar.
+NO_FORCED_MAP = [("own-scalar", None, "1:1#2")] + [
+    ("scalar-composite", where, got)
+    for where, got in (("own-later", "1:1#4"), ("earlier", "0:1#4"), ("later", "3:1#4"))
+]
+
+
+@pytest.mark.parametrize("kind,arg,got", NO_FORCED_MAP)
+def test_tables_without_a_forced_arrow_map_raise(kind, arg, got):
+    t = CandidateTable.from_doc(MUTATORS[kind](from_model(5).to_doc(), arg))
+    assert validate_structure(t).check("endpoints").status == "fail"
+    message = f"1:1#3 then 1:1>2:1>0:1 gives {got}, not an arrow between distinct objects"
+    identity = CandidateIso("0:1", {o: o for o in t.objects}, {s: s for s in t.scalars["0:1"]})
+    calls = [lambda: _Forcing(t, _target_model(t)), lambda: verify_iso(t, identity)]
+    for frame in (Frame(*t.objects[:3]), Frame(*t.objects[-3:])):
+        calls += [lambda f=frame: verify_uniqueness(t, f), lambda f=frame: coordinatize(t, f)]
+    for call in calls:
+        assert outcome(call) == (CoordinatizationError, message)
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
@@ -245,6 +261,19 @@ def test_coordinatize_matches_the_object_level_reference(case):
         sm[keys[0]], sm[keys[-1]] = sm[keys[-1]], sm[keys[0]]
         other = CandidateIso(iso.base_object, iso.object_map, sm)
         assert verify_iso(t, other).to_dict() == reference_verify_iso(t, other).to_dict()
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("round-trip", "round trip (1:1,0:1;2:1,4:1) gives 1:1>3:1>0:1, not a scalar at 1:1"),
+        ("transport", "cannot compose 0:1#2 then 1:1>2:1>0:1"),
+    ],
+)
+def test_failed_coordinates_raise_coordinatization_error(case, message):
+    t = CandidateTable.from_doc(REFERENCE_CASES[f"coordinate-{case}"]())
+    assert outcome(coordinatize, t) == (CoordinatizationError, message)
+    assert outcome(reference_coordinatize, t) == (CoordinatizationError, message)
 
 
 def test_target_model_is_built_once_per_p(monkeypatch):
