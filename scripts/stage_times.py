@@ -1,18 +1,23 @@
 """Time each stage of the projline pipeline per p and store the rows in a JSON file.
 
-    python scripts/stage_times.py --out BENCH_6.json --label after
-    python scripts/stage_times.py --src ../other-checkout/src --out BENCH_6.json --label before
+    python scripts/stage_times.py --out BENCH_8.json --label after
+    python scripts/stage_times.py --src ../other-checkout/src --out BENCH_8.json --label before
 
 Run from the repository root; it imports ``projline`` from ``--src``
 (default ``src``).  Every stage runs in this process on the table of
-the projective line over F_p, p in ``PRIMES``, and is timed as the
-median of ``REPEAT`` calls (half as many above p=7), unscaled wall time.  Each call gets a freshly
-loaded table, so no call reuses the inverses an earlier one found;
-``coordinatize`` and ``verify_uniqueness`` reuse the target model,
-which ``coordinatize_first_call`` builds anew every time.  The rows go
-into the file under ``--label`` next to the rows of other labels, so
-one file holds a before and an after run, each with its host and a
-digest of the code it ran.
+the projective line over F_p, p in ``PRIMES``, and is timed over
+``REPEAT`` calls at every p, unscaled wall time.  Each row holds the
+median (``seconds``) and the first and third quartiles (``q1``,
+``q3``) of those calls.  A before/after difference whose other median
+lies inside either side's quartile range is unresolved: it is not
+told apart from noise.
+
+Each call gets a freshly loaded table, so no call reuses the inverses
+an earlier one found; ``coordinatize`` and ``verify_uniqueness`` reuse
+the target model, which ``coordinatize_first_call`` builds anew every
+time.  The rows go into the file under ``--label`` next to the rows of
+other labels, so one file holds a before and an after run, each with
+its host and a digest of the code it ran.
 """
 
 from __future__ import annotations
@@ -56,15 +61,16 @@ def _source_digest(package: str) -> str:
     return digest.hexdigest()
 
 
-def _median_seconds(setup, stage, repeat: int) -> float:
-    """Median wall time of ``stage(setup())``; only the stage is timed."""
+def _quartile_seconds(setup, stage, repeat: int) -> list[float]:
+    """First quartile, median and third quartile of the wall time of
+    ``stage(setup())``; only the stage is timed."""
     times = []
     for _ in range(repeat):
         arg = setup()
         start = time.perf_counter()
         stage(arg)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.quantiles(times, n=4)
 
 
 def stage_rows(p: int, repeat: int) -> list[dict]:
@@ -98,11 +104,13 @@ def stage_rows(p: int, repeat: int) -> list[dict]:
         "verify_uniqueness": (load, projline.verify_uniqueness),
     }
     projline.coordinatize(load())
-    return [
-        {"p": p, "stage": name, "seconds": round(_median_seconds(*timed[name], repeat), 6),
-         "repeat": repeat}
-        for name in STAGES
-    ]
+    rows = []
+    for name in STAGES:
+        q1, median, q3 = (round(t, 6) for t in _quartile_seconds(*timed[name], repeat))
+        rows.append(
+            {"p": p, "stage": name, "seconds": median, "q1": q1, "q3": q3, "repeat": repeat}
+        )
+    return rows
 
 
 def main() -> None:
@@ -121,7 +129,7 @@ def main() -> None:
         raise SystemExit(f"imported projline from {projline.__file__}, not from {src}")
     rows = []
     for p in PRIMES:
-        rows += stage_rows(p, REPEAT if p <= 7 else REPEAT // 2)
+        rows += stage_rows(p, REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),
         "nproc": len(os.sched_getaffinity(0)),

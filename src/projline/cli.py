@@ -194,22 +194,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_cr(args) -> int:
+def _cmd_rapport(args) -> int:
+    """``cr`` and ``tri``: one rapport of the given points."""
     field = _field_of(args)
     pts = [_parse_point(t, field) for t in args.points]
     try:
-        value = cross_ratio(*pts)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    _emit({"value": str(value)}, args, lambda: f"{value}\n")
-    return 0
-
-
-def _cmd_tri(args) -> int:
-    field = _field_of(args)
-    pts = [_parse_point(t, field) for t in args.points]
-    try:
-        value = tri_rapport(*pts)
+        value = (cross_ratio if args.command == "cr" else tri_rapport)(*pts)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     _emit({"value": str(value)}, args, lambda: f"{value}\n")
@@ -345,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "points", nargs=npts, metavar="x:y",
             help="points as x:y (rationals allow fractions; put -- before negatives)",
         )
-        sp.set_defaults(fn={"cr": _cmd_cr, "tri": _cmd_tri, "harmonic": _cmd_harmonic}[name])
+        sp.set_defaults(fn=_cmd_harmonic if name == "harmonic" else _cmd_rapport)
         add_format(sp)
 
     sp = sub.add_parser("tables", help="evaluate the classical relation table at one cross ratio")

@@ -120,7 +120,7 @@ class _Forcing:
         self.scal = np.flatnonzero(src == dst)
         x = src[self.scal]
         self.f = table._hom[x * n + (x == 0)]
-        self.comp_f = table._comp[self.scal, self.f]
+        self.comp_f = table._composite(self.scal, self.f)
         endo = np.flatnonzero(src[self.comp_f] == dst[self.comp_f])
         if endo.size:
             k = endo[0]
@@ -134,10 +134,9 @@ class _Forcing:
 
     def __call__(self, obj_to) -> np.ndarray:
         o = np.asarray(obj_to, dtype=np.intp)
-        m_comp = self.model._comp
         F = np.full(self.n_arrows, -1, dtype=np.int32)
         F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
-        F[self.scal] = m_comp[F[self.comp_f], self.m_inv[F[self.f]]]
+        F[self.scal] = self.model._composite(F[self.comp_f], self.m_inv[F[self.f]])
         return F
 
 
@@ -198,15 +197,15 @@ def verify_iso(
         )
     )
 
-    comp = table._comp
     I, J = table._pairs()
-    lhs = model._comp[F[I], F[J]]
-    rhs = F[comp[I, J]]
+    R = table._composite(I, J)
+    lhs = model._composite(F[I], F[J])
+    rhs = F[R]
     bad_at = np.nonzero(lhs != rhs)[0]
     wit = []
     for k in bad_at[:cap]:
         i, j = int(I[k]), int(J[k])
-        res = table.arrows[int(comp[i, j])]
+        res = table.arrows[int(R[k])]
         kind = "label-compatibility" if isinstance(res, NonEndo) else "functoriality"
         wit.append(
             f"{kind}({table.arrows[i]}; {table.arrows[j]}): composite maps to "
@@ -339,7 +338,7 @@ def verify_uniqueness(
     # f_X leaves X, so its depth is at least that of X.
     depth[forced.scal] = np.maximum(depth[forced.comp_f], depth[forced.f])
     I, J = table._pairs()
-    RK = table._comp[I, J]
+    RK = table._composite(I, J)
     pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[RK])
     order = np.argsort(pair_depth, kind="stable")
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
@@ -355,7 +354,7 @@ def verify_uniqueness(
         omap.update(zip(others, prefix + [t for t in targets if t not in prefix]))
         F = forced([model._obj_i[omap[o]] for o in table.objects])
         bI, bJ, bR = buckets[k]
-        if not np.array_equal(model._comp[F[bI], F[bJ]], F[bR]):
+        if not np.array_equal(model._composite(F[bI], F[bJ]), F[bR]):
             checked += math.factorial(leaf - k)
         elif k == leaf:
             checked += 1

@@ -323,7 +323,6 @@ def evaluate_table_rows(
     frame = f"{a},{b},{c},{d}"
     mu = cross_ratio(a, b, c, d)
     minus = -mu.field.one()
-    records = []
     cache: dict[tuple[int, ...], FieldElement] = {}
 
     def tri_of(idx: tuple[int, ...]) -> FieldElement:
@@ -332,43 +331,24 @@ def evaluate_table_rows(
             cache[idx] = tri_rapport(*ps)
         return cache[idx]
 
+    def record(row: str, expected: FieldElement, got: str, ok: bool) -> dict:
+        return {"row": row, "frame": frame, "expected": str(expected), "got": got, "pass": ok}
+
+    records = []
     for expr, idx in CR_ROWS:
         expected = _expr_value(expr, mu)
         got = cross_ratio(*(quad[i] for i in idx))
-        records.append(
-            {
-                "row": f"cr:{expr}",
-                "frame": frame,
-                "expected": str(expected),
-                "got": str(got),
-                "pass": got == expected,
-            }
-        )
+        records.append(record(f"cr:{expr}", expected, str(got), got == expected))
     for expr, idx in TRI_ROWS:
         expected = _expr_value(expr, mu)
         got = tri_of(idx)
-        records.append(
-            {
-                "row": f"tri:{expr}",
-                "frame": frame,
-                "expected": str(expected),
-                "got": str(got),
-                "pass": got == expected,
-            }
-        )
+        records.append(record(f"tri:{expr}", expected, str(got), got == expected))
     for expr, idx1, idx2 in MINUS_ROWS:
         expected = minus * _expr_value(expr, mu)
         v1, v2 = tri_of(idx1), tri_of(idx2)
+        got = str(v1) if v1 == v2 else f"{v1}|{v2}"
         ok = v1 == expected and v2 == expected
-        records.append(
-            {
-                "row": f"tri:{_neg_name(expr)}",
-                "frame": frame,
-                "expected": str(expected),
-                "got": str(v1) if v1 == v2 else f"{v1}|{v2}",
-                "pass": ok,
-            }
-        )
+        records.append(record(f"tri:{_neg_name(expr)}", expected, got, ok))
     return records
 
 

@@ -77,7 +77,7 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
             f"-1 is not well defined at {base}: helpers ({obj[b[k]]},{obj[c[k]]}) give {got}, "
             f"({obj[b[0]]},{obj[c[0]]}) give {table.arrows[m]}"
         )
-    if table._comp[m, m] != table._id_idx[a]:
+    if table._composite(m, m) != table._id_idx[a]:
         raise ReconstructionError(
             f"candidate -1 at {base} does not square to the identity: {table.arrows[m]}"
         )
@@ -143,7 +143,7 @@ def phi(
     if vals[stop[0]] < 0:
         cross_ratio_abs(table, base, b, c, table.objects[dk])
     # The scalars at the base are the arrows lo .. lo+k-1, in order.
-    swapped = int(table._comp[table._ne3[a, ci, bi], table._ne3[ci, a, dk]])
+    swapped = int(table._composite(table._ne3[a, ci, bi], table._ne3[ci, a, dk]))
     if not lo <= swapped < lo + len(ids):
         cross_ratio_abs(table, base, c, b, table.objects[dk])
     return ids[swapped - lo]
@@ -263,7 +263,8 @@ def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
     inv = table._ensure_inverses()[lo : lo + k] - lo
     if (inv < 0).any():
         table.inverse_arrow(Endo(base, ids[int(np.argmax(inv < 0))]))
-    M = table._comp[lo : lo + k, lo : lo + k]
+    block = slice(lo, lo + k)
+    M = table._composite(block, block)
     scalar = (M >= lo) & (M < lo + k)
     mul = np.where(scalar, M - lo, 0)
     # x + y = x * phi(-1 * (x^-1 * y)) for scalars x, y: four products,

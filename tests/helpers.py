@@ -189,8 +189,8 @@ def reference_from_doc(doc) -> CandidateTable:
     """The per-entry loader that ``CandidateTable.from_doc`` replaced.
 
     It parses every arrow string into an arrow object, validates the
-    declared space, then fills a dense table entry by entry, counting
-    entries last.  Its errors are the loader's, except that the loader
+    declared space, then collects the composites entry by entry,
+    counting entries last, and stores them.  Its errors are the loader's, except that the loader
     reports a wrong entry count first.  Documents with a list where a
     name belongs, or a non-list of scalar ids, make it raise TypeError
     or read a string as its characters.
@@ -240,22 +240,21 @@ def reference_from_doc(doc) -> CandidateTable:
             )
 
     t = CandidateTable._bare(objects, norm_scalars, identities)
-    comp = np.full((t.n_arrows, t.n_arrows), -1, dtype=np.int32)
-    count = 0
+    comp: dict[tuple[int, int], int] = {}
     for a, b, r in entries:
         ia, ib, ir = t.arrow_index(a), t.arrow_index(b), t.arrow_index(r)
         if t._dst_i[ia] != t._src_i[ib]:
             raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
-        if comp[ia, ib] != -1:
+        if (ia, ib) in comp:
             raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
         comp[ia, ib] = ir
-        count += 1
+    count = len(comp)
     expected = sum(len(i) * len(o) for i, o in zip(in_lists(t), out_lists(t)))
     if count != expected:
         raise CandidateFormatError(
             f"compose table has {count} entries but {expected} composable pairs exist"
         )
-    t._comp = comp
+    t._store(*zip(*comp), list(comp.values()))
     return t
 
 
@@ -295,7 +294,6 @@ def reference_forced_arrow_map(
             )
             F[i] = model._ne3[key]
     m_inv = model._ensure_inverses()
-    comp = table._comp
     out = out_lists(table)
     for xi, x in enumerate(table.objects):
         f = next(j for j in out[xi] if int(table._dst_i[j]) != xi)
@@ -303,7 +301,7 @@ def reference_forced_arrow_map(
         Ff_inv = int(m_inv[Ff])
         for sid in table.scalars[x]:
             si = _endo_index(table, x, sid)
-            F[si] = model._comp[int(F[int(comp[si, f])]), Ff_inv]
+            F[si] = model._composite(int(F[int(table._composite(si, f))]), Ff_inv)
     return F
 
 
@@ -327,7 +325,7 @@ def reference_uniqueness(
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
     targets = [m for m in model.objects if m not in ("0:1", "1:0", "1:1")]
-    comp = table._comp
+    comp = table._composite(slice(None), slice(None))
     I, J = np.nonzero(comp >= 0)
     RK = comp[I, J]
     passing: list[dict[str, str]] = []
@@ -338,7 +336,7 @@ def reference_uniqueness(
         omap.update(zip(others, perm))
         obj_to = [model._obj_i[omap[o]] for o in table.objects]
         F = reference_forced_arrow_map(table, model, obj_to)
-        if bool(np.all(model._comp[F[I], F[J]] == F[RK])):
+        if bool(np.all(model._composite(F[I], F[J]) == F[RK])):
             passing.append(omap)
     assert checked == math.factorial(len(others))
     if len(passing) == 1:
@@ -360,14 +358,14 @@ def reference_inverses(table: CandidateTable) -> np.ndarray:
     kept as its oracle: for each arrow i, the first arrow j out of its
     target that returns to its source with both composites the units.
     """
-    comp = table._comp
+    comp = table._composite
     out = out_lists(table)
     inv = np.full(table.n_arrows, -1, dtype=np.int32)
     for i in range(table.n_arrows):
         si, di = int(table._src_i[i]), int(table._dst_i[i])
         want_l, want_r = table._id_idx[si], table._id_idx[di]
         for j in out[di]:
-            if table._dst_i[j] == si and comp[i, j] == want_l and comp[j, i] == want_r:
+            if table._dst_i[j] == si and comp(i, j) == want_l and comp(j, i) == want_r:
                 inv[i] = j
                 break
     return inv
@@ -401,7 +399,7 @@ def reference_from_model(p: int) -> CandidateTable:
     by_factor: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(t.n_arrows):
         by_factor[int(t._src_i[i])][int(t._dst_i[i])][fac[i]] = i
-    comp = np.full((t.n_arrows, t.n_arrows), -1, dtype=np.int32)
+    comp: dict[tuple[int, int], int] = {}
     src_l = [int(v) for v in t._src_i]
     dst_l = [int(v) for v in t._dst_i]
     out = out_lists(t)
@@ -409,7 +407,7 @@ def reference_from_model(p: int) -> CandidateTable:
         si, fi = src_l[i], fac[i]
         for j in out[dst_l[i]]:
             comp[i, j] = by_factor[si][dst_l[j]][(fi * fac[j]) % p]
-    t._comp = comp
+    t._store(*zip(*comp), list(comp.values()))
     return t
 
 
@@ -445,7 +443,7 @@ class ObjectCalculus:
 
     def compose(self, f, g):
         i, j = self.arrow_index(f), self.arrow_index(g)
-        r = int(self.table._comp[i, j])
+        r = int(self.table._composite(i, j))
         if r < 0:
             raise ValueError(f"cannot compose {f} then {g}")
         return self.table.arrows[r]
@@ -484,9 +482,12 @@ class ObjectCalculus:
         return self.scalar(out, f.dst, f"transport of {sigma} along {f}")
 
     def canonical_scalar(self, sigma: Endo, base: str) -> Endo:
+        table = self.table
+        self.arrow_index(sigma)
+        if base not in table._obj_i:
+            raise CandidateFormatError(f"unknown base object {base!r}")
         if sigma.obj == base:
             return sigma
-        table = self.table
         ai = table._obj_i[sigma.obj]
         bi = table._obj_i[base]
         li = min(i for i in range(table.n_objects) if i not in (ai, bi))
@@ -717,9 +718,9 @@ def reference_verify_iso(
         )
     )
 
-    comp = table._comp
+    comp = table._composite(slice(None), slice(None))
     I, J = np.nonzero(comp >= 0)
-    lhs = model._comp[F[I], F[J]]
+    lhs = model._composite(F[I], F[J])
     rhs = F[comp[I, J]]
     bad_at = np.nonzero(lhs != rhs)[0]
     wit = []

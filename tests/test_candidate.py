@@ -1,7 +1,10 @@
 """Abstract composition tables: construction, serialization, checkers."""
 
+import ast
 import contextlib
 import copy
+import importlib
+import inspect
 import io
 import itertools
 import json
@@ -348,6 +351,24 @@ def test_pairs_inverses_and_homsets_match_the_references(case):
         assert (t._ensure_inverses() < 0).any()
 
 
+def test_only_composite_and_store_name_the_composition_store():
+    for name in ("candidate", "reconstruct", "coordinatize"):
+        module = importlib.import_module(f"projline.{name}")
+        tree = ast.parse(inspect.getsource(module))
+        owners = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("_composite", "_store")
+            for node in ast.walk(fn)
+        }
+        stray = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_comp" and id(node) not in owners
+        ]
+        assert stray == [], f"projline.{name} names _comp on lines {stray}"
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_label_factors_equal_the_model_factors(p):
     pts = points(GF(p))
@@ -421,6 +442,12 @@ def test_canonical_scalar_rejects_unknown_objects():
         CandidateFormatError,
         "unknown base object '9:9'",
     )
+    # A scalar already at the base is checked like any other.
+    for sigma in (Endo("9:9", "1"), Endo("0:1", "x")):
+        assert outcome(canonical_scalar, t, sigma, sigma.obj) == (
+            CandidateFormatError,
+            f"unknown arrow {sigma}",
+        )
 
 
 F5_CASES = ["model-5", "swap-f5"] + [
