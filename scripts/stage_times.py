@@ -1,23 +1,35 @@
 """Time each stage of the projline pipeline per p and store the rows in a JSON file.
 
-    python scripts/stage_times.py --out BENCH_8.json --label after
-    python scripts/stage_times.py --src ../other-checkout/src --out BENCH_8.json --label before
+    python scripts/stage_times.py --src ../parent/src --out BENCH_9.json --label before-1
+    python scripts/stage_times.py --out BENCH_9.json --label after-1
+    python scripts/stage_times.py --src ../parent/src --out BENCH_9.json --label before-2
+    ...                                                      (through after-3)
 
 Run from the repository root; it imports ``projline`` from ``--src``
 (default ``src``).  Every stage runs in this process on the table of
 the projective line over F_p, p in ``PRIMES``, and is timed over
 ``REPEAT`` calls at every p, unscaled wall time.  Each row holds the
 median (``seconds``) and the first and third quartiles (``q1``,
-``q3``) of those calls.  A before/after difference whose other median
-lies inside either side's quartile range is unresolved: it is not
-told apart from noise.
+``q3``) of those calls.
 
-Each call gets a freshly loaded table, so no call reuses the inverses
-an earlier one found; ``coordinatize`` and ``verify_uniqueness`` reuse
-the target model, which ``coordinatize_first_call`` builds anew every
-time.  The rows go into the file under ``--label`` next to the rows of
-other labels, so one file holds a before and an after run, each with
-its host and a digest of the code it ran.
+Those quartiles are one process's spread, and the host's speed drifts
+between processes by more than that.  So a before/after comparison is
+three alternating runs per side, labeled ``before-1``, ``after-1``,
+``before-2`` and so on, and a stage counts as changed only when all
+three of its ``after`` medians lie on one side of all three ``before``
+medians.
+
+``load`` is ``CandidateTable.load`` of the saved file, the path the
+CLI takes; ``json.loads`` and ``from_doc`` time its two halves on their
+own.  Each call gets a fresh argument: a fresh document for
+``from_doc`` and a fresh table from ``from_model`` for the checkers, so
+no call reuses the inverses an earlier one found; ``coordinatize`` and
+``verify_uniqueness`` reuse the target model, which
+``coordinatize_first_call`` builds anew every time.  No parsed
+document outlives the call it is made for, so no stage's garbage
+collections walk another stage's document.  The rows go into the file
+under ``--label`` next to the rows of other labels, so one file holds
+every run, each with its host and a digest of the code it ran.
 """
 
 from __future__ import annotations
@@ -30,14 +42,15 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 STAGES = (
-    "from_model", "to_json_bytes", "json.loads", "from_doc", "validate_structure",
+    "from_model", "to_json_bytes", "json.loads", "from_doc", "load", "validate_structure",
     "check_axioms", "build_field", "coordinatize_first_call", "coordinatize",
     "verify_uniqueness",
 )
-PRIMES = (5, 7, 11, 13)
+PRIMES = (5, 7, 11, 13, 17)
 REPEAT = 7
 
 
@@ -70,19 +83,20 @@ def _quartile_seconds(setup, stage, repeat: int) -> list[float]:
         start = time.perf_counter()
         stage(arg)
         times.append(time.perf_counter() - start)
+        del arg
     return statistics.quantiles(times, n=4)
 
 
-def stage_rows(p: int, repeat: int) -> list[dict]:
+def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     import projline
 
     coordinatize_module = importlib.import_module("projline.coordinatize")
     table = projline.from_model(p)
+    table.save(path)
     data = table.to_json_bytes()
-    doc = json.loads(data)
 
-    def load():
-        return projline.CandidateTable.from_doc(doc)
+    def fresh():
+        return projline.from_model(p)
 
     def first_call(t):
         coordinatize_module._model.cache_clear()
@@ -92,18 +106,19 @@ def stage_rows(p: int, repeat: int) -> list[dict]:
         return None
 
     timed = {
-        "from_model": (nothing, lambda _: projline.from_model(p)),
+        "from_model": (nothing, lambda _: fresh()),
         "to_json_bytes": (nothing, lambda _: table.to_json_bytes()),
         "json.loads": (nothing, lambda _: json.loads(data)),
-        "from_doc": (nothing, lambda _: load()),
-        "validate_structure": (load, projline.validate_structure),
-        "check_axioms": (load, projline.check_axioms),
-        "build_field": (load, projline.build_field),
-        "coordinatize_first_call": (load, first_call),
-        "coordinatize": (load, projline.coordinatize),
-        "verify_uniqueness": (load, projline.verify_uniqueness),
+        "from_doc": (lambda: json.loads(data), projline.CandidateTable.from_doc),
+        "load": (nothing, lambda _: projline.CandidateTable.load(path)),
+        "validate_structure": (fresh, projline.validate_structure),
+        "check_axioms": (fresh, projline.check_axioms),
+        "build_field": (fresh, projline.build_field),
+        "coordinatize_first_call": (fresh, first_call),
+        "coordinatize": (fresh, projline.coordinatize),
+        "verify_uniqueness": (fresh, projline.verify_uniqueness),
     }
-    projline.coordinatize(load())
+    projline.coordinatize(fresh())
     rows = []
     for name in STAGES:
         q1, median, q3 = (round(t, 6) for t in _quartile_seconds(*timed[name], repeat))
@@ -128,8 +143,9 @@ def main() -> None:
     if not os.path.abspath(projline.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported projline from {projline.__file__}, not from {src}")
     rows = []
-    for p in PRIMES:
-        rows += stage_rows(p, REPEAT)
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in PRIMES:
+            rows += stage_rows(p, REPEAT, os.path.join(tmp, f"f{p}.json"))
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),
         "nproc": len(os.sched_getaffinity(0)),

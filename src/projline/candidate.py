@@ -13,9 +13,11 @@ capped witness samples; every sweep is exhaustive and runs in one process.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from collections.abc import Hashable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, repeat
 from typing import Iterable, Optional, Sequence, Union
@@ -147,8 +149,10 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
 
     A well-formed name missing from ``names`` resolves to -1.  Shape,
     type and syntax errors are raised for the earliest offending entry.
-    Each name costs one dict lookup; only missed names are parsed, each
-    distinct one once.
+    Each name costs one dict lookup, in one pass; only missed names are
+    parsed, each distinct one once.  A hashable non-string is a miss and
+    fails its parse; a list or mapping among the names is searched for
+    on that error path only.
     """
     m = len(entries)
     shaped = m
@@ -156,20 +160,57 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
         shaped = next(
             k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3
         )
-    flat = list(chain.from_iterable(islice(entries, shaped)))
-    typed = len(flat)
-    if not set(map(type, flat)) <= {str}:
-        typed = next((k for k, s in enumerate(flat) if not isinstance(s, str)), typed)
-    idx = np.fromiter(map(names.get, islice(flat, typed), repeat(-1)), np.int32, typed)
-    for s in dict.fromkeys([flat[k] for k in np.flatnonzero(idx < 0).tolist()]):
+    looked_up = 3 * shaped
+    try:
+        idx = np.fromiter(
+            map(names.get, chain.from_iterable(islice(entries, shaped)), repeat(-1)),
+            np.int32, looked_up,
+        )
+    except TypeError:
+        # A list or mapping where a name belongs: look up the names before it.
+        flat = list(chain.from_iterable(islice(entries, shaped)))
+        looked_up = next(k for k, s in enumerate(flat) if not isinstance(s, Hashable))
+        idx = np.fromiter(map(names.get, islice(flat, looked_up), repeat(-1)), np.int32, looked_up)
+    for s in dict.fromkeys(entries[k // 3][k % 3] for k in np.flatnonzero(idx < 0).tolist()):
         parse_arrow(s)
-    if typed < len(flat):
-        parse_arrow(flat[typed])
+    if looked_up < 3 * shaped:
+        parse_arrow(entries[looked_up // 3][looked_up % 3])
     if shaped < m:
         raise CandidateFormatError(
             f"compose entries are [a, b, ab] triples, got {entries[shaped]!r}"
         )
     return idx.reshape(m, 3)
+
+
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector off for the block, then restore its state.
+
+    A table document is one list per compose entry and holds no cycle,
+    so a collection that starts while it is built or read frees nothing
+    and walks every list.  The block must drop the document before it
+    ends, or the first collection after it walks the lists anyway.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(path: str):
+    """The JSON value in the file at ``path``.
+
+    ``json.load`` reads the file, so its bytes are freed with the parse.
+    """
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers undecodable bytes as well as bad JSON.
+            raise CandidateFormatError(f"not valid JSON: {exc}") from exc
 
 
 class CandidateTable:
@@ -406,7 +447,9 @@ class CandidateTable:
         return t
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_doc(), separators=(",", ":")).encode("ascii") + b"\n"
+        with _collector_paused():
+            text = json.dumps(self.to_doc(), separators=(",", ":"))
+        return text.encode("ascii") + b"\n"
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -414,12 +457,8 @@ class CandidateTable:
 
     @classmethod
     def load(cls, path: str) -> "CandidateTable":
-        with open(path, "rb") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CandidateFormatError(f"not valid JSON: {exc}") from exc
-        return cls.from_doc(doc)
+        with _collector_paused():
+            return cls.from_doc(_parse(path))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CandidateTable):

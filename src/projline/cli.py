@@ -104,8 +104,11 @@ def _cmd_gen(args) -> int:
     if args.out == "-":
         sys.stdout.buffer.write(data)
     else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import gc
 import importlib
 import inspect
 import io
@@ -163,6 +164,59 @@ def test_malformed_documents_rejected(f5_doc, breakage):
 def test_loaded_table_writes_the_same_bytes(p):
     raw = from_model(p).to_json_bytes()
     assert CandidateTable.from_doc(json.loads(raw)).to_json_bytes() == raw
+
+
+def _collections_inside(call) -> int:
+    """The garbage collections that start while ``call()`` runs.
+
+    It starts from an empty young generation, so the few objects a call
+    allocates before it pauses the collector cannot start one.
+    """
+    starts = []
+
+    def probe(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(probe)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(probe)
+    return len(starts)
+
+
+def test_loading_and_exporting_run_no_garbage_collection(tmp_path):
+    table = from_model(7)
+    path = str(tmp_path / "f7.json")
+    table.save(path)
+    assert gc.isenabled()
+    assert _collections_inside(lambda: CandidateTable.load(path)) == 0
+    assert _collections_inside(table.to_json_bytes) == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_and_exporting_restore_the_collector(tmp_path, enabled):
+    table = from_model(5)
+    good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+    table.save(good)
+    with open(bad, "w") as fh:
+        fh.write("{not json")
+    calls = [
+        (lambda: CandidateTable.load(good), None),
+        (lambda: CandidateTable.load(bad), CandidateFormatError),
+        (lambda: CandidateTable.load(str(tmp_path / "absent.json")), OSError),
+        (table.to_json_bytes, None),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call, raises in calls:
+            with contextlib.nullcontext() if raises is None else pytest.raises(raises):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_declared_size_bomb_is_rejected_before_the_table_is_built():
@@ -639,6 +693,23 @@ def test_loader_parses_missed_names_in_entry_order(f5_doc):
     want = outcome(reference_from_doc, doc)
     assert want == (CandidateFormatError, "bad arrow syntax '0:1>2:1', want src>label>dst")
     assert outcome(CandidateTable.from_doc, doc) == want
+
+    # Hashable non-strings, unhashable items and a bad name, two at a
+    # time in both orders, ahead of a short entry: the earlier one fails.
+    bad = [0, None, True, ["0:1"], {}, "0:1#2#3"]
+    for first, second in itertools.permutations(bad, 2):
+        doc = copy.deepcopy(f5_doc)
+        doc["compose"][1][1] = first
+        doc["compose"][3][0] = second
+        doc["compose"][5] = ["0:1#1"]
+        want = outcome(reference_from_doc, doc)
+        assert want[0] is CandidateFormatError and repr(first) in want[1]
+        assert outcome(CandidateTable.from_doc, doc) == want, (first, second)
+        # With the short entry first, the shape error comes first.
+        doc["compose"][0] = ["0:1#1"]
+        want = outcome(reference_from_doc, doc)
+        assert want[1].startswith("compose entries are [a, b, ab] triples")
+        assert outcome(CandidateTable.from_doc, doc) == want, (first, second)
 
 
 @settings(max_examples=150, deadline=None)

@@ -145,6 +145,27 @@ def test_check_unreadable_or_malformed_input(tmp_path):
     assert run_cli("check", "--in", str(tiny)).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct", "classify"])
+def test_undecodable_or_deeply_nested_input_exits_2(tmp_path, f5_path, command):
+    with open(f5_path, "rb") as fh:
+        stray = fh.read() + b"\xe9"
+    for name, data in (("stray.json", stray), ("deep.json", b"[" * 200_000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        r = run_cli(command, "--in", str(path))
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"{path}: not valid JSON: ")
+
+
+def test_gen_to_an_unwritable_path_exits_2(tmp_path):
+    for out in (tmp_path, tmp_path / "missing" / "f.json"):
+        r = run_cli("gen", "--p", "5", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"cannot write {out}: ")
+
+
 @pytest.mark.parametrize(
     "breakage",
     [
