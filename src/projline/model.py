@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .reports import TableReport, TableRowReport
+from .reports import ReportGroup, make_check
 from .scalars import Field, FieldElement, PrimeField, RationalField
 
 
@@ -249,25 +249,14 @@ def harmonic_conjugate(a: Point, b: Point, c: Point) -> Point:
 # realized by two distinct three-leg forms.
 # Index tuples select from (A, B, C, D) = (0, 1, 2, 3).
 
-_EXPRS = ("mu", "1/mu", "1-mu", "1/(1-mu)", "1-1/mu", "1/(1-1/mu)")
-
-
-def _expr_value(expr: str, mu: FieldElement) -> FieldElement:
-    one = mu.field.one()
-    if expr == "mu":
-        return mu
-    if expr == "1/mu":
-        return mu.inv()
-    if expr == "1-mu":
-        return one - mu
-    if expr == "1/(1-mu)":
-        return (one - mu).inv()
-    if expr == "1-1/mu":
-        return one - mu.inv()
-    if expr == "1/(1-1/mu)":
-        return (one - mu.inv()).inv()
-    raise KeyError(expr)
-
+_EXPR_VALUES = {
+    "mu": lambda mu: mu,
+    "1/mu": lambda mu: 1 / mu,
+    "1-mu": lambda mu: 1 - mu,
+    "1/(1-mu)": lambda mu: 1 / (1 - mu),
+    "1-1/mu": lambda mu: 1 - 1 / mu,
+    "1/(1-1/mu)": lambda mu: 1 / (1 - 1 / mu),
+}
 
 CR_ROWS: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
     ("mu", (0, 1, 2, 3)),
@@ -301,12 +290,18 @@ def _neg_name(expr: str) -> str:
     return f"-{expr}" if expr in ("mu", "1/mu", "1/(1-mu)", "1/(1-1/mu)") else f"-({expr})"
 
 
+# One entry per row, in canonical order:
+# (row id, expression, negated, rapport, index tuple of each form).
+_ROWS = (
+    *((f"cr:{e}", e, False, cross_ratio, (idx,)) for e, idx in CR_ROWS),
+    *((f"tri:{e}", e, False, tri_rapport, (idx,)) for e, idx in TRI_ROWS),
+    *((f"tri:{_neg_name(e)}", e, True, tri_rapport, (i1, i2)) for e, i1, i2 in MINUS_ROWS),
+)
+
+
 def table_row_ids() -> list[str]:
     """The eighteen row identifiers in canonical order."""
-    out = [f"cr:{e}" for e, _ in CR_ROWS]
-    out += [f"tri:{e}" for e, _ in TRI_ROWS]
-    out += [f"tri:{_neg_name(e)}" for e, _, _ in MINUS_ROWS]
-    return out
+    return [row[0] for row in _ROWS]
 
 
 def evaluate_table_rows(
@@ -315,65 +310,50 @@ def evaluate_table_rows(
     """Evaluate all eighteen rows on one pairwise-distinct quadruple.
 
     Returns one record per row with the fixed shape
-    {row, frame, expected, got, pass}.
+    {row, frame, expected, got, pass}.  ``got`` is the row's value, or
+    ``v1|v2`` when a negated row's two forms differ; a row passes when
+    every form equals ``expected``.
     """
     a, b, c, d = quad
     if len({a, b, c, d}) != 4:
         raise ValueError("table rows need four pairwise-distinct points")
     frame = f"{a},{b},{c},{d}"
     mu = cross_ratio(a, b, c, d)
-    minus = -mu.field.one()
-    cache: dict[tuple[int, ...], FieldElement] = {}
-
-    def tri_of(idx: tuple[int, ...]) -> FieldElement:
-        if idx not in cache:
-            ps = [quad[i] for i in idx]
-            cache[idx] = tri_rapport(*ps)
-        return cache[idx]
-
-    def record(row: str, expected: FieldElement, got: str, ok: bool) -> dict:
-        return {"row": row, "frame": frame, "expected": str(expected), "got": got, "pass": ok}
-
+    values = {expr: value(mu) for expr, value in _EXPR_VALUES.items()}
     records = []
-    for expr, idx in CR_ROWS:
-        expected = _expr_value(expr, mu)
-        got = cross_ratio(*(quad[i] for i in idx))
-        records.append(record(f"cr:{expr}", expected, str(got), got == expected))
-    for expr, idx in TRI_ROWS:
-        expected = _expr_value(expr, mu)
-        got = tri_of(idx)
-        records.append(record(f"tri:{expr}", expected, str(got), got == expected))
-    for expr, idx1, idx2 in MINUS_ROWS:
-        expected = minus * _expr_value(expr, mu)
-        v1, v2 = tri_of(idx1), tri_of(idx2)
-        got = str(v1) if v1 == v2 else f"{v1}|{v2}"
-        ok = v1 == expected and v2 == expected
-        records.append(record(f"tri:{_neg_name(expr)}", expected, got, ok))
+    for row, expr, negated, rapport, forms in _ROWS:
+        expected = -values[expr] if negated else values[expr]
+        got = [rapport(*(quad[i] for i in idx)) for idx in forms]
+        records.append({
+            "row": row,
+            "frame": frame,
+            "expected": str(expected),
+            "got": "|".join(map(str, dict.fromkeys(got))),
+            "pass": all(v == expected for v in got),
+        })
     return records
 
 
-def verify_classical_tables(field: Field, max_witnesses: int = 3) -> TableReport:
+def verify_classical_tables(field: Field, max_witnesses: int = 3) -> ReportGroup:
     """Sweep the eighteen-row table over every pairwise-distinct quadruple.
 
-    Exhaustive over a prime field; counts and witnesses are aggregated
-    per row.
+    Exhaustive over a prime field.  The group holds one check per row;
+    every failure is counted, and the first ``max_witnesses`` failing
+    records in sweep order are its witnesses.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("table sweeps enumerate points, so they need a prime field")
     row_ids = table_row_ids()
-    checked = {r: 0 for r in row_ids}
-    failures = {r: 0 for r in row_ids}
+    checked = 0
+    failures = dict.fromkeys(row_ids, 0)
     witnesses: dict[str, list[dict]] = {r: [] for r in row_ids}
     for quad in permutations(points(field), 4):
+        checked += 1
         for rec in evaluate_table_rows(quad):
-            rid = rec["row"]
-            checked[rid] += 1
             if not rec["pass"]:
+                rid = rec["row"]
                 failures[rid] += 1
                 if len(witnesses[rid]) < max_witnesses:
                     witnesses[rid].append(rec)
-    rows = [
-        TableRowReport(row=r, checked=checked[r], failures=failures[r], witnesses=witnesses[r])
-        for r in row_ids
-    ]
-    return TableReport(field_name=str(field), rows=rows)
+    checks = [make_check(r, checked, failures[r], witnesses[r]) for r in row_ids]
+    return ReportGroup(f"table over {field}", checks)

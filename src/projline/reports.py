@@ -21,14 +21,15 @@ class CheckReport:
 
     ``checked`` counts examined instances, ``failures`` counts all
     violations found, ``witnesses`` keeps a deterministic capped sample
-    of human-readable violation descriptions.
+    of them: human-readable descriptions, or the failing records of the
+    identity table.
     """
 
     name: str
     status: str
     checked: int
     failures: int
-    witnesses: list[str] = field(default_factory=list)
+    witnesses: list[Any] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -54,7 +55,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def make_check(name: str, checked: int, failures: int, witnesses: list[str]) -> CheckReport:
+def make_check(name: str, checked: int, failures: int, witnesses: list[Any]) -> CheckReport:
     if checked == 0:
         status = VACUOUS
     elif failures:
@@ -93,63 +94,3 @@ class ReportGroup:
         lines.append(f"{self.name}: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
-
-@dataclass
-class TableRowReport:
-    """Aggregate result for one row of the rapport identity table.
-
-    Witness records use the fixed shape
-    ``{"row", "frame", "expected", "got", "pass"}``.
-    """
-
-    row: str
-    checked: int
-    failures: int
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "row": self.row,
-            "checked": self.checked,
-            "failures": self.failures,
-            "witnesses": [dict(w) for w in self.witnesses],
-        }
-
-
-@dataclass
-class TableReport:
-    """Results of sweeping the identity table over a whole field."""
-
-    field_name: str
-    rows: list[TableRowReport] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def row(self, name: str) -> TableRowReport:
-        for r in self.rows:
-            if r.row == name:
-                return r
-        raise KeyError(name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "field": self.field_name,
-            "passed": self.passed,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    def render(self) -> str:
-        lines = []
-        for r in self.rows:
-            state = "PASS" if r.passed else "FAIL"
-            lines.append(f"{r.row}: {state} (checked={r.checked}, failures={r.failures})")
-            for w in r.witnesses:
-                lines.append(f"  witness: {w}")
-        lines.append(f"table over {self.field_name}: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)

@@ -62,8 +62,8 @@ def test_classical_rapport_table_holds_for_every_quadruple_over_f5_and_f7():
     for p in (5, 7):
         report = verify_classical_tables(GF(p))
         assert report.passed
-        assert len(report.rows) == 18
-        for row in report.rows:
+        assert len(report.checks) == 18
+        for row in report.checks:
             assert row.checked == (p + 1) * p * (p - 1) * (p - 2)
             assert row.failures == 0
 

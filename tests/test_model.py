@@ -6,13 +6,18 @@ conventions.  Everything downstream is checked against them before
 being trusted.
 """
 
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projline
+import projline.model
 from projline.model import (
     CR_ROWS,
     DegenerateHarmonicError,
@@ -281,10 +286,55 @@ def test_classical_table_row_ids():
 def test_classical_tables_exhaustive(p):
     report = verify_classical_tables(GF(p))
     assert report.passed
-    assert len(report.rows) == 18
-    for row in report.rows:
+    assert len(report.checks) == 18
+    for row in report.checks:
         assert row.failures == 0
         assert row.checked > 0
+
+
+def test_classical_table_sweep_reports_failing_rows(monkeypatch):
+    # break one row wherever the first point is 0:1: every such record
+    # is counted, and the first max_witnesses of them are kept in
+    # permutations order
+    honest = projline.model.evaluate_table_rows
+
+    def broken(quad):
+        records = honest(quad)
+        for rec in records:
+            if rec["row"] == "tri:-mu" and str(quad[0]) == "0:1":
+                rec["pass"] = False
+        return records
+
+    monkeypatch.setattr(projline.model, "evaluate_table_rows", broken)
+    F = GF(5)
+    first = [q for q in itertools.permutations(points(F), 4) if str(q[0]) == "0:1"][:3]
+    expected = [
+        {**next(r for r in honest(q) if r["row"] == "tri:-mu"), "pass": False} for q in first
+    ]
+    report = verify_classical_tables(F)
+    assert report.name == "table over F5"
+    assert not report.passed
+    row = report.check("tri:-mu")
+    assert (row.status, row.checked, row.failures) == ("fail", 360, 60)
+    assert row.witnesses == expected
+    assert [w["frame"] for w in row.witnesses] == [
+        "0:1,1:1,2:1,3:1",
+        "0:1,1:1,2:1,4:1",
+        "0:1,1:1,2:1,1:0",
+    ]
+    others = [c for c in report.checks if c.name != "tri:-mu"]
+    assert len(others) == 17
+    assert all(c.status == "pass" and c.checked == 360 and not c.witnesses for c in others)
+
+    bare = verify_classical_tables(F, max_witnesses=0).check("tri:-mu")
+    assert (bare.status, bare.checked, bare.failures, bare.witnesses) == ("fail", 360, 60, [])
+
+
+def test_package_exports_are_bound_once():
+    # tooling wraps every exported name by looking it up on the package
+    assert len(set(projline.__all__)) == len(projline.__all__)
+    for name in projline.__all__:
+        assert hasattr(projline, name), name
 
 
 def test_classical_rows_on_rational_frame():
@@ -303,6 +353,44 @@ def test_classical_rows_on_rational_frame():
     assert row["expected"] == "-3"
     assert row["got"] == "-3"
     assert all(r["pass"] for r in rows.values())
+
+
+def _seeded_quadruples(field, seed, count):
+    """Pairwise-distinct quadruples drawn from a seeded stream.
+
+    About one draw in five is the point at infinity; over the rationals
+    the affine coordinates are fractions with denominators up to 12.
+    """
+    rng = random.Random(seed)
+
+    def draw():
+        if rng.random() < 0.2:
+            return Point.infinity(field)
+        if field is QQ:
+            return Point.affine(field, Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+        return Point.affine(field, rng.randrange(field.p))
+
+    for _ in range(count):
+        quad = []
+        while len(quad) < 4:
+            pt = draw()
+            if pt not in quad:
+                quad.append(pt)
+        yield tuple(quad)
+
+
+TABLE_RECORDS_SHA256 = "e15fe669005c279d00e823102dbaef0b37de37bfee104f8dcc63bc3325b1ff79"
+
+
+def test_table_records_are_pinned():
+    # the exact records of every row over seeded quadruples in small,
+    # medium and word-sized prime fields and the rationals
+    digest = hashlib.sha256(json.dumps(table_row_ids()).encode())
+    for seed, field in enumerate((GF(3), GF(7), GF(10007), GF(2**31 - 1), QQ)):
+        for quad in _seeded_quadruples(field, seed, 60):
+            records = evaluate_table_rows(quad)
+            digest.update(json.dumps(records, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == TABLE_RECORDS_SHA256
 
 
 rational_coords = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
