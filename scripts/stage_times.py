@@ -1,9 +1,9 @@
 """Time each stage of the projline pipeline per p and store the rows in a JSON file.
 
-    python scripts/stage_times.py --src ../parent/src --out BENCH_9.json --label before-1
-    python scripts/stage_times.py --out BENCH_9.json --label after-1
-    python scripts/stage_times.py --src ../parent/src --out BENCH_9.json --label before-2
-    ...                                                      (through after-3)
+    python scripts/stage_times.py --src ../parent/src --out BENCH_11.json --label before-1
+    python scripts/stage_times.py --out BENCH_11.json --label after-1
+    python scripts/stage_times.py --src ../parent/src --out BENCH_11.json --label before-2
+    ...                                                       (through after-3)
 
 Run from the repository root; it imports ``projline`` from ``--src``
 (default ``src``).  Every stage runs in this process on the table of
@@ -18,6 +18,14 @@ three alternating runs per side, labeled ``before-1``, ``after-1``,
 ``before-2`` and so on, and a stage counts as changed only when all
 three of its ``after`` medians lie on one side of all three ``before``
 medians.
+
+The calculator rows time ``cross_ratio``, ``tri_rapport``,
+``harmonic_conjugate`` and ``model.evaluate_table_rows`` over GF(10007)
+and the rationals.  Each timed call runs the calculator once on each of
+``CALC_TUPLES`` seeded quadruples of distinct points, and the row holds
+seconds per calculator call; its ``field`` is ``F10007`` or ``Q`` in
+place of ``p``.  They run after every pipeline stage, so the stage rows
+are taken in the same process state as in files without them.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; ``json.loads`` and ``from_doc`` time its two halves on their
@@ -52,6 +60,8 @@ STAGES = (
 )
 PRIMES = (5, 7, 11, 13, 17)
 REPEAT = 7
+CALCULATORS = ("cross_ratio", "tri_rapport", "harmonic_conjugate", "evaluate_table_rows")
+CALC_TUPLES = 50
 
 
 def _cpu_model() -> str | None:
@@ -128,6 +138,64 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     return rows
 
 
+def _seeded_quadruples(field, seed: int) -> list[tuple]:
+    """Quadruples of distinct points: about one point in ten is infinity;
+    rational coordinates are fractions with numerators in -60..60 and
+    denominators in 1..60."""
+    import random
+    from fractions import Fraction
+
+    import projline
+
+    rng = random.Random(seed)
+    quads = []
+    while len(quads) < CALC_TUPLES:
+        quad: list = []
+        while len(quad) < 4:
+            if rng.random() < 0.1:
+                q = projline.Point.infinity(field)
+            elif field == projline.QQ:
+                q = projline.Point.affine(field, Fraction(rng.randint(-60, 60), rng.randint(1, 60)))
+            else:
+                q = projline.Point.affine(field, rng.randrange(field.p))
+            if q not in quad:
+                quad.append(q)
+        quads.append(tuple(quad))
+    return quads
+
+
+def calculator_rows(repeat: int) -> list[dict]:
+    import projline
+    import projline.model
+
+    calls = {
+        "cross_ratio": lambda a, b, c, d: projline.cross_ratio(a, b, c, d),
+        # the cycle (a, c, d; b, a, b) realizes the cross ratio (a, b; c, d)
+        "tri_rapport": lambda a, b, c, d: projline.tri_rapport(a, c, d, b, a, b),
+        "harmonic_conjugate": lambda a, b, c, d: projline.harmonic_conjugate(a, b, c),
+        "evaluate_table_rows": lambda *quad: projline.model.evaluate_table_rows(quad),
+    }
+    rows = []
+    for seed, field in enumerate((projline.GF(10007), projline.QQ)):
+        quads = _seeded_quadruples(field, seed)
+        for name in CALCULATORS:
+            call = calls[name]
+
+            def batch(_, call=call):
+                for quad in quads:
+                    call(*quad)
+
+            batch(None)
+            q1, median, q3 = (
+                round(t / len(quads), 9) for t in _quartile_seconds(lambda: None, batch, repeat)
+            )
+            rows.append({
+                "field": str(field), "stage": name, "seconds": median, "q1": q1, "q3": q3,
+                "repeat": repeat, "calls": len(quads),
+            })
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", default="src", help="directory holding the projline package")
@@ -146,6 +214,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for p in PRIMES:
             rows += stage_rows(p, REPEAT, os.path.join(tmp, f"f{p}.json"))
+    rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),
         "nproc": len(os.sched_getaffinity(0)),

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import points
+from .model import _rapport_terms, points
 from .reports import CheckReport, ReportGroup, make_check
 from .scalars import PrimeField
 
@@ -505,16 +505,13 @@ def from_model(p: int) -> CandidateTable:
 
 def _label_factors(p: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The factor of the model arrow a -> b named by c, for index arrays
-    into ``points(GF(p))``: det(a, c) / det(b, c) mod p, as in
-    ``model.label_to_arrow``.  Point i < p is i:1 and point p is 1:0."""
+    into ``points(GF(p))``, by ``model.label_to_arrow``'s own formula
+    taken mod p.  Point i < p is i:1 and point p is 1:0."""
     x = np.append(np.arange(p), 1)
     y = np.append(np.ones(p, dtype=np.intp), 0)
     inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-
-    def det(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (x[u] * y[v] - y[u] * x[v]) % p
-
-    return det(a, c) * inverse[det(b, c)] % p
+    num, den = _rapport_terms([((x[a], y[a]), (x[b], y[b]), (x[c], y[c]))])
+    return num % p * inverse[den % p] % p
 
 
 # -- rapport calculus on abstract tables --------------------------------------

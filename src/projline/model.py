@@ -14,11 +14,12 @@ applies ``f`` first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 from typing import Optional, Sequence
 
 from .reports import ReportGroup, make_check
-from .scalars import Field, FieldElement, PrimeField, RationalField
+from .scalars import Field, FieldElement, FieldMismatchError, PrimeField
 
 
 class DegenerateHarmonicError(ValueError):
@@ -43,8 +44,7 @@ class Point:
     def __post_init__(self) -> None:
         if self.x.field != self.y.field:
             raise ValueError("coordinates of a point must share a field")
-        one = self.field.one()
-        if not (self.y == one or (self.y == self.field.zero() and self.x == one)):
+        if not (self.y.value == 1 or (self.y.value == 0 and self.x.value == 1)):
             raise ValueError(
                 f"({self.x}:{self.y}) is not normalized; use from_homogeneous"
             )
@@ -71,9 +71,9 @@ class Point:
         if x.field != y.field:
             raise ValueError("coordinates of a point must share a field")
         field = x.field
-        if y != field.zero():
-            return cls.affine(field, x / y)
-        if x == field.zero():
+        if y:
+            return cls(field._ratio(x.value, y.value), field.one())
+        if not x:
             raise ValueError("(0:0) does not name a point")
         return cls.infinity(field)
 
@@ -82,13 +82,7 @@ class Point:
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"point syntax is x:y, got {text!r}")
-        if isinstance(field, PrimeField):
-            x, y = field(int(parts[0])), field(int(parts[1]))
-        else:
-            from fractions import Fraction
-
-            x, y = field(Fraction(parts[0])), field(Fraction(parts[1]))
-        return cls.from_homogeneous(x, y)
+        return cls.from_homogeneous(field(parts[0]), field(parts[1]))
 
     def __str__(self) -> str:
         return f"{self.x}:{self.y}"
@@ -147,8 +141,38 @@ def compose(f: ModelArrow, g: ModelArrow) -> ModelArrow:
     return ModelArrow(f.src, g.dst, f.factor * g.factor)
 
 
-def _det(p: Point, q: Point) -> FieldElement:
-    return p.x * q.y - p.y * q.x
+def _det(u, v):
+    """The determinant of raw coordinate pairs (x, y) of ints, Fractions or numpy arrays."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _rapport_terms(legs):
+    """Numerator and denominator of the product of the factors det(a, c) / det(b, c)
+    of the arrows a -> b named by c, one per leg (a, b, c) of raw coordinate pairs."""
+    num = den = 1
+    for a, b, c in legs:
+        num = num * _det(a, c)
+        den = den * _det(b, c)
+    return num, den
+
+
+def _cr_legs(a, b, c, d):
+    """The legs of ``cross_ratio(a, b, c, d)``: a -> b via c, b -> a via d."""
+    return (a, b, c), (b, a, d)
+
+
+def _tri_legs(a, b, c, d, e, f):
+    """The legs of ``tri_rapport(a, b, c, d, e, f)``: a -> b via d, b -> c via e, c -> a via f."""
+    return (a, b, d), (b, c, e), (c, a, f)
+
+
+def _shared(pts: Sequence[Point]) -> tuple:
+    """The field ``pts`` share, checked before any comparison, and their raw coordinates."""
+    field = pts[0].x.field
+    for q in pts:
+        if q.x.field is not field and q.x.field != field:
+            raise FieldMismatchError(f"cannot combine points over {field} and {q.x.field}")
+    return field, [(q.x.value, q.y.value) for q in pts]
 
 
 def label_to_arrow(a: Point, b: Point, c: Point) -> ModelArrow:
@@ -156,12 +180,13 @@ def label_to_arrow(a: Point, b: Point, c: Point) -> ModelArrow:
 
     Solving rep(a) = beta*rep(b) + gamma*rep(c) exactly (a 2x2 system
     with nonzero determinant since the points are distinct), projection
-    onto b along c sends rep(a) to beta*rep(b), so the factor is beta.
+    onto b along c sends rep(a) to beta*rep(b), so the factor is
+    beta = det(a, c) / det(b, c).
     """
-    if len({a, b, c}) != 3:
+    field, (ca, cb, cc) = _shared((a, b, c))
+    if ca == cb or cc in (ca, cb):
         raise ValueError(f"label and endpoints must be three distinct points: {a}, {b}, {c}")
-    beta = _det(a, c) / _det(b, c)
-    return ModelArrow(a, b, beta)
+    return ModelArrow(a, b, field._ratio(*_rapport_terms([(ca, cb, cc)])))
 
 
 def arrow_to_label(f: ModelArrow) -> Point:
@@ -178,33 +203,34 @@ def arrow_to_label(f: ModelArrow) -> Point:
 
 
 def cross_ratio(a: Point, b: Point, c: Point, d: Point) -> FieldElement:
-    """The scalar at ``a`` of the round trip a -> b via c, b -> a via d.
+    """The scalar at ``a`` of the round trip a -> b via c, b -> a via d:
+    det(a,c)·det(b,d) / (det(b,c)·det(a,d)).
 
     Defined when a, b, c are distinct and a, b, d are distinct; c = d
     is allowed and gives 1.
     """
-    if len({a, b, c}) != 3 or len({a, b, d}) != 3:
+    field, (ca, cb, cc, cd) = _shared((a, b, c, d))
+    if ca == cb or cc in (ca, cb) or cd in (ca, cb):
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
-    return compose(label_to_arrow(a, b, c), label_to_arrow(b, a, d)).factor
+    return field._ratio(*_rapport_terms(_cr_legs(ca, cb, cc, cd)))
 
 
 def tri_rapport(
     a: Point, b: Point, c: Point, d: Point, e: Point, f: Point
 ) -> FieldElement:
-    """The scalar at ``a`` of the three-leg cycle a -> b via d, b -> c via e, c -> a via f.
+    """The scalar at ``a`` of the three-leg cycle a -> b via d, b -> c via e, c -> a via f:
+    det(a,d)·det(b,e)·det(c,f) / (det(b,d)·det(c,e)·det(a,f)).
 
     The three base points must be pairwise distinct; each label must
     differ from its leg's endpoints (d off a,b; e off b,c; f off c,a).
     Rows are cyclically but not freely permutable.
     """
-    if len({a, b, c}) != 3:
+    field, (ca, cb, cc, cd, ce, cf) = _shared((a, b, c, d, e, f))
+    if ca == cb or ca == cc or cb == cc:
         raise ValueError(f"base points must be pairwise distinct: {a},{b},{c}")
-    if d in (a, b) or e in (b, c) or f in (c, a):
+    if cd in (ca, cb) or ce in (cb, cc) or cf in (cc, ca):
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
-    leg1 = label_to_arrow(a, b, d)
-    leg2 = label_to_arrow(b, c, e)
-    leg3 = label_to_arrow(c, a, f)
-    return (leg1.factor * leg2.factor) * leg3.factor
+    return field._ratio(*_rapport_terms(_tri_legs(ca, cb, cc, cd, ce, cf)))
 
 
 def minus_one(a: Point, pts: Optional[Sequence[Point]] = None) -> FieldElement:
@@ -226,20 +252,24 @@ def minus_one(a: Point, pts: Optional[Sequence[Point]] = None) -> FieldElement:
 def harmonic_conjugate(a: Point, b: Point, c: Point) -> Point:
     """The fourth point h with cross_ratio(a, b, c, h) = -1.
 
-    Equivalently the label of the composite b -> c via a, c -> a via b.
-    Characteristic two is degenerate (h would coincide with c) and is
-    reported, not returned.
+    Equivalently the label of the composite b -> c via a, c -> a via b,
+    whose factor is det(b,c)/det(c,a); its label spans
+    det(c,a)·rep(b) − det(b,c)·rep(a).  Characteristic two is
+    degenerate (h would coincide with c) and is reported, not returned.
     """
-    if len({a, b, c}) != 3:
+    field, (ca, cb, cc) = _shared((a, b, c))
+    if ca == cb or cc in (ca, cb):
         raise ValueError(f"need three distinct points, got {a}, {b}, {c}")
-    if a.field.characteristic == 2:
+    if field.characteristic == 2:
         raise DegenerateHarmonicError(
             "harmonic conjugation degenerates in characteristic two: "
             f"the conjugate of {c} over ({a}, {b}) is {c} itself",
             degenerate=c,
         )
-    h = arrow_to_label(compose(label_to_arrow(b, c, a), label_to_arrow(c, a, b)))
-    return h
+    s, t = _det(cc, ca), _det(cb, cc)
+    return Point.from_homogeneous(
+        field._wrap(s * cb[0] - t * ca[0]), field._wrap(s * cb[1] - t * ca[1])
+    )
 
 
 # The eighteen-row identity table.  Each quadruple (A,B,C,D) of
@@ -290,13 +320,19 @@ def _neg_name(expr: str) -> str:
     return f"-{expr}" if expr in ("mu", "1/mu", "1/(1-mu)", "1/(1-1/mu)") else f"-({expr})"
 
 
-# One entry per row, in canonical order:
-# (row id, expression, negated, rapport, index tuple of each form).
+# One entry per row, in canonical order: (row id, expression, negated,
+# the legs of each form as index triples).
 _ROWS = (
-    *((f"cr:{e}", e, False, cross_ratio, (idx,)) for e, idx in CR_ROWS),
-    *((f"tri:{e}", e, False, tri_rapport, (idx,)) for e, idx in TRI_ROWS),
-    *((f"tri:{_neg_name(e)}", e, True, tri_rapport, (i1, i2)) for e, i1, i2 in MINUS_ROWS),
+    *((f"cr:{e}", e, False, (_cr_legs(*idx),)) for e, idx in CR_ROWS),
+    *((f"tri:{e}", e, False, (_tri_legs(*idx),)) for e, idx in TRI_ROWS),
+    *((f"tri:{_neg_name(e)}", e, True, (_tri_legs(*i), _tri_legs(*j))) for e, i, j in MINUS_ROWS),
 )
+
+
+def _composite(quad: Sequence[Point], legs) -> FieldElement:
+    """The factor of the composite of the model arrows quad[a] -> quad[b]
+    named by quad[c], one per leg (a, b, c) in order."""
+    return reduce(compose, [label_to_arrow(*(quad[i] for i in leg)) for leg in legs]).factor
 
 
 def table_row_ids() -> list[str]:
@@ -310,20 +346,21 @@ def evaluate_table_rows(
     """Evaluate all eighteen rows on one pairwise-distinct quadruple.
 
     Returns one record per row with the fixed shape
-    {row, frame, expected, got, pass}.  ``got`` is the row's value, or
-    ``v1|v2`` when a negated row's two forms differ; a row passes when
-    every form equals ``expected``.
+    {row, frame, expected, got, pass}.  ``got`` is the row's value, the
+    composite of the model arrows along its legs, or ``v1|v2`` when a
+    negated row's two forms differ; a row passes when every form equals
+    ``expected``.  mu is the value of the first row, cr:mu.
     """
     a, b, c, d = quad
-    if len({a, b, c, d}) != 4:
+    if len(set(_shared(quad)[1])) != 4:
         raise ValueError("table rows need four pairwise-distinct points")
     frame = f"{a},{b},{c},{d}"
-    mu = cross_ratio(a, b, c, d)
+    got_rows = [[_composite(quad, legs) for legs in forms] for *_, forms in _ROWS]
+    mu = got_rows[0][0]
     values = {expr: value(mu) for expr, value in _EXPR_VALUES.items()}
     records = []
-    for row, expr, negated, rapport, forms in _ROWS:
+    for (row, expr, negated, _), got in zip(_ROWS, got_rows):
         expected = -values[expr] if negated else values[expr]
-        got = [rapport(*(quad[i] for i in idx)) for idx in forms]
         records.append({
             "row": row,
             "frame": frame,

@@ -3,7 +3,9 @@
 Elements are immutable and kept in canonical form: residues in
 ``[0, p-1]`` for a prime field, fractions in lowest terms with a
 positive denominator for the rationals.  Arithmetic never rounds and
-never silently mixes fields.
+never silently mixes fields.  Arithmetic runs on raw values (ints for
+F_p, Fractions for Q); a field makes one element of a raw result by
+reducing it (``_wrap``) or by one inverse (``_ratio``).
 """
 
 from __future__ import annotations
@@ -31,8 +33,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_NO_INVERSE = "zero has no multiplicative inverse"
+
+
+class _Field:
+    """Each field supplies ``_canonical`` (any value to its raw form), ``_wrap`` and ``_ratio``."""
+
+    def __call__(self, value) -> "FieldElement":
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise FieldMismatchError(f"{value} does not belong to {self}")
+            return value
+        return _element(self._canonical(value), self)
+
+    def zero(self) -> "FieldElement":
+        return self(0)
+
+    def one(self) -> "FieldElement":
+        return self(1)
+
+
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Field):
     """The field of integers modulo a prime ``p``."""
 
     p: int
@@ -45,18 +67,16 @@ class PrimeField:
     def characteristic(self) -> int:
         return self.p
 
-    def __call__(self, value: Union[int, "FieldElement"]) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(f"{value} does not belong to {self}")
-            return value
-        return FieldElement(int(value) % self.p, self)
+    def _canonical(self, value) -> int:
+        return int(value) % self.p
 
-    def zero(self) -> "FieldElement":
-        return self(0)
+    def _wrap(self, raw: int) -> "FieldElement":
+        return _element(raw % self.p, self)
 
-    def one(self) -> "FieldElement":
-        return self(1)
+    def _ratio(self, num: int, den: int) -> "FieldElement":
+        if not den % self.p:
+            raise ZeroDivisionError(_NO_INVERSE)
+        return _element(num * pow(den, -1, self.p) % self.p, self)
 
     def elements(self) -> Iterator["FieldElement"]:
         for v in range(self.p):
@@ -67,31 +87,38 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class RationalField:
+class RationalField(_Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     @property
     def characteristic(self) -> int:
         return 0
 
-    def __call__(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(f"{value} does not belong to {self}")
-            return value
-        return FieldElement(Fraction(value), self)
+    _canonical = staticmethod(Fraction)
 
-    def zero(self) -> "FieldElement":
-        return self(0)
+    def _wrap(self, raw: Fraction) -> "FieldElement":
+        return _element(raw, self)
 
-    def one(self) -> "FieldElement":
-        return self(1)
+    def _ratio(self, num: Fraction, den: Fraction) -> "FieldElement":
+        if not den:
+            raise ZeroDivisionError(_NO_INVERSE)
+        return _element(Fraction(num, den), self)
 
     def __str__(self) -> str:
         return "Q"
 
 
 Field = Union[PrimeField, RationalField]
+
+
+def _arith(op):
+    """A binary operator of elements: ``op(field, own raw value, other's raw value)``."""
+
+    def method(self, other) -> "FieldElement":
+        v = self._coerce(other)
+        return v if v is NotImplemented else op(self.field, self.value, v)
+
+    return method
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,65 +130,32 @@ class FieldElement:
 
     def __post_init__(self) -> None:
         # Canonicalize on construction so equality and hashing are exact.
-        if isinstance(self.field, PrimeField):
-            object.__setattr__(self, "value", int(self.value) % self.field.p)
-        else:
-            object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", self.field._canonical(self.value))
 
-    def _coerce(self, other) -> "FieldElement":
+    def _coerce(self, other):
+        """The raw value of ``other`` in this element's field."""
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot combine {self} ({self.field}) with {other} ({other.field})"
                 )
-            return other
+            return other.value
         if isinstance(other, int):
-            return self.field(other)
+            return self.field._canonical(other)
         return NotImplemented
 
-    def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field(self.value - other.value)
-
-    def __rsub__(self, other) -> "FieldElement":
-        return self.field(other) - self
-
-    def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field(self.value * other.value)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _arith(lambda field, a, b: field._wrap(a + b))
+    __sub__ = _arith(lambda field, a, b: field._wrap(a - b))
+    __rsub__ = _arith(lambda field, a, b: field._wrap(b - a))
+    __mul__ = __rmul__ = _arith(lambda field, a, b: field._wrap(a * b))
+    __truediv__ = _arith(lambda field, a, b: field._ratio(a, b))
+    __rtruediv__ = _arith(lambda field, a, b: field._ratio(b, a))
 
     def __neg__(self) -> "FieldElement":
-        return self.field(-self.value)
+        return self.field._wrap(-self.value)
 
     def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if isinstance(self.field, PrimeField):
-            return self.field(pow(self.value, -1, self.field.p))
-        return self.field(1 / self.value)
-
-    def __truediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> "FieldElement":
-        return self.field(other) / self
+        return self.field._ratio(1, self.value)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -171,6 +165,18 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.value} in {self.field}"
+
+
+_set_value = FieldElement.__dict__["value"].__set__
+_set_field = FieldElement.__dict__["field"].__set__
+
+
+def _element(value, field: Field) -> FieldElement:
+    """The element of ``field`` with the canonical raw ``value``, skipping ``__post_init__``."""
+    element = object.__new__(FieldElement)
+    _set_value(element, value)
+    _set_field(element, field)
+    return element
 
 
 def GF(p: int) -> PrimeField:

@@ -3,7 +3,8 @@ relabeling mutations, and reference implementations kept as oracles:
 the table loader, the brute-force uniqueness search with its forced
 arrow map, the inverse search, the model table builder, the homset
 listing and the object-level rapport calculus, field reconstruction,
-classification and coordinatization.
+classification and coordinatization, and the model's calculators
+composed from arrows on field elements.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -37,7 +38,16 @@ from projline.coordinatize import (
     _Forcing,
     _target_model,
 )
-from projline.model import label_to_arrow, points
+from projline.model import (
+    CR_ROWS,
+    MINUS_ROWS,
+    TRI_ROWS,
+    DegenerateHarmonicError,
+    ModelArrow,
+    Point,
+    compose,
+    points,
+)
 from projline.reconstruct import (
     Classification,
     FieldTable,
@@ -394,7 +404,7 @@ def reference_from_model(p: int) -> CandidateTable:
             a = pts[t._obj_i[ar.src]]
             b = pts[t._obj_i[ar.dst]]
             c = pts[t._obj_i[ar.label]]
-            fac[i] = int(label_to_arrow(a, b, c).factor.value)
+            fac[i] = int(reference_label_to_arrow(a, b, c).factor.value)
     n = t.n_objects
     by_factor: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(t.n_arrows):
@@ -784,6 +794,102 @@ def reference_coordinatize(table: CandidateTable, frame: Optional[Frame] = None)
     return CandidateIso(
         base_object=f0, object_map=omap, scalar_map=smap, verified=True
     )
+
+
+# -- the model's calculators on field elements ---------------------------------
+#
+# The calculators as they were before they moved to raw coordinates: every
+# factor is a FieldElement quotient of determinants, every rapport a
+# composite of ModelArrows, distinctness a set of hashed points.
+
+
+def _reference_det(p: Point, q: Point):
+    return p.x * q.y - p.y * q.x
+
+
+def reference_label_to_arrow(a: Point, b: Point, c: Point) -> ModelArrow:
+    if len({a, b, c}) != 3:
+        raise ValueError(f"label and endpoints must be three distinct points: {a}, {b}, {c}")
+    return ModelArrow(a, b, _reference_det(a, c) / _reference_det(b, c))
+
+
+def reference_arrow_to_label(f: ModelArrow) -> Point:
+    """rep(src) - factor*rep(dst), normalized on field elements."""
+    x = f.src.x - f.factor * f.dst.x
+    y = f.src.y - f.factor * f.dst.y
+    field = x.field
+    if y != field.zero():
+        return Point.affine(field, x / y)
+    if x == field.zero():
+        raise ValueError("(0:0) does not name a point")
+    return Point.infinity(field)
+
+
+def reference_cross_ratio(a: Point, b: Point, c: Point, d: Point):
+    if len({a, b, c}) != 3 or len({a, b, d}) != 3:
+        raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
+    return compose(reference_label_to_arrow(a, b, c), reference_label_to_arrow(b, a, d)).factor
+
+
+def reference_tri_rapport(a: Point, b: Point, c: Point, d: Point, e: Point, f: Point):
+    if len({a, b, c}) != 3:
+        raise ValueError(f"base points must be pairwise distinct: {a},{b},{c}")
+    if d in (a, b) or e in (b, c) or f in (c, a):
+        raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
+    leg1 = reference_label_to_arrow(a, b, d)
+    leg2 = reference_label_to_arrow(b, c, e)
+    leg3 = reference_label_to_arrow(c, a, f)
+    return (leg1.factor * leg2.factor) * leg3.factor
+
+
+def reference_harmonic_conjugate(a: Point, b: Point, c: Point) -> Point:
+    if len({a, b, c}) != 3:
+        raise ValueError(f"need three distinct points, got {a}, {b}, {c}")
+    if a.field.characteristic == 2:
+        raise DegenerateHarmonicError(
+            "harmonic conjugation degenerates in characteristic two: "
+            f"the conjugate of {c} over ({a}, {b}) is {c} itself",
+            degenerate=c,
+        )
+    g = compose(reference_label_to_arrow(b, c, a), reference_label_to_arrow(c, a, b))
+    return reference_arrow_to_label(g)
+
+
+_REFERENCE_EXPR_VALUES = {
+    "mu": lambda mu: mu,
+    "1/mu": lambda mu: 1 / mu,
+    "1-mu": lambda mu: 1 - mu,
+    "1/(1-mu)": lambda mu: 1 / (1 - mu),
+    "1-1/mu": lambda mu: 1 - 1 / mu,
+    "1/(1-1/mu)": lambda mu: 1 / (1 - 1 / mu),
+}
+
+
+def reference_table_records(quad) -> list[dict]:
+    """The eighteen row records of one quadruple, each row a reference
+    rapport of the quadruple's points and mu its own cross ratio."""
+    a, b, c, d = quad
+    if len({a, b, c, d}) != 4:
+        raise ValueError("table rows need four pairwise-distinct points")
+    rows = [(f"cr:{e}", e, False, reference_cross_ratio, (i,)) for e, i in CR_ROWS]
+    rows += [(f"tri:{e}", e, False, reference_tri_rapport, (i,)) for e, i in TRI_ROWS]
+    for e, i, j in MINUS_ROWS:
+        name = f"-{e}" if e in ("mu", "1/mu", "1/(1-mu)", "1/(1-1/mu)") else f"-({e})"
+        rows.append((f"tri:{name}", e, True, reference_tri_rapport, (i, j)))
+    mu = reference_cross_ratio(a, b, c, d)
+    records = []
+    for row, expr, negated, rapport, forms in rows:
+        value = _REFERENCE_EXPR_VALUES[expr](mu)
+        expected = -value if negated else value
+        got = [rapport(*(quad[k] for k in idx)) for idx in forms]
+        records.append({
+            "row": row,
+            "frame": f"{a},{b},{c},{d}",
+            "expected": str(expected),
+            "got": "|".join(map(str, dict.fromkeys(got))),
+            "pass": all(v == expected for v in got),
+        })
+    return records
 
 
 def outcome(fn, *args, **kwargs):

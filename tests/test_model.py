@@ -37,7 +37,16 @@ from projline.model import (
     tri_rapport,
     verify_classical_tables,
 )
-from projline.scalars import GF, QQ
+from projline.scalars import GF, QQ, FieldMismatchError
+
+from helpers import (
+    outcome,
+    reference_cross_ratio,
+    reference_harmonic_conjugate,
+    reference_label_to_arrow,
+    reference_table_records,
+    reference_tri_rapport,
+)
 
 
 def solve_factor_brute(a: Point, b: Point, c: Point):
@@ -409,3 +418,128 @@ def test_rational_tri_rapport_cyclic(coords):
     a, b, c, d, e, f = [Point.affine(QQ, v) for v in coords]
     v = tri_rapport(a, b, c, d, e, f)
     assert tri_rapport(b, c, a, e, f, d) == v
+
+
+# -- the raw-value calculators against their element-level references ---------
+
+
+def _harmonic_outcome(fn, a, b, c):
+    # a degenerate conjugate must also name the same point
+    try:
+        return "ok", fn(a, b, c)
+    except DegenerateHarmonicError as exc:
+        return DegenerateHarmonicError, str(exc), exc.degenerate
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_calculators_match_the_element_reference_on_every_tuple(p):
+    # every ordered triple and quadruple, repeated points included: an
+    # input that raises must raise the same type with the same message
+    pts = points(GF(p))
+    for a, b, c in itertools.product(pts, repeat=3):
+        assert outcome(label_to_arrow, a, b, c) == outcome(reference_label_to_arrow, a, b, c)
+        assert _harmonic_outcome(harmonic_conjugate, a, b, c) == _harmonic_outcome(
+            reference_harmonic_conjugate, a, b, c
+        )
+    for quad in itertools.product(pts, repeat=4):
+        assert outcome(cross_ratio, *quad) == outcome(reference_cross_ratio, *quad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_table_records_equal_the_reference_records_on_every_quadruple(p):
+    pts = points(GF(p))
+    for quad in itertools.product(pts, repeat=4):
+        assert outcome(evaluate_table_rows, quad) == outcome(reference_table_records, quad)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tri_rapport_matches_the_element_reference(p):
+    # every ordered sextuple, repeated points included
+    for args in itertools.product(points(GF(p)), repeat=6):
+        assert outcome(tri_rapport, *args) == outcome(reference_tri_rapport, *args)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=str)
+def test_calculators_match_the_element_reference_on_seeded_tuples(field):
+    # each tuple draws from a pool of five points, so many repeat one and raise
+    rng = random.Random(str(field))
+    for _ in range(300):
+        pool = [Point.infinity(field)] + [
+            Point.affine(field, Fraction(rng.randint(-50, 50), rng.randint(1, 12)))
+            if field is QQ
+            else Point.affine(field, rng.randrange(field.p))
+            for _ in range(4)
+        ]
+        a, b, c, d, e, f = (rng.choice(pool) for _ in range(6))
+        assert outcome(label_to_arrow, a, b, c) == outcome(reference_label_to_arrow, a, b, c)
+        assert outcome(cross_ratio, a, b, c, d) == outcome(reference_cross_ratio, a, b, c, d)
+        assert outcome(tri_rapport, a, b, c, d, e, f) == outcome(
+            reference_tri_rapport, a, b, c, d, e, f
+        )
+        assert outcome(harmonic_conjugate, a, b, c) == outcome(
+            reference_harmonic_conjugate, a, b, c
+        )
+        quad = (a, b, c, d)
+        assert outcome(evaluate_table_rows, quad) == outcome(reference_table_records, quad)
+
+
+def test_table_rows_build_each_leg_once(monkeypatch):
+    # 6 two-leg cross-ratio rows, 6 three-leg rows and 6 negated rows of
+    # two three-leg forms: 66 arrows, and no second cross ratio for mu
+    calls = []
+    for name in ("label_to_arrow", "cross_ratio", "tri_rapport"):
+        honest = getattr(projline.model, name)
+
+        def counted(*args, name=name, honest=honest):
+            calls.append(name)
+            return honest(*args)
+
+        monkeypatch.setattr(projline.model, name, counted)
+    for quad in itertools.permutations(points(GF(5)), 4):
+        calls.clear()
+        evaluate_table_rows(quad)
+        assert calls == ["label_to_arrow"] * 66
+
+
+def test_points_over_two_fields_raise_field_mismatch_first():
+    # every argument but one is the same point of F_5, and the odd one is
+    # over F_7 or Q: the field check comes before any distinctness check
+    calculators = {
+        label_to_arrow: 3,
+        cross_ratio: 4,
+        tri_rapport: 6,
+        harmonic_conjugate: 3,
+        lambda *quad: evaluate_table_rows(quad): 4,
+    }
+    same = Point.affine(GF(5), 1)
+    for other in (Point.affine(GF(7), 1), Point.affine(QQ, 1)):
+        for fn, arity in calculators.items():
+            for k in range(arity):
+                args = [same] * arity
+                args[k] = other
+                with pytest.raises(FieldMismatchError):
+                    fn(*args)
+    # in characteristic two as well, before the degenerate conjugate
+    a, b, _ = points(GF(2))
+    with pytest.raises(FieldMismatchError):
+        harmonic_conjugate(a, b, Point.affine(GF(3), 2))
+
+
+def test_point_normalization_check_is_unchanged():
+    # a pair is accepted exactly when y = 1, or y = 0 and x = 1, and
+    # coordinates from two fields are refused
+    for field in (GF(2), GF(5)):
+        for x, y in itertools.product(list(field.elements()), repeat=2):
+            accepted = y == field.one() or (y == field.zero() and x == field.one())
+            if accepted:
+                assert str(Point(x, y)) == f"{x}:{y}"
+            else:
+                with pytest.raises(ValueError, match=r"is not normalized; use from_homogeneous$"):
+                    Point(x, y)
+    assert Point(QQ(Fraction(1, 2)), QQ(1)).x.value == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^\(1/2:2\) is not normalized"):
+        Point(QQ(Fraction(1, 2)), QQ(2))
+    with pytest.raises(ValueError, match="^coordinates of a point must share a field$"):
+        Point(GF(5)(1), GF(7)(1))

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from projline.scalars import (
     GF,
     QQ,
+    FieldElement,
     FieldMismatchError,
     PrimeField,
     RationalField,
+    _element,
     is_prime,
 )
 
@@ -106,3 +108,58 @@ def test_prime_field_ops_match_mod_p(a, b):
     assert (F(a) + F(b)).value == (a + b) % 11
     assert (F(a) * F(b)).value == (a * b) % 11
     assert (F(a) - F(b)).value == (a - b) % 11
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(2**31 - 1), QQ], ids=str)
+def test_trusted_elements_equal_canonicalized_ones(field):
+    # the trusted constructor, given a canonical value, builds the element
+    # that the public constructors build from any value
+    raws = [0, 1, 5, -3, 10**12] if field is not QQ else [0, 1, Fraction(-6, 4), 7]
+    for raw in raws:
+        public = FieldElement(raw, field)
+        assert public == field(raw)
+        trusted = _element(public.value, field)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert type(trusted.value) is type(public.value)
+        assert field._wrap(raw if field is not QQ else Fraction(raw)) == public
+    if field is QQ:
+        assert type(FieldElement(3, QQ).value) is Fraction
+        assert FieldElement(Fraction(-6, 4), QQ).value == Fraction(-3, 2)
+    else:
+        assert FieldElement(-1, field).value == field.p - 1
+        assert field(field.p + 2).value == 2
+
+
+def test_raw_ratios_take_one_inverse_and_refuse_zero():
+    F = GF(11)
+    for num in range(-11, 12):
+        for den in range(1, 11):
+            assert F._ratio(num, den) == F(num) / F(den)
+        for zero in (0, 11, -22):
+            with pytest.raises(ZeroDivisionError, match="^zero has no multiplicative inverse$"):
+                F._ratio(num, zero)
+    assert QQ._ratio(Fraction(1), Fraction(-2)).value == Fraction(-1, 2)
+    assert type(QQ._ratio(1, Fraction(3)).value) is Fraction
+    with pytest.raises(ZeroDivisionError, match="^zero has no multiplicative inverse$"):
+        QQ._ratio(Fraction(1), Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="^zero has no multiplicative inverse$"):
+        GF(5)(3) / GF(5)(0)
+
+
+def test_equal_fields_combine_and_floats_are_refused():
+    # a field equal to this element's field but not the same object
+    # combines; a float never enters, from either side
+    a = GF(5)(2)
+    assert a + PrimeField(5)(3) == GF(5)(0)
+    assert QQ(1) + RationalField()(Fraction(1, 2)) == QQ(Fraction(3, 2))
+    for x in (a, QQ(Fraction(1, 3))):
+        for op in (
+            lambda: x + 2.5,
+            lambda: 2.5 + x,
+            lambda: 2.5 - x,
+            lambda: x * 2.5,
+            lambda: 2.5 / x,
+            lambda: x / 2.5,
+        ):
+            with pytest.raises(TypeError):
+                op()
