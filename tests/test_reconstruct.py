@@ -1,5 +1,6 @@
 """Field reconstruction from composition data."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -15,8 +16,9 @@ from helpers import (
     reference_minus_one,
     reference_phi,
     rewrite_entry,
+    seeded_mutation,
 )
-from projline.candidate import CandidateTable, from_model
+from projline.candidate import CandidateTable, check_axioms, from_model
 from projline.reconstruct import (
     FieldTable,
     ReconstructionError,
@@ -254,3 +256,43 @@ def test_classify_matches_the_reference_on_edited_tables_with_a_passing_report(p
         "residue map does not respect addition",
         "residue map does not respect multiplication",
     } <= seen
+
+
+# Seeded homset-preserving mutations (seeds 0-199) in which some arrow has
+# no two-sided inverse: there the transport inside `as` meets an arrow
+# without one.
+NO_INVERSE_SEEDS = {5: (0, 40, 61, 72, 147, 155, 181), 7: (25, 103, 156, 163, 194)}
+
+# SHA-256 of the compact JSON of the reports below, recorded before the
+# witness, leg and transport rules were shared between the checks.
+REPORT_SHA256 = "62e9cb0fd6aedbdd38fcb1b5f326f2613d6c4c9043c1b64526518882c1d7af24"
+
+
+def _edited_field_tables(ft: FieldTable, count: int):
+    """``count`` copies of a field table, each with one seeded entry of
+    its addition or multiplication table changed."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        doc = json.loads(json.dumps(ft.to_doc()))
+        op = rng.choice(["add", "mul"])
+        row = doc[op][rng.randrange(ft.order)]
+        j = rng.randrange(ft.order)
+        row[j] = rng.choice([v for v in range(ft.order) if v != row[j]])
+        yield f"{op}-{seed}", FieldTable.from_doc(doc, ft.base_object)
+
+
+def test_field_and_as_reports_are_byte_stable():
+    reports = []
+    t = CandidateTable.from_doc(mutate_doc(from_model(5).to_doc(), "field"))
+    reports.append(["field-mutation", verify_field(build_field(t), max_witnesses=50).to_dict()])
+    for name, ft in _edited_field_tables(build_field(from_model(7)), 40):
+        reports.append([name, verify_field(ft, max_witnesses=50).to_dict()])
+    for p, seeds in NO_INVERSE_SEEDS.items():
+        doc = from_model(p).to_doc()
+        for seed in seeds:
+            t = CandidateTable.from_doc(seeded_mutation(doc, seed))
+            assert (t._ensure_inverses() < 0).any()
+            report = check_axioms(t, which=["as"], max_witnesses=50)
+            reports.append([f"as-{p}-{seed}", report.to_dict()])
+    text = json.dumps(reports, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
