@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import _rapport_terms, points
-from .reports import CheckReport, ReportGroup, make_check
+from .model import _cr_legs, _rapport_terms, _tri_legs, points
+from .reports import CheckReport, ReportGroup, make_check, sweep
 from .scalars import PrimeField
 
 
@@ -550,20 +550,36 @@ def _at(table: CandidateTable, r: np.ndarray, obj) -> np.ndarray:
     return (table._src_i[r] == obj) & (table._dst_i[r] == obj)
 
 
+def _legs(table: CandidateTable, legs) -> np.ndarray:
+    """The composite of the arrows a -> b named by c, one per leg (a, b, c)
+    of object index arrays in order, as ``model._cr_legs`` and
+    ``model._tri_legs`` list them: -1 from the first pair that does not
+    compose."""
+    ne3 = table._ne3
+    (a, b, c), *rest = legs
+    r = ne3[a, b, c]
+    for a, b, c in rest:
+        r = np.where(r < 0, -1, table._composite(r, ne3[a, b, c]))
+    return r
+
+
 def _round_trips(table: CandidateTable, a, b, c, d) -> np.ndarray:
     """``cross_ratio_abs`` over object index arrays: -1 where it raises."""
-    r = table._composite(table._ne3[a, b, c], table._ne3[b, a, d])
+    r = _legs(table, _cr_legs(a, b, c, d))
     return np.where(_at(table, r, a), r, -1)
 
 
 def _cycles(table: CandidateTable, a, b, c, d, e, f) -> np.ndarray:
-    """``tri_rapport_abs`` over object index arrays: -1 where it raises.
-
-    A pair that does not compose has the composite -1.
-    """
-    comp, ne3 = table._composite, table._ne3
-    r = comp(comp(ne3[a, b, d], ne3[b, c, e]), ne3[c, a, f])
+    """``tri_rapport_abs`` over object index arrays: -1 where it raises."""
+    r = _legs(table, _tri_legs(a, b, c, d, e, f))
     return np.where(_at(table, r, a), r, -1)
+
+
+def _toward(table: CandidateTable, x, y) -> np.ndarray:
+    """The arrow x -> y named by the least object other than x and y, over
+    object index arrays: the arrow that carries a scalar at x to y."""
+    lab = np.where((x != 0) & (y != 0), 0, np.where((x != 1) & (y != 1), 1, 2))
+    return table._ne3[x, y, lab]
 
 
 def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
@@ -571,8 +587,9 @@ def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
     of their objects, by index: -1 where it raises or sigma is -1."""
     comp = table._composite
     finv = table._ensure_inverses()[f]
-    r = comp(comp(finv, sigma), f)
-    ok = (sigma >= 0) & (finv >= 0) & _at(table, r, table._dst_i[f])
+    x = comp(finv, sigma)
+    r = comp(x, f)
+    ok = (sigma >= 0) & (finv >= 0) & (x >= 0) & _at(table, r, table._dst_i[f])
     return np.where(ok, r, -1)
 
 
@@ -619,9 +636,7 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
         raise CandidateFormatError(f"unknown base object {base!r}")
     if sigma.obj == base:
         return sigma
-    ai, bi = table._obj_i[sigma.obj], table._obj_i[base]
-    li = min(i for i in range(table.n_objects) if i not in (ai, bi))
-    f = NonEndo(sigma.obj, base, table.objects[li])
+    f = table.arrows[_toward(table, table._obj_i[sigma.obj], table._obj_i[base])]
     return conjugate(table, sigma, f)
 
 
@@ -684,38 +699,30 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
 
     checks.append(make_check("objects", 1, 0 if table.n_objects >= 3 else 1, []))
 
-    pairs_i, pairs_j = table._pairs()
-    res = comp(pairs_i, pairs_j)
-    ok = (table._src_i[res] == table._src_i[pairs_i]) & (
-        table._dst_i[res] == table._dst_i[pairs_j]
-    )
     # Pairs come in row-major order, so the first failures are the least.
-    bad_at = np.nonzero(~ok)[0]
-    wit_t = [
-        f"endpoints({table.arrows[pairs_i[k]]}, {table.arrows[pairs_j[k]]}): "
-        f"composite {table.arrows[res[k]]} has wrong endpoints"
-        for k in bad_at[:cap]
-    ]
-    checks.append(make_check("endpoints", int(pairs_i.size), int(bad_at.size), wit_t))
+    I, J = table._pairs()
+    R = comp(I, J)
+    src, dst = table._src_i, table._dst_i
+    checks.append(sweep(
+        "endpoints", int(I.size), (src[R] != src[I]) | (dst[R] != dst[J]),
+        lambda k: f"endpoints({table.arrows[I[k]]}, {table.arrows[J[k]]}): "
+        f"composite {table.arrows[R[k]]} has wrong endpoints",
+        cap,
+    ))
 
     arange = np.arange(n_arr)
-    id_src = table._id_idx[table._src_i]
-    id_dst = table._id_idx[table._dst_i]
-    left_ok = comp(id_src, arange) == arange
-    right_ok = comp(arange, id_dst) == arange
-    bad = np.nonzero(~(left_ok & right_ok))[0]
-    wit_t = [
-        f"identity({table.arrows[i]}): declared unit does not fix it"
-        for i in bad[:cap]
-    ]
-    checks.append(make_check("identity", 2 * n_arr, int(bad.size), wit_t))
+    unfixed = (comp(table._id_idx[src], arange) != arange) | (
+        comp(arange, table._id_idx[dst]) != arange
+    )
+    checks.append(sweep(
+        "identity", 2 * n_arr, unfixed,
+        lambda i: f"identity({table.arrows[i]}): declared unit does not fix it", cap,
+    ))
 
-    inv = table._ensure_inverses()
-    bad = np.nonzero(inv < 0)[0]
-    wit_t = [
-        f"inverses({table.arrows[i]}): no two-sided inverse" for i in bad[:cap]
-    ]
-    checks.append(make_check("inverses", n_arr, int(bad.size), wit_t))
+    checks.append(sweep(
+        "inverses", n_arr, table._ensure_inverses() < 0,
+        lambda i: f"inverses({table.arrows[i]}): no two-sided inverse", cap,
+    ))
 
     checks.append(_associativity(table, cap))
 
@@ -748,22 +755,16 @@ def _distinct(n: int, k: int) -> np.ndarray:
     return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
 
 
-def _sweep(name: str, got: np.ndarray, want: np.ndarray, cap: int, describe) -> CheckReport:
-    """A check with one instance per entry of ``got``, failing where it
-    differs from ``want``; ``describe(k)`` words instance k's witness."""
-    bad = np.flatnonzero(got != want)
-    return make_check(name, int(got.size), int(bad.size), [describe(k) for k in bad[:cap]])
-
-
 def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
     """Round trip through one label: a -> b via c then b -> a via c is the unit."""
-    ne3, obj = table._ne3, table.objects
+    obj = table.objects
     a, b, c = _distinct(table.n_objects, 3).T
-    got = table._composite(ne3[a, b, c], ne3[b, a, c])
-    return _sweep(
-        "one", got, table._id_idx[a], cap,
+    got = _legs(table, _cr_legs(a, b, c, c))
+    return sweep(
+        "one", got.size, got != table._id_idx[a],
         lambda k: f"one({obj[a[k]]},{obj[b[k]]};{obj[c[k]]}): round trip gives "
         f"{table.arrows[got[k]]}, not the unit",
+        cap,
     )
 
 
@@ -773,10 +774,11 @@ def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
     a, b, d, c = _distinct(table.n_objects, 4).T
     got = table._composite(ne3[a, b, c], ne3[b, d, c])
     want = ne3[a, d, c]
-    return _sweep(
-        "two", got, want, cap,
+    return sweep(
+        "two", got.size, got != want,
         lambda k: f"two({obj[a[k]]},{obj[b[k]]},{obj[d[k]]};{obj[c[k]]}): chain gives "
         f"{table.arrows[got[k]]}, want {table.arrows[want[k]]}",
+        cap,
     )
 
 
@@ -788,10 +790,11 @@ def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     i = np.concatenate([np.repeat(e, e.size) for e in endos])
     j = np.concatenate([np.tile(e, e.size) for e in endos])
     comp = table._composite
-    return _sweep(
-        "pappus", comp(i, j), comp(j, i), cap,
+    return sweep(
+        "pappus", i.size, comp(i, j) != comp(j, i),
         lambda k: f"pappus({table.arrows[i[k]]}, {table.arrows[j[k]]}): "
         f"products differ by order",
+        cap,
     )
 
 
@@ -801,16 +804,16 @@ def _axiom_hex1(table: CandidateTable, cap: int) -> CheckReport:
     The scalar of (a,b;c,d) at a, pushed through the arrow a -> c named
     b, must match the scalar of (c,d;a,b) at c pulled the same way.
     """
-    comp, ne3 = table._composite, table._ne3
     quads = _distinct(table.n_objects, 4)
     a, b, c, d = quads.T
-    bridge = ne3[a, c, b]
-    cr1 = comp(ne3[a, b, c], ne3[b, a, d])
-    cr2 = comp(ne3[c, d, a], ne3[d, c, b])
-    return _sweep(
-        "hex1", comp(cr1, bridge), comp(bridge, cr2), cap,
+    bridge = (a, c, b)
+    left = _legs(table, (*_cr_legs(a, b, c, d), bridge))
+    right = table._composite(table._ne3[bridge], _legs(table, _cr_legs(c, d, a, b)))
+    return sweep(
+        "hex1", left.size, left != right,
         lambda k: f"hex1({','.join(table.objects[x] for x in quads[k])}): "
         f"the two routes around the square differ",
+        cap,
     )
 
 
@@ -820,17 +823,17 @@ def _axiom_hex2(table: CandidateTable, cap: int) -> CheckReport:
     For each base object the value must not depend on the two helper
     objects; all helper pairs are compared against the least one.
     """
-    comp, ne3, obj = table._composite, table._ne3, table.objects
-    n = table.n_objects
+    obj, n = table.objects, table.n_objects
     a, b, c = _distinct(n, 3).T
-    val = comp(comp(ne3[a, b, c], ne3[b, c, a]), ne3[c, a, b])
+    val = _legs(table, _tri_legs(a, b, c, c, a, b))
     # The triples with base a start at row a * (n-1)(n-2).
     first = a * ((n - 1) * (n - 2))
-    return _sweep(
-        "hex2", val, val[first], cap,
+    return sweep(
+        "hex2", val.size, val != val[first],
         lambda k: f"hex2({obj[a[k]]}): helpers ({obj[b[first[k]]]},{obj[c[first[k]]]}) give "
         f"{table.arrows[val[first[k]]]} but ({obj[b[k]]},{obj[c[k]]}) give "
         f"{table.arrows[val[k]]}",
+        cap,
     )
 
 
@@ -841,20 +844,18 @@ def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
     group every canonical (a,c;b,d) must agree.  A failing group is
     witnessed by its two least quadruples with different swaps.
     """
-    comp, ne3 = table._composite, table._ne3
-    n = table.n_objects
-    quads = _distinct(n, 4)
+    quads = _distinct(table.n_objects, 4)
     a, b, c, d = quads.T
-    # Scalars are compared after transport to object 0 along the arrow
-    # named by the least other object.
-    to_base = np.array([0] + [ne3[o, 0, 2 if o == 1 else 1] for o in range(1, n)])
-    from_base = table._ensure_inverses()[to_base]
+    # Scalars are compared at object 0.  The quadruples at 0 come first
+    # and keep theirs; the others are transported there.
+    home = int(np.searchsorted(a, 1))
 
     def canon(endo: np.ndarray) -> np.ndarray:
-        return np.where(a == 0, endo, comp(comp(from_base[a], endo), to_base[a]))
+        there = _transports(table, endo[home:], _toward(table, a[home:], 0))
+        return np.concatenate([endo[:home], there])
 
-    key = canon(comp(ne3[a, b, c], ne3[b, a, d]))
-    val = canon(comp(ne3[a, c, b], ne3[c, a, d]))
+    key = canon(_legs(table, _cr_legs(a, b, c, d)))
+    val = canon(_legs(table, _cr_legs(a, c, b, d)))
     # Distinct (key, val) pairs in sorted order, each with its least quadruple.
     pairs, least = np.unique(np.stack([key, val], axis=1), axis=0, return_index=True)
     keys, start, count = np.unique(pairs[:, 0], return_index=True, return_counts=True)

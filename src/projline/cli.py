@@ -122,6 +122,8 @@ def _cmd_check(args) -> int:
             raise _InputError(
                 f"unknown axiom names {bad}; valid: {', '.join(AXIOM_NAMES)}"
             )
+        if not which:
+            raise _InputError(f"--axioms names no axiom; valid: {', '.join(AXIOM_NAMES)}")
     structure = validate_structure(table, max_witnesses=args.max_witnesses)
     axioms = None
     if structure.passed:

@@ -23,13 +23,14 @@ from .candidate import (
     CandidateTable,
     NonEndo,
     _round_trips,
+    _toward,
     _transports,
     canonical_scalar,
     cross_ratio_abs,
     from_model,
 )
 from .reconstruct import ReconstructionError, build_field, classify_prime
-from .reports import CheckReport, ReportGroup, make_check
+from .reports import CheckReport, ReportGroup, make_check, sweep
 from .scalars import is_prime
 
 
@@ -71,9 +72,15 @@ class CandidateIso:
         }
 
 
-def _default_frame(table: CandidateTable) -> Frame:
-    a, b, c = table.objects[:3]
-    return Frame(a, b, c)
+def _frame(table: CandidateTable, frame: Optional[Frame]) -> Frame:
+    """``frame``, or the first three objects when it is None; a member
+    that is not an object of the table raises CoordinatizationError."""
+    if frame is None:
+        frame = Frame(*table.objects[:3])
+    for o in frame.members():
+        if o not in table.identities:
+            raise CoordinatizationError(f"frame object {o!r} is not in the table")
+    return frame
 
 
 @functools.lru_cache(maxsize=1)
@@ -109,6 +116,9 @@ class _Forcing:
     between distinct objects, never that of another scalar, so forcing
     the scalars one object at a time, in any order, gives the same map
     as the second gather here.
+
+    The table's composable pairs (I, J) and their composites R are kept
+    for the callers that check the map on them.
     """
 
     def __init__(self, table: CandidateTable, model: CandidateTable):
@@ -128,6 +138,8 @@ class _Forcing:
             raise CoordinatizationError(
                 f"{s} then {f} gives {r}, not an arrow between distinct objects"
             )
+        self.I, self.J = table._pairs()
+        self.R = table._composite(self.I, self.J)
         self.n_arrows = table.n_arrows
         self.model = model
         self.m_inv = model._ensure_inverses()
@@ -166,7 +178,8 @@ def verify_iso(
         raise CoordinatizationError("scalar map must be a bijection onto the model scalars")
 
     obj_to = [model._obj_i[iso.object_map[o]] for o in table.objects]
-    F = _Forcing(table, model)(obj_to)
+    forced = _Forcing(table, model)
+    F = forced(obj_to)
 
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
@@ -177,13 +190,12 @@ def verify_iso(
     want = model._hom[img_i * (model.n_objects + 1)] + np.array(
         [img_ids.index(iso.scalar_map[sid]) for sid in base_scalars]
     )
-    bad = np.flatnonzero(got != want)
-    wit = [
-        f"scalar-map({iso.base_object}#{base_scalars[k]}): structure forces "
-        f"{model.arrows[got[k]]}, map says {model.arrows[want[k]]}"
-        for k in bad[:cap]
-    ]
-    checks.append(make_check("scalar-map", len(base_scalars), int(bad.size), wit))
+    checks.append(sweep(
+        "scalar-map", len(base_scalars), got != want,
+        lambda k: f"scalar-map({iso.base_object}#{base_scalars[k]}): structure forces "
+        f"{model.arrows[got[k]]}, map says {model.arrows[want[k]]}",
+        cap,
+    ))
 
     distinct = int(np.unique(F).size)
     checks.append(
@@ -197,21 +209,18 @@ def verify_iso(
         )
     )
 
-    I, J = table._pairs()
-    R = table._composite(I, J)
+    I, J, R = forced.I, forced.J, forced.R
     lhs = model._composite(F[I], F[J])
     rhs = F[R]
-    bad_at = np.nonzero(lhs != rhs)[0]
-    wit = []
-    for k in bad_at[:cap]:
-        i, j = int(I[k]), int(J[k])
-        res = table.arrows[int(R[k])]
-        kind = "label-compatibility" if isinstance(res, NonEndo) else "functoriality"
-        wit.append(
-            f"{kind}({table.arrows[i]}; {table.arrows[j]}): composite maps to "
-            f"{model.arrows[int(rhs[k])]} but images compose to {model.arrows[int(lhs[k])]}"
+
+    def functorial(k: int) -> str:
+        kind = "label-compatibility" if isinstance(table.arrows[R[k]], NonEndo) else "functoriality"
+        return (
+            f"{kind}({table.arrows[I[k]]}; {table.arrows[J[k]]}): composite maps to "
+            f"{model.arrows[rhs[k]]} but images compose to {model.arrows[lhs[k]]}"
         )
-    checks.append(make_check("functorial", int(I.size), int(bad_at.size), wit))
+
+    checks.append(sweep("functorial", int(I.size), lhs != rhs, functorial, cap))
     return ReportGroup("iso", checks)
 
 
@@ -224,12 +233,7 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
     through the reconstructed field.  The result is verified before it
     is returned; failure raises CoordinatizationError.
     """
-    if frame is None:
-        frame = _default_frame(table)
-    for o in frame.members():
-        if o not in table.identities:
-            raise CoordinatizationError(f"frame object {o!r} is not in the table")
-    f0, f1, f2 = frame.members()
+    f0, f1, f2 = _frame(table, frame).members()
     model = _target_model(table)
     p = table.n_objects - 1
     try:
@@ -242,13 +246,11 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
             f"reconstructed field has order {cl.order}; the model needs prime order {p}"
         )
     res = cl.residue_map
-    # Every other object x: the round trip (f1, f0; f2, x) at f1, moved to
-    # f0 along the arrow f1 -> f0 named by the least other object.
+    # Every other object x: the round trip (f1, f0; f2, x) at f1, moved to f0.
     n = table.n_objects
-    i0, i1, i2 = (table._obj_i[o] for o in frame.members())
+    i0, i1, i2 = (table._obj_i[o] for o in (f0, f1, f2))
     xs = np.array([i for i in range(n) if i not in (i0, i1)])
-    lab = min(i for i in range(n) if i not in (i0, i1))
-    moved = _transports(table, _round_trips(table, i1, i0, i2, xs), table._ne3[i1, i0, lab])
+    moved = _transports(table, _round_trips(table, i1, i0, i2, xs), _toward(table, i1, i0))
     if (moved < 0).any():
         x = table.objects[xs[np.argmax(moved < 0)]]
         try:
@@ -312,13 +314,8 @@ def verify_uniqueness(
     checked, and the passing maps and witnesses are those of trying
     every bijection in turn.
     """
-    if frame is None:
-        frame = _default_frame(table)
-    for o in frame.members():
-        if o not in table.identities:
-            raise CoordinatizationError(f"frame object {o!r} is not in the table")
+    f0, f1, f2 = _frame(table, frame).members()
     model = _target_model(table)
-    f0, f1, f2 = frame.members()
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
     targets = [m for m in model.objects if m not in ("0:1", "1:0", "1:1")]
@@ -337,12 +334,11 @@ def verify_uniqueness(
     )
     # f_X leaves X, so its depth is at least that of X.
     depth[forced.scal] = np.maximum(depth[forced.comp_f], depth[forced.f])
-    I, J = table._pairs()
-    RK = table._composite(I, J)
-    pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[RK])
+    I, J, R = forced.I, forced.J, forced.R
+    pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[R])
     order = np.argsort(pair_depth, kind="stable")
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
-    buckets = [(I[sel], J[sel], RK[sel]) for sel in np.split(order, cuts)]
+    buckets = [(I[sel], J[sel], R[sel]) for sel in np.split(order, cuts)]
 
     passing: list[dict[str, str]] = []
     checked = 0

@@ -22,14 +22,17 @@ from .candidate import (
     NonEndo,
     _cycles,
     _distinct,
+    _legs,
     _round_trips,
     _scalar_i,
+    _toward,
     _transports,
     canonical_scalar,
     cross_ratio_abs,
     tri_rapport_abs,
 )
-from .reports import CheckReport, ReportGroup, make_check
+from .model import _cr_legs
+from .reports import ReportGroup, make_check, sweep
 from .scalars import is_prime
 
 
@@ -81,12 +84,10 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
         raise ReconstructionError(
             f"candidate -1 at {base} does not square to the identity: {table.arrows[m]}"
         )
-    # Each other object x: its value with its default helpers, moved to
-    # the base along the arrow x -> base named by the least other object.
+    # Each other object x: its value with its default helpers, moved to the base.
     x = np.array([i for i in range(n) if i != a])
     bx, cx = (x == 0).astype(np.intp), np.where(x <= 1, 2, 1)
-    lab = np.where((x != 0) & (a != 0), 0, np.where((x != 1) & (a != 1), 1, 2))
-    moved = _transports(table, _cycles(table, x, bx, cx, cx, x, bx), table._ne3[x, a, lab])
+    moved = _transports(table, _cycles(table, x, bx, cx, cx, x, bx), _toward(table, x, a))
     bad = np.flatnonzero(moved != m)
     if bad.size:
         other = obj[x[bad[0]]]
@@ -143,7 +144,7 @@ def phi(
     if vals[stop[0]] < 0:
         cross_ratio_abs(table, base, b, c, table.objects[dk])
     # The scalars at the base are the arrows lo .. lo+k-1, in order.
-    swapped = int(table._composite(table._ne3[a, ci, bi], table._ne3[ci, a, dk]))
+    swapped = int(_legs(table, _cr_legs(a, ci, bi, dk)))
     if not lo <= swapped < lo + len(ids):
         cross_ratio_abs(table, base, c, b, table.objects[dk])
     return ids[swapped - lo]
@@ -307,81 +308,57 @@ def verify_field(ft: FieldTable, max_witnesses: int = 5) -> ReportGroup:
     z = ft.index(ft.zero)
     e = ft.index(ft.one)
     names = ft.carrier
-    checks: list[CheckReport] = []
-
-    def law(name: str, bad: np.ndarray, checked: int, render) -> None:
-        idx = np.argwhere(bad)
-        wit = [render(tuple(int(v) for v in row)) for row in idx[:cap]]
-        checks.append(make_check(name, checked, int(bad.sum()), wit))
-
-    checks.append(
-        make_check("zero-one-distinct", 1, 0 if z != e else 1, [] if z != e else ["0 = 1"])
-    )
-    law(
-        "zero-identity",
-        (A[z, :] != np.arange(n)) | (A[:, z] != np.arange(n)),
-        2 * n,
-        lambda w: f"0 + {names[w[0]]} or {names[w[0]]} + 0 is not {names[w[0]]}",
-    )
-    law(
-        "add-commutes",
-        A != A.T,
-        n * n,
-        lambda w: f"{names[w[0]]} + {names[w[1]]} != {names[w[1]]} + {names[w[0]]}",
-    )
-    law(
-        "add-associates",
-        A[A[:, :, None], np.arange(n)[None, None, :]]
-        != A[np.arange(n)[:, None, None], A[None, :, :]],
-        n**3,
-        lambda w: f"({names[w[0]]} + {names[w[1]]}) + {names[w[2]]} groups differently",
-    )
-    law(
-        "add-inverses",
-        A[np.arange(n), M[ft.index(ft.minus_one), :]] != z,
-        n,
-        lambda w: f"{names[w[0]]} + (-1)*{names[w[0]]} is not 0",
-    )
-    law(
-        "one-identity",
-        (M[e, :] != np.arange(n)) | (M[:, e] != np.arange(n)),
-        2 * n,
-        lambda w: f"1 * {names[w[0]]} or {names[w[0]]} * 1 is not {names[w[0]]}",
-    )
-    law(
-        "mul-commutes",
-        M != M.T,
-        n * n,
-        lambda w: f"{names[w[0]]} * {names[w[1]]} != {names[w[1]]} * {names[w[0]]}",
-    )
-    law(
-        "mul-associates",
-        M[M[:, :, None], np.arange(n)[None, None, :]]
-        != M[np.arange(n)[:, None, None], M[None, :, :]],
-        n**3,
-        lambda w: f"({names[w[0]]} * {names[w[1]]}) * {names[w[2]]} groups differently",
-    )
     nonzero = np.array([i for i in range(n) if i != z], dtype=np.int32)
     has_inv = (M[np.ix_(nonzero, nonzero)] == e).any(axis=1)
-    law(
-        "mul-inverses",
-        ~has_inv,
-        int(nonzero.size),
-        lambda w: f"{names[int(nonzero[w[0]])]} has no multiplicative inverse",
-    )
-    law(
-        "zero-absorbs",
-        (M[z, :] != z) | (M[:, z] != z),
-        2 * n,
-        lambda w: f"0 * {names[w[0]]} or {names[w[0]]} * 0 is not 0",
-    )
-    law(
-        "distributes",
-        M[np.arange(n)[:, None, None], A[None, :, :]]
-        != A[M[:, :, None], M[:, None, :]],
-        n**3,
-        lambda w: f"{names[w[0]]} * ({names[w[1]]} + {names[w[2]]}) is not the sum of products",
-    )
+    checks = [
+        make_check("zero-one-distinct", 1, 0 if z != e else 1, [] if z != e else ["0 = 1"]),
+        sweep(
+            "zero-identity", 2 * n, (A[z, :] != np.arange(n)) | (A[:, z] != np.arange(n)),
+            lambda i: f"0 + {names[i]} or {names[i]} + 0 is not {names[i]}", cap,
+        ),
+        sweep(
+            "add-commutes", n * n, A != A.T,
+            lambda i, j: f"{names[i]} + {names[j]} != {names[j]} + {names[i]}", cap,
+        ),
+        sweep(
+            "add-associates", n**3,
+            A[A[:, :, None], np.arange(n)[None, None, :]]
+            != A[np.arange(n)[:, None, None], A[None, :, :]],
+            lambda i, j, k: f"({names[i]} + {names[j]}) + {names[k]} groups differently", cap,
+        ),
+        sweep(
+            "add-inverses", n, A[np.arange(n), M[ft.index(ft.minus_one), :]] != z,
+            lambda i: f"{names[i]} + (-1)*{names[i]} is not 0", cap,
+        ),
+        sweep(
+            "one-identity", 2 * n, (M[e, :] != np.arange(n)) | (M[:, e] != np.arange(n)),
+            lambda i: f"1 * {names[i]} or {names[i]} * 1 is not {names[i]}", cap,
+        ),
+        sweep(
+            "mul-commutes", n * n, M != M.T,
+            lambda i, j: f"{names[i]} * {names[j]} != {names[j]} * {names[i]}", cap,
+        ),
+        sweep(
+            "mul-associates", n**3,
+            M[M[:, :, None], np.arange(n)[None, None, :]]
+            != M[np.arange(n)[:, None, None], M[None, :, :]],
+            lambda i, j, k: f"({names[i]} * {names[j]}) * {names[k]} groups differently", cap,
+        ),
+        sweep(
+            "mul-inverses", int(nonzero.size), ~has_inv,
+            lambda i: f"{names[int(nonzero[i])]} has no multiplicative inverse", cap,
+        ),
+        sweep(
+            "zero-absorbs", 2 * n, (M[z, :] != z) | (M[:, z] != z),
+            lambda i: f"0 * {names[i]} or {names[i]} * 0 is not 0", cap,
+        ),
+        sweep(
+            "distributes", n**3,
+            M[np.arange(n)[:, None, None], A[None, :, :]] != A[M[:, :, None], M[:, None, :]],
+            lambda i, j, k: f"{names[i]} * ({names[j]} + {names[k]}) is not the sum of products",
+            cap,
+        ),
+    ]
     return ReportGroup("field", checks)
 
 

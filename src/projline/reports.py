@@ -8,7 +8,9 @@ serialize to plain dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,6 +65,17 @@ def make_check(name: str, checked: int, failures: int, witnesses: list[Any]) -> 
     else:
         status = PASS
     return CheckReport(name, status, checked, failures, witnesses)
+
+
+def sweep(
+    name: str, checked: int, bad: np.ndarray, describe: Callable[..., Any], cap: int
+) -> CheckReport:
+    """A check of ``checked`` instances that fails at the true entries of
+    the mask ``bad``, all of them counted.  The witnesses are
+    ``describe(*index)`` of its first ``cap`` true entries in row-major
+    order, each index component an int."""
+    where = np.argwhere(bad)
+    return make_check(name, checked, len(where), [describe(*map(int, k)) for k in where[:cap]])
 
 
 @dataclass

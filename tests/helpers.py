@@ -34,7 +34,6 @@ from projline.coordinatize import (
     CandidateIso,
     CoordinatizationError,
     Frame,
-    _default_frame,
     _Forcing,
     _target_model,
 )
@@ -326,7 +325,7 @@ def reference_uniqueness(
     Returns the check plus the unique passing object map, if unique.
     """
     if frame is None:
-        frame = _default_frame(table)
+        frame = Frame(*table.objects[:3])
     for o in frame.members():
         if o not in table.identities:
             raise CoordinatizationError(f"frame object {o!r} is not in the table")
@@ -750,7 +749,7 @@ def reference_coordinatize(table: CandidateTable, frame: Optional[Frame] = None)
     """The verified isomorphism, each object's coordinate read one at a time."""
     calc = ObjectCalculus(table)
     if frame is None:
-        frame = _default_frame(table)
+        frame = Frame(*table.objects[:3])
     for o in frame.members():
         if o not in table.identities:
             raise CoordinatizationError(f"frame object {o!r} is not in the table")

@@ -34,7 +34,7 @@ from helpers import (
     rewrite_entry,
     seeded_mutation,
 )
-from projline import cli
+from projline import candidate, cli
 from projline.candidate import (
     AXIOM_NAMES,
     CandidateFormatError,
@@ -42,6 +42,9 @@ from projline.candidate import (
     Endo,
     NonEndo,
     _label_factors,
+    _legs,
+    _toward,
+    _transports,
     canonical_scalar,
     check_axioms,
     conjugate,
@@ -502,6 +505,87 @@ def test_canonical_scalar_rejects_unknown_objects():
             CandidateFormatError,
             f"unknown arrow {sigma}",
         )
+
+
+def _distinct_pairs(n):
+    return np.array(list(itertools.permutations(range(n), 2))).T
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_toward_is_the_arrow_named_by_the_least_other_object(n):
+    # Names run against index order, so only the index can pick the label.
+    objs = [f"o{k}" for k in reversed(range(n))]
+    t = CandidateTable._bare(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs})
+    x, y = _distinct_pairs(n)
+    got = _toward(t, x, y)
+    for xi, yi, arrow in zip(x.tolist(), y.tolist(), got.tolist()):
+        least = min(set(range(n)) - {xi, yi})
+        assert t.arrows[arrow] == NonEndo(objs[xi], objs[yi], objs[least])
+        assert _toward(t, xi, yi) == arrow
+
+
+@pytest.mark.parametrize("case", ["model-2", "model-3", "model-5", "model-7", "relabel-f7-0"])
+def test_toward_is_the_arrow_canonical_scalar_conjugates_along(case, monkeypatch):
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    along = []
+
+    def recording(table, sigma, f):
+        along.append(f)
+        return conjugate(table, sigma, f)
+
+    monkeypatch.setattr(candidate, "conjugate", recording)
+    x, y = _distinct_pairs(t.n_objects)
+    for xi, yi, arrow in zip(x.tolist(), y.tolist(), _toward(t, x, y).tolist()):
+        sigma = Endo(t.objects[xi], t.scalars[t.objects[xi]][-1])
+        moved = canonical_scalar(t, sigma, t.objects[yi])
+        assert along[-1] == t.arrows[arrow]
+        assert moved == conjugate(t, sigma, t.arrows[arrow])
+    assert len(along) == x.size
+
+
+def test_legs_stay_minus_one_after_a_pair_that_does_not_compose():
+    t = from_model(5)
+    last = t.n_objects - 1
+    # The arrow 0 -> 0 named 1 does not exist; the last arrow, a scalar at
+    # the last object, does compose with an arrow out of that object.
+    assert t._ne3[0, 0, 1] == -1 and t._composite(-1, t._ne3[last, 0, 1]) >= 0
+    assert _legs(t, [(0, 0, 1), (last, 0, 1)]) == -1
+    a, b = _distinct_pairs(t.n_objects)
+    got = _legs(t, [(a, b, 0), (b, a, 0), (a, b, 0)])
+    assert np.array_equal(got < 0, (a == 0) | (b == 0))
+
+
+def test_transports_is_minus_one_where_conjugate_raises():
+    # The last arrow, 1:0#4, then the transport arrow 1:0 -> 0:1 rewritten
+    # to a scalar at 0:1: reading the composite of a failed first step
+    # as that of the last arrow would give a scalar at the target.
+    f = NonEndo("1:0", "0:1", "1:1")
+    t = CandidateTable.from_doc(rewrite_entry(from_model(5).to_doc(), "1:0#4", str(f), "0:1#2"))
+    sigma = Endo("0:1", "3")
+    assert outcome(conjugate, t, sigma, f) == (ValueError, f"{sigma} does not live at the source of {f}")
+    got = _transports(t, np.array([t.arrow_index(sigma)]), np.array([t.arrow_index(f)]))
+    assert got.tolist() == [-1]
+
+
+def test_as_transports_only_scalars_away_from_object_0(monkeypatch):
+    calls = []
+    real = candidate._transports
+
+    def recording(table, sigma, f):
+        calls.append((sigma, f))
+        return real(table, sigma, f)
+
+    monkeypatch.setattr(candidate, "_transports", recording)
+    for doc in (REFERENCE_CASES["model-5"](), seeded_mutation(REFERENCE_CASES["model-5"](), 0)):
+        t = CandidateTable.from_doc(doc)
+        calls.clear()
+        check_axioms(t, which=["as"])
+        n = t.n_objects
+        away = (n - 1) * (n - 1) * (n - 2) * (n - 3)
+        assert [s.size for s, _ in calls] == [away, away]
+        for sigma, f in calls:
+            assert (f >= 0).all() and (t._src_i[f] != 0).all() and (t._dst_i[f] == 0).all()
+            assert (t._src_i[sigma] == t._src_i[f]).all()
 
 
 F5_CASES = ["model-5", "swap-f5"] + [

@@ -105,6 +105,17 @@ def test_check_rejects_unknown_axiom(f5_path):
     assert "zorn" in r.stderr
 
 
+@pytest.mark.parametrize("axioms", ["", ",", " , "])
+def test_check_rejects_an_axiom_list_that_names_none(f5_path, axioms):
+    r = run_cli("check", "--in", f5_path, "--axioms", axioms)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"--axioms names no axiom; valid: {', '.join(AXIOM_NAMES)}\n"
+    assert check_axioms(from_model(3), which=[]).to_dict() == {
+        "name": "axioms", "passed": True, "checks": [],
+    }
+
+
 def test_check_skips_axioms_when_structure_fails(tmp_path, f5_path):
     with open(f5_path) as fh:
         doc = json.load(fh)
