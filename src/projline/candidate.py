@@ -19,7 +19,7 @@ import re
 from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -643,46 +643,118 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
 # -- structure validation ------------------------------------------------------
 
 
-def _associativity(table: CandidateTable, cap: int) -> CheckReport:
-    """Associativity over all composable triples, vectorized per object pair.
+def _regroupings(
+    table: CandidateTable, rows: np.ndarray, start: int, g: slice, far: int
+) -> np.ndarray:
+    """Where (f.g).h and f.(g.h) differ, as an (f, g, h) mask over the g
+    in ``g`` from the f's object to ``far`` and every h out of ``far``.
 
-    Blocks are indexed by (mid, far) object pairs; a block covers every
-    f into mid, g from mid to far, h out of far.  Arrows are numbered
-    source-major and then by target, so g and h are index ranges.
+    ``rows[i, j]`` is the composite of the i-th f with arrow start + j;
+    its columns must cover ``g`` and every composite g.h.  Arrows are
+    numbered source-major and then by target, so g and h are index ranges.
     """
+    hom, n = table._hom, table.n_objects
+    h = slice(hom[far * n], hom[far * n + n])
+    # Slices: an element-wise gather takes about four times as long.
+    left = table._composite(slice(None), h)[rows[:, g.start - start : g.stop - start]]
+    right = rows[:, table._composite(g, h) - start]
+    return left != right
+
+
+def _generated_associativity(table: CandidateTable) -> Optional[int]:
+    """Light's associativity test on a table that passed ``endpoints``:
+    the number of instances examined when the table is shown associative
+    from generators, None when it is not shown so.
+
+    Call g associative when (x.g).y = x.(g.y) for every x into its source
+    and y out of its target (Light's test; Clifford and Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2).  Associative
+    elements are closed under composition: for associative a, b and any
+    such x, y, using a, b, a and b in turn,
+    (x.(a.b)).y = ((x.a).b).y = (x.a).(b.y) = x.(a.(b.y)) = x.((a.b).y).
+    Each step composes a pair that the table composes, because the table
+    composes every pair whose endpoints meet, and ``endpoints`` makes
+    every composite keep the outer endpoints of its factors.  So when a
+    set G of arrows generates the table and every g in G is associative,
+    every arrow is, which is associativity on every composable triple.
+
+    G is the scalars at object 0, the least arrow 0 -> X and the least
+    arrow X -> 0 for each other X.  It generates when the products
+    (g_a.s).f_b reach every arrow, for s a scalar at 0, g_a the chosen
+    arrow a -> 0 and f_b the chosen arrow 0 -> b, the unit at 0 (one of
+    the scalars) standing in for both at object 0.
+    """
+    comp, hom, n = table._composite, table._hom, table.n_objects
+    scalars = np.arange(hom[0], hom[1])
+    into = np.append(table._id_idx[0], hom[n : n * n : n])
+    out = np.append(table._id_idx[0], hom[1:n])
+    reached = np.zeros(table.n_arrows, dtype=bool)
+    reached[comp(comp(into[:, None], scalars)[:, :, None], out)] = True
+    if not reached.all():
+        return None
+    checked = 0
+    for mid in range(n):
+        # The generators out of mid, as index ranges, with their targets.
+        start = hom[mid * n]
+        if mid == 0:
+            gens = [(slice(hom[0], hom[1]), 0)]
+            gens += [(slice(hom[x], hom[x] + 1), x) for x in range(1, n)]
+        else:
+            gens = [(slice(start, start + 1), 0)]
+        # Every g and every g.h lies among the arrows out of mid.
+        rows = comp(np.flatnonzero(table._dst_i == mid), slice(start, hom[mid * n + n]))
+        for g, far in gens:
+            bad = _regroupings(table, rows, start, g, far)
+            if bad.any():
+                return None
+            checked += int(bad.size)
+    return checked
+
+
+def _associativity(table: CandidateTable, cap: int, endpoints: bool) -> CheckReport:
+    """Associativity, from generators when ``endpoints`` passed and that
+    shows it, else over all composable triples.
+
+    ``checked`` counts the instances examined by whichever ran: the
+    generators' when they show it, else every composable triple.  The
+    full sweep is the only one that reports failures.  Its blocks are
+    indexed by (mid, far) object pairs; a block covers every f into mid,
+    g from mid to far, h out of far.
+    """
+    if endpoints:
+        checked = _generated_associativity(table)
+        if checked is not None:
+            return make_check("associativity", checked, 0, [])
     comp, hom = table._composite, table._hom
     n = table.n_objects
-    every = slice(None)
     checked = 0
     failures = 0
-    witnesses: list[tuple[tuple[int, int, int], str]] = []
+    # The least failing (f, g, h) keys so far, at most 2 * cap of them.
+    least = np.empty((0, 3), dtype=np.intp)
     for mid in range(n):
         f_idx = np.flatnonzero(table._dst_i == mid)
-        rows = comp(f_idx, every)
+        rows = comp(f_idx, slice(None))
         for far in range(n):
             g = slice(hom[mid * n + far], hom[mid * n + far + 1])
-            h = slice(hom[far * n], hom[far * n + n])
-            # Slices: an element-wise gather takes about four times as long.
-            left = comp(every, h)[rows[:, g]]
-            right = rows[:, comp(g, h)]
-            bad = left != right
+            bad = _regroupings(table, rows, 0, g, far)
             checked += int(bad.size)
             nbad = int(np.count_nonzero(bad))
             if nbad:
                 failures += nbad
-                # argwhere yields a block's failures in key order, so only
-                # its first cap can be among the reported ones.
-                for fi, gi, hi in np.argwhere(bad)[:cap]:
-                    key = (int(f_idx[fi]), int(g.start + gi), int(h.start + hi))
-                    text = (
-                        f"assoc({table.arrows[key[0]]}, "
-                        f"{table.arrows[key[1]]}, {table.arrows[key[2]]}): "
-                        f"grouping changes the composite"
-                    )
-                    witnesses.append((key, text))
-                witnesses.sort(key=lambda w: w[0])
-                del witnesses[cap:]
-    return make_check("associativity", checked, failures, [t for _, t in witnesses])
+                # A block's failures come in key order, so only its first
+                # cap can be among the reported ones.
+                fi, gi, hi = np.unravel_index(np.flatnonzero(bad)[:cap], bad.shape)
+                keys = np.stack([f_idx[fi], g.start + gi, hom[far * n] + hi], axis=1)
+                least = np.concatenate([least, keys])
+                if len(least) > cap:
+                    least = least[np.lexsort(least.T[::-1])][:cap]
+    least = least[np.lexsort(least.T[::-1])]
+    arrows = table.arrows
+    witnesses = [
+        f"assoc({arrows[f]}, {arrows[g]}, {arrows[h]}): grouping changes the composite"
+        for f, g, h in least.tolist()
+    ]
+    return make_check("associativity", checked, failures, witnesses)
 
 
 def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportGroup:
@@ -703,12 +775,13 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     I, J = table._pairs()
     R = comp(I, J)
     src, dst = table._src_i, table._dst_i
-    checks.append(sweep(
+    endpoints = sweep(
         "endpoints", int(I.size), (src[R] != src[I]) | (dst[R] != dst[J]),
         lambda k: f"endpoints({table.arrows[I[k]]}, {table.arrows[J[k]]}): "
         f"composite {table.arrows[R[k]]} has wrong endpoints",
         cap,
-    ))
+    )
+    checks.append(endpoints)
 
     arange = np.arange(n_arr)
     unfixed = (comp(table._id_idx[src], arange) != arange) | (
@@ -724,7 +797,7 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
         lambda i: f"inverses({table.arrows[i]}): no two-sided inverse", cap,
     ))
 
-    checks.append(_associativity(table, cap))
+    checks.append(_associativity(table, cap, endpoints.passed))
 
     # Nonempty homsets are built into the arrow space: with >= 3 objects
     # every distinct pair has a label and every object has an identity.
@@ -752,7 +825,17 @@ AXIOM_NAMES = ("one", "two", "pappus", "hex1", "hex2", "as")
 
 def _distinct(n: int, k: int) -> np.ndarray:
     """The k-tuples of distinct indices below n, one per row, in lexicographic order."""
-    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    rows = np.indices((n,) * k, dtype=np.intp).reshape(k, -1)
+    keep = np.ones(rows.shape[1], dtype=bool)
+    for i, j in combinations(range(k), 2):
+        keep &= rows[i] != rows[j]
+    return rows.T[keep]
+
+
+def _name(table: CandidateTable, i: int) -> str:
+    """The name of arrow ``i``; -1, where the legs do not compose or name
+    no scalar, is "undefined"."""
+    return str(table.arrows[i]) if i >= 0 else "undefined"
 
 
 def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
@@ -763,7 +846,7 @@ def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
     return sweep(
         "one", got.size, got != table._id_idx[a],
         lambda k: f"one({obj[a[k]]},{obj[b[k]]};{obj[c[k]]}): round trip gives "
-        f"{table.arrows[got[k]]}, not the unit",
+        f"{_name(table, got[k])}, not the unit",
         cap,
     )
 
@@ -777,7 +860,7 @@ def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
     return sweep(
         "two", got.size, got != want,
         lambda k: f"two({obj[a[k]]},{obj[b[k]]},{obj[d[k]]};{obj[c[k]]}): chain gives "
-        f"{table.arrows[got[k]]}, want {table.arrows[want[k]]}",
+        f"{_name(table, got[k])}, want {_name(table, want[k])}",
         cap,
     )
 
@@ -831,8 +914,8 @@ def _axiom_hex2(table: CandidateTable, cap: int) -> CheckReport:
     return sweep(
         "hex2", val.size, val != val[first],
         lambda k: f"hex2({obj[a[k]]}): helpers ({obj[b[first[k]]]},{obj[c[first[k]]]}) give "
-        f"{table.arrows[val[first[k]]]} but ({obj[b[k]]},{obj[c[k]]}) give "
-        f"{table.arrows[val[k]]}",
+        f"{_name(table, val[first[k]])} but ({obj[b[k]]},{obj[c[k]]}) give "
+        f"{_name(table, val[k])}",
         cap,
     )
 
@@ -867,8 +950,8 @@ def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
         name2 = ",".join(table.objects[x] for x in quads[q2])
         witnesses.append(
             f"as: ({name1}) and ({name2}) share cross ratio "
-            f"{table.arrows[keys[g]]} but their swaps differ: "
-            f"{table.arrows[val[q1]]} vs {table.arrows[val[q2]]}"
+            f"{_name(table, keys[g])} but their swaps differ: "
+            f"{_name(table, val[q1])} vs {_name(table, val[q2])}"
         )
     return make_check("as", len(quads), int(split.size), witnesses)
 

@@ -1,10 +1,10 @@
 """Shared test utilities: a CLI runner, the documented, seeded and
-relabeling mutations, and reference implementations kept as oracles:
-the table loader, the brute-force uniqueness search with its forced
-arrow map, the inverse search, the model table builder, the homset
-listing and the object-level rapport calculus, field reconstruction,
-classification and coordinatization, and the model's calculators
-composed from arrows on field elements.
+relabeling mutations, group groupoid tables, and reference
+implementations kept as oracles: the table loader, the brute-force
+uniqueness search with its forced arrow map, the inverse search, the
+model table builder, the homset listing and the object-level rapport
+calculus, field reconstruction, classification and coordinatization,
+and the model's calculators composed from arrows on field elements.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -191,6 +191,82 @@ def relabel(doc: dict, seed: int) -> dict:
         "scalars": {names[o]: [ids[o][s] for s in doc["scalars"][o]] for o in order},
         "identity": {names[o]: ids[o][doc["identity"][o]] for o in order},
         "compose": [[rename[a], rename[b], rename[r]] for a, b, r in doc["compose"]],
+    }
+
+
+def four_object_table() -> CandidateTable:
+    """Four objects with one scalar each, built through the constructor.
+
+    The endo counts agree with each other but not with the two arrows
+    in every homset between distinct objects.
+    """
+    objs = ["a", "b", "c", "d"]
+    arrows = [Endo(o, "1") for o in objs]
+    arrows += [NonEndo(u, w, lab) for u, w, lab in itertools.permutations(objs, 3)]
+
+    def composite(x, y):
+        u, w = _ends(x)[0], _ends(y)[1]
+        if u == w:
+            return Endo(u, "1")
+        return NonEndo(u, w, next(o for o in objs if o not in (u, w)))
+
+    entries = [
+        (x, y, composite(x, y)) for x in arrows for y in arrows if _ends(x)[1] == _ends(y)[0]
+    ]
+    return CandidateTable(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}, entries)
+
+
+def symmetric_group(m: int) -> list[list[int]]:
+    """The multiplication table of the permutations of m points, in
+    ``itertools.permutations`` order (the identity first): entry [x][y]
+    is x then y."""
+    perms = list(itertools.permutations(range(m)))
+    index = {q: i for i, q in enumerate(perms)}
+    return [[index[tuple(y[i] for i in x)] for y in perms] for x in perms]
+
+
+def group_groupoid(H: list[list[int]], labels) -> dict:
+    """The table document of the group groupoid of H on |H|+2 objects.
+
+    ``H`` is a multiplication table whose element 0 is the unit.  Objects
+    are "0" .. "n-1"; the scalar at each object named "h" is the element
+    h, so the unit "0" is the identity.  ``labels`` gives the element of
+    each arrow a -> b named c: a mapping from object index triples
+    (a, b, c), one bijection of the labels onto H per homset, or an int
+    seed that draws each bijection at random.  A composite multiplies:
+    the elements x of a -> b and y of b -> c give the arrow a -> c whose
+    element is H[x][y].  H being a group, the table passes every
+    structure layer.
+    """
+    k = len(H)
+    n = k + 2
+    if isinstance(labels, int):
+        rng = random.Random(labels)
+        labels = {}
+        for a, b in itertools.permutations(range(n), 2):
+            own = [c for c in range(n) if c not in (a, b)]
+            labels.update({(a, b, c): h for c, h in zip(own, rng.sample(range(k), k))})
+    named = {(a, b, h): c for (a, b, c), h in labels.items()}
+
+    def arrow(a: int, b: int, h: int) -> str:
+        return f"{a}#{h}" if a == b else f"{a}>{named[a, b, h]}>{b}"
+
+    # Every arrow as (source, target, element), in no particular order.
+    arrows = [(a, a, h) for a in range(n) for h in range(k)]
+    arrows += [(a, b, labels[a, b, c]) for a, b, c in itertools.permutations(range(n), 3)]
+    out = {a: [x for x in arrows if x[0] == a] for a in range(n)}
+    compose = [
+        [arrow(*x), arrow(*y), arrow(x[0], y[1], H[x[2]][y[2]])]
+        for x in arrows
+        for y in out[x[1]]
+    ]
+    objects = [str(a) for a in range(n)]
+    return {
+        "format": CandidateTable.FORMAT,
+        "objects": objects,
+        "scalars": {o: [str(h) for h in range(k)] for o in objects},
+        "identity": {o: "0" for o in objects},
+        "compose": compose,
     }
 
 

@@ -24,6 +24,7 @@ from helpers import (
     ObjectCalculus,
     _ends,
     cross_homset_mutation,
+    four_object_table,
     mutate_doc,
     outcome,
     reference_from_doc,
@@ -295,29 +296,6 @@ def test_model_tables_validate_and_satisfy_axioms(p):
     a = check_axioms(t)
     assert a.passed
     assert [c.name for c in a.checks] == list(AXIOM_NAMES)
-
-
-def four_object_table() -> CandidateTable:
-    """Four objects with one scalar each, built through the constructor.
-
-    The endo counts agree with each other but not with the two arrows
-    in every homset between distinct objects.
-    """
-    objs = ["a", "b", "c", "d"]
-    arrows = [Endo(o, "1") for o in objs]
-    arrows += [NonEndo(u, w, lab) for u, w, lab in itertools.permutations(objs, 3)]
-
-    def ends(x):
-        return (x.obj, x.obj) if isinstance(x, Endo) else (x.src, x.dst)
-
-    def composite(x, y):
-        u, w = ends(x)[0], ends(y)[1]
-        if u == w:
-            return Endo(u, "1")
-        return NonEndo(u, w, next(o for o in objs if o not in (u, w)))
-
-    entries = [(x, y, composite(x, y)) for x in arrows for y in arrows if ends(x)[1] == ends(y)[0]]
-    return CandidateTable(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}, entries)
 
 
 def test_homsets_needs_endo_counts_of_n_minus_two():
