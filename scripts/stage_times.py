@@ -27,13 +27,22 @@ seconds per calculator call; its ``field`` is ``F10007`` or ``Q`` in
 place of ``p``.  They run after every pipeline stage, so the stage rows
 are taken in the same process state as in files without them.
 
+The ``peak_rss`` row of each p holds ``kib``, the peak resident set
+size of a fresh child process that loads the saved table and runs
+``validate_structure``, ``check_axioms`` and ``build_field`` on it, the
+work of ``projline check`` and ``projline reconstruct``.  It is
+measured after that p's stages.  The child reads its ``VmHWM`` from
+``/proc/self/status``, not ``ru_maxrss``: Linux carries ``ru_maxrss``
+across ``exec``, so a child would report this process's peak.
+
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; ``json.loads`` and ``from_doc`` time its two halves on their
 own.  Each call gets a fresh argument: a fresh document for
-``from_doc`` and a fresh table from ``from_model`` for the checkers, so
-no call reuses the inverses an earlier one found; ``coordinatize`` and
-``verify_uniqueness`` reuse the target model, which
-``coordinatize_first_call`` builds anew every time.  No parsed
+``from_doc`` and a fresh table from ``from_model`` for the checkers.
+A table finds its arrows' inverses when it is built, so that search
+is timed in the ``from_model``, ``from_doc`` and ``load`` rows.
+``coordinatize`` and ``verify_uniqueness`` reuse the target model,
+which ``coordinatize_first_call`` builds anew every time.  No parsed
 document outlives the call it is made for, so no stage's garbage
 collections walk another stage's document.  The rows go into the file
 under ``--label`` next to the rows of other labels, so one file holds
@@ -49,6 +58,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -138,6 +148,28 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     return rows
 
 
+PEAK_RSS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import projline
+table = projline.CandidateTable.load(sys.argv[2])
+projline.validate_structure(table)
+projline.check_axioms(table)
+projline.build_field(table)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def peak_rss_row(p: int, src: str, path: str) -> dict:
+    """The peak RSS in KiB of a fresh process that checks the table saved at ``path``."""
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, src, path],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return {"p": p, "stage": "peak_rss", "kib": int(out)}
+
+
 def _seeded_quadruples(field, seed: int) -> list[tuple]:
     """Quadruples of distinct points: about one point in ten is infinity;
     rational coordinates are fractions with numerators in -60..60 and
@@ -213,7 +245,9 @@ def main() -> None:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for p in PRIMES:
-            rows += stage_rows(p, REPEAT, os.path.join(tmp, f"f{p}.json"))
+            path = os.path.join(tmp, f"f{p}.json")
+            rows += stage_rows(p, REPEAT, path)
+            rows.append(peak_rss_row(p, src, path))
     rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),

@@ -200,6 +200,13 @@ def _collector_paused():
             gc.enable()
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each k paired with each index start[k] .. start[k] + count[k] - 1, in order."""
+    k = np.repeat(np.arange(start.size), count)
+    # Position within the whole, less the ranges before, plus the start.
+    return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
+
+
 def _parse(path: str):
     """The JSON value in the file at ``path``.
 
@@ -312,11 +319,19 @@ class CandidateTable:
         return self._comp[I, J]
 
     def _store(self, I, J, R) -> None:
-        """Store R as the composite of each composable pair (I, J)."""
+        """Store R as the composite of each composable pair (I, J) and find the inverses."""
         comp = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.int32)
         comp[I, J] = R
         self._comp = comp
-        self._inv: Optional[np.ndarray] = None
+        # The inverse of an arrow a -> b lies in hom(b, a): keep the least
+        # arrow there whose composites both ways are the units, -1 if none.
+        n, src, dst = self.n_objects, self._src_i, self._dst_i
+        start = self._hom[dst * n + src]
+        f, g = _ranges(start, self._hom[dst * n + src + 1] - start)
+        ok = (comp[f, g] == self._id_idx[src[f]]) & (comp[g, f] == self._id_idx[dst[f]])
+        i, first = np.unique(f[ok], return_index=True)
+        self._inv = np.full(self.n_arrows, -1, dtype=np.int32)
+        self._inv[i] = g[ok][first]
 
     @classmethod
     def _bare(
@@ -366,36 +381,17 @@ class CandidateTable:
         """
         n = self.n_objects
         start = self._hom[self._dst_i * n]
-        count = self._hom[self._dst_i * n + n] - start
-        I = np.repeat(np.arange(self.n_arrows), count)
-        # Position of each pair within its row, added to the row's start.
-        J = np.arange(I.size) - np.repeat(np.cumsum(count) - count - start, count)
-        return I, J
+        return _ranges(start, self._hom[self._dst_i * n + n] - start)
 
     def compose(self, f: AbstractArrow, g: AbstractArrow) -> AbstractArrow:
         """Left-to-right composite: ``f`` then ``g``."""
         return self.arrows[_compose_i(self, self.arrow_index(f), self.arrow_index(g))]
 
-    def _ensure_inverses(self) -> np.ndarray:
-        """Two-sided inverse index per arrow, -1 where none exists."""
-        if self._inv is not None:
-            return self._inv
-        src, dst = self._src_i, self._dst_i
-        I, J = self._pairs()
-        ok = (
-            (dst[J] == src[I])
-            & (self._composite(I, J) == self._id_idx[src[I]])
-            & (self._composite(J, I) == self._id_idx[dst[I]])
-        )
-        # Pairs come in row-major order: keep the least J of each I.
-        i, first = np.unique(I[ok], return_index=True)
-        inv = np.full(self.n_arrows, -1, dtype=np.int32)
-        inv[i] = J[ok][first]
-        self._inv = inv
-        return inv
-
     def inverse_arrow(self, f: AbstractArrow) -> AbstractArrow:
-        return self.arrows[_inverse_i(self, self.arrow_index(f))]
+        i = self.arrow_index(f)
+        if self._inv[i] < 0:
+            raise ValueError(f"{self.arrows[i]} has no two-sided inverse in this table")
+        return self.arrows[self._inv[i]]
 
     # -- serialization ---------------------------------------------------------
 
@@ -530,13 +526,6 @@ def _compose_i(table: CandidateTable, i: int, j: int) -> int:
     return r
 
 
-def _inverse_i(table: CandidateTable, i: int) -> int:
-    j = int(table._ensure_inverses()[i])
-    if j < 0:
-        raise ValueError(f"{table.arrows[i]} has no two-sided inverse in this table")
-    return j
-
-
 def _scalar_i(table: CandidateTable, r: int, at: str, route: str) -> int:
     """``r``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
     o = table._obj_i[at]
@@ -586,7 +575,7 @@ def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
     """``conjugate`` of the scalars ``sigma`` along the arrows ``f`` out
     of their objects, by index: -1 where it raises or sigma is -1."""
     comp = table._composite
-    finv = table._ensure_inverses()[f]
+    finv = table._inv[f]
     x = comp(finv, sigma)
     r = comp(x, f)
     ok = (sigma >= 0) & (finv >= 0) & (x >= 0) & _at(table, r, table._dst_i[f])
@@ -619,7 +608,7 @@ def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
     if sigma.obj != f.src:
         raise ValueError(f"{sigma} does not live at the source of {f}")
     fi = table.arrow_index(f)
-    x = _compose_i(table, _inverse_i(table, fi), table.arrow_index(sigma))
+    x = _compose_i(table, table.arrow_index(table.inverse_arrow(f)), table.arrow_index(sigma))
     r = _compose_i(table, x, fi)
     return table.arrows[_scalar_i(table, r, f.dst, f"transport of {sigma} along {f}")]
 
@@ -793,7 +782,7 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     ))
 
     checks.append(sweep(
-        "inverses", n_arr, table._ensure_inverses() < 0,
+        "inverses", n_arr, table._inv < 0,
         lambda i: f"inverses({table.arrows[i]}): no two-sided inverse", cap,
     ))
 

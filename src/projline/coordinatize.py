@@ -142,13 +142,12 @@ class _Forcing:
         self.R = table._composite(self.I, self.J)
         self.n_arrows = table.n_arrows
         self.model = model
-        self.m_inv = model._ensure_inverses()
 
     def __call__(self, obj_to) -> np.ndarray:
         o = np.asarray(obj_to, dtype=np.intp)
         F = np.full(self.n_arrows, -1, dtype=np.int32)
         F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
-        F[self.scal] = self.model._composite(F[self.comp_f], self.m_inv[F[self.f]])
+        F[self.scal] = self.model._composite(F[self.comp_f], self.model._inv[F[self.f]])
         return F
 
 

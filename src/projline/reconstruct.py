@@ -11,6 +11,7 @@ which no vertex scalar realizes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,11 +41,27 @@ class ReconstructionError(ValueError):
     """The table does not support field reconstruction at this base."""
 
 
+def _reconstruction(fn):
+    """``fn`` raising ReconstructionError, message unchanged, for any ValueError."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ReconstructionError:
+            raise
+        except ValueError as exc:
+            raise ReconstructionError(str(exc)) from exc
+
+    return wrapper
+
+
 def _default_helpers(table: CandidateTable, base: str) -> tuple[str, str]:
     rest = [o for o in table.objects if o != base]
     return rest[0], rest[1]
 
 
+@_reconstruction
 def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> Endo:
     """The scalar -1 at the base object, with its defining laws verified.
 
@@ -62,10 +79,6 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
         raise ReconstructionError(f"unknown base object {base!r}")
     obj, n = table.objects, table.n_objects
     a = table._obj_i[base]
-
-    def cycle_value(x: str) -> Endo:
-        b, c = _default_helpers(table, x)
-        return tri_rapport_abs(table, x, b, c, c, x, b)
 
     # Helper pairs (b, c) in order; the first is the default pair.
     pairs = _distinct(n, 2)
@@ -90,8 +103,9 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
     moved = _transports(table, _cycles(table, x, bx, cx, cx, x, bx), _toward(table, x, a))
     bad = np.flatnonzero(moved != m)
     if bad.size:
-        other = obj[x[bad[0]]]
-        got = canonical_scalar(table, cycle_value(other), base)
+        k = bad[0]
+        other, hb, hc = obj[x[k]], obj[bx[k]], obj[cx[k]]
+        got = canonical_scalar(table, tri_rapport_abs(table, other, hb, hc, hc, other, hb), base)
         raise ReconstructionError(
             f"-1 differs between objects: at {other} it transports to {got}, "
             f"not {table.arrows[m]}"
@@ -99,6 +113,7 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
     return table.arrows[m]
 
 
+@_reconstruction
 def phi(
     table: CandidateTable,
     base: str,
@@ -208,18 +223,21 @@ class FieldTable:
     def from_doc(cls, doc: dict, base_object: str = "") -> "FieldTable":
         try:
             carrier = tuple(doc["carrier"])
-            n = len(carrier)
-            add = tuple(tuple(int(v) for v in row) for row in doc["add"])
-            mul = tuple(tuple(int(v) for v in row) for row in doc["mul"])
+            add = tuple(map(tuple, doc["add"]))
+            mul = tuple(map(tuple, doc["mul"]))
             zero, one, minus_one = doc["zero"], doc["one"], doc["minus_one"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ReconstructionError(f"malformed field table document: {exc}") from exc
-        if doc.get("order") != n or len(set(carrier)) != n or n < 2:
+        n = len(carrier)
+        names = isinstance(doc["carrier"], list) and all(isinstance(nm, str) for nm in carrier)
+        if (not names or len(set(carrier)) != n or n < 2
+                or type(doc.get("order")) is not int or doc["order"] != n):
             raise ReconstructionError("carrier must list order-many distinct names")
         for t in (add, mul):
             if len(t) != n or any(len(r) != n for r in t):
                 raise ReconstructionError("operation tables must be order x order")
-            if any(v < 0 or v >= n for r in t for v in r):
+            # A JSON integer only: no bool, float or string stands for one.
+            if any(type(v) is not int or v < 0 or v >= n for r in t for v in r):
                 raise ReconstructionError("operation table entries must index the carrier")
         for nm in (zero, one, minus_one):
             if nm not in carrier:
@@ -227,6 +245,7 @@ class FieldTable:
         return cls(base_object, carrier, zero, one, minus_one, add, mul)
 
 
+@_reconstruction
 def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable:
     """Reconstruct the full field at ``base``: nonzero scalars plus a zero.
 
@@ -236,15 +255,6 @@ def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable
     inverse or turn a scalar route into a non-scalar; that raises
     ReconstructionError like any other failed law.
     """
-    try:
-        return _build_field(table, base)
-    except ReconstructionError:
-        raise
-    except ValueError as exc:
-        raise ReconstructionError(str(exc)) from exc
-
-
-def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
     if base is None:
         base = table.objects[0]
     minus = reconstruct_minus_one(table, base)
@@ -261,7 +271,7 @@ def _build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
     # The scalars at the base are the arrows lo .. lo+k-1 in declared
     # order; scalar position s is carrier index s + 1.
     lo = int(table._hom[table._obj_i[base] * (table.n_objects + 1)])
-    inv = table._ensure_inverses()[lo : lo + k] - lo
+    inv = table._inv[lo : lo + k] - lo
     if (inv < 0).any():
         table.inverse_arrow(Endo(base, ids[int(np.argmax(inv < 0))]))
     block = slice(lo, lo + k)

@@ -12,6 +12,7 @@ are (first arrow, second arrow, replacement result).
 """
 
 import copy
+import functools
 import itertools
 import math
 import random
@@ -378,12 +379,11 @@ def reference_forced_arrow_map(
                 obj_to[table._obj_i[ar.label]],
             )
             F[i] = model._ne3[key]
-    m_inv = model._ensure_inverses()
     out = out_lists(table)
     for xi, x in enumerate(table.objects):
         f = next(j for j in out[xi] if int(table._dst_i[j]) != xi)
         Ff = int(F[f])
-        Ff_inv = int(m_inv[Ff])
+        Ff_inv = int(model._inv[Ff])
         for sid in table.scalars[x]:
             si = _endo_index(table, x, sid)
             F[si] = model._composite(int(F[int(table._composite(si, f))]), Ff_inv)
@@ -439,9 +439,10 @@ def reference_uniqueness(
 def reference_inverses(table: CandidateTable) -> np.ndarray:
     """Two-sided inverse index per arrow, -1 where none exists.
 
-    The per-arrow loop that ``CandidateTable._ensure_inverses`` replaced,
-    kept as its oracle: for each arrow i, the first arrow j out of its
-    target that returns to its source with both composites the units.
+    The per-arrow loop kept as the oracle of the search in
+    ``CandidateTable._store``: for each arrow i, the first arrow j out of
+    its target that returns to its source with both composites the units.
+    It scans every arrow out of the target, not only those of hom(b, a).
     """
     comp = table._composite
     out = out_lists(table)
@@ -534,7 +535,7 @@ class ObjectCalculus:
         return self.table.arrows[r]
 
     def inverse_arrow(self, f):
-        j = int(self.table._ensure_inverses()[self.arrow_index(f)])
+        j = int(self.table._inv[self.arrow_index(f)])
         if j < 0:
             raise ValueError(f"{f} has no two-sided inverse in this table")
         return self.table.arrows[j]
@@ -584,6 +585,22 @@ def _default_helpers(table: CandidateTable, base: str) -> tuple[str, str]:
     return rest[0], rest[1]
 
 
+def _reconstruction(fn):
+    """``fn`` raising ReconstructionError with the same message for any ValueError."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ReconstructionError:
+            raise
+        except ValueError as exc:
+            raise ReconstructionError(str(exc)) from exc
+
+    return wrapper
+
+
+@_reconstruction
 def reference_minus_one(
     table: CandidateTable, base: Optional[str] = None, calc: Optional[ObjectCalculus] = None
 ) -> Endo:
@@ -628,6 +645,7 @@ def reference_minus_one(
     return m
 
 
+@_reconstruction
 def reference_phi(
     table: CandidateTable,
     base: str,
@@ -663,17 +681,9 @@ def reference_phi(
     )
 
 
+@_reconstruction
 def reference_build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable:
     """The field at ``base``, multiplied and added one scalar pair at a time."""
-    try:
-        return _reference_build_field(table, base)
-    except ReconstructionError:
-        raise
-    except ValueError as exc:
-        raise ReconstructionError(str(exc)) from exc
-
-
-def _reference_build_field(table: CandidateTable, base: Optional[str]) -> FieldTable:
     calc = ObjectCalculus(table)
     if base is None:
         base = table.objects[0]
@@ -1000,7 +1010,7 @@ def _coordinate_doc(kind: str) -> dict:
     if kind == "round-trip":
         return rewrite_entry(_model_doc(7), "1:1>2:1>0:1", "0:1>4:1>1:1", "1:1>3:1>0:1")
     t = from_model(7)
-    finv = t.arrows[t._ensure_inverses()[t._name_i["1:1>2:1>0:1"]]]
+    finv = t.arrows[t._inv[t._name_i["1:1>2:1>0:1"]]]
     return rewrite_entry(t.to_doc(), str(finv), "1:1#3", "0:1#2")
 
 

@@ -16,6 +16,7 @@ from helpers import (
     four_object_table,
     group_groupoid,
     mutate_doc,
+    reference_inverses,
     relabel,
     rewrite_entry,
     seeded_mutation,
@@ -102,6 +103,12 @@ def test_generators_pass_only_where_the_full_sweep_does(case):
         assert report.check("associativity") == full
     assert (short is not None) == (case in GENERATED)
     assert (full.failures > 0) == (case in NOT_ASSOCIATIVE)
+
+
+@pytest.mark.parametrize("case", GENERATED + NOT_ASSOCIATIVE + ["four-objects"])
+def test_inverses_found_in_the_reverse_homset_match_the_full_scan(case):
+    t = oracle_table(case)
+    assert np.array_equal(t._inv, reference_inverses(t))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

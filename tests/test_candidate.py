@@ -379,29 +379,48 @@ def test_pairs_inverses_and_homsets_match_the_references(case):
     pairs = t._pairs()
     want = np.nonzero(t._comp >= 0)
     assert all(np.array_equal(x, y) for x, y in zip(pairs, want))
-    assert np.array_equal(t._ensure_inverses(), reference_inverses(t))
+    assert np.array_equal(t._inv, reference_inverses(t))
     for a, b in itertools.product(t.objects, repeat=2):
         assert t.hom(a, b) == reference_hom(t, a, b)
     if case == "no-inverse-f7":
-        assert (t._ensure_inverses() < 0).any()
+        assert (t._inv < 0).any()
+
+
+def _nodes_in(tree: ast.AST, names: tuple[str, ...]) -> set[int]:
+    """The ids of every node inside the functions called one of ``names``."""
+    return {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
+        for node in ast.walk(fn)
+    }
 
 
 def test_only_composite_and_store_name_the_composition_store():
+    # ... and only _store assigns the inverses, so they always match the store.
     for name in ("candidate", "reconstruct", "coordinatize"):
         module = importlib.import_module(f"projline.{name}")
         tree = ast.parse(inspect.getsource(module))
-        owners = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name in ("_composite", "_store")
-            for node in ast.walk(fn)
-        }
+        owners = _nodes_in(tree, ("_composite", "_store"))
         stray = [
             node.lineno
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "_comp" and id(node) not in owners
         ]
         assert stray == [], f"projline.{name} names _comp on lines {stray}"
+        store = _nodes_in(tree, ("_store",))
+        # x._inv = ..., x._inv += ... and x._inv[...] = ... all write it.
+        targets = [
+            node.value if isinstance(node, ast.Subscript) else node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Subscript))
+            and not isinstance(node.ctx, ast.Load) and id(node) not in store
+        ]
+        written = [
+            node.lineno for node in targets
+            if isinstance(node, ast.Attribute) and node.attr == "_inv"
+        ]
+        assert written == [], f"projline.{name} assigns _inv on lines {written}"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     REFERENCE_CASES,
+    cross_homset_mutation,
     mutate_doc,
     outcome,
     reference_build_field,
@@ -143,6 +144,41 @@ def test_field_table_round_trip_and_validation():
     bad["zero"] = "missing"
     with pytest.raises(ReconstructionError):
         FieldTable.from_doc(bad)
+    # Entries are JSON integers and names strings; nothing is coerced.
+    for op in ("add", "mul"):
+        for v in (1.5, "1", True, None, [1]):
+            bad = json.loads(json.dumps(doc))
+            bad[op][1][1] = v
+            with pytest.raises(ReconstructionError, match="must index the carrier"):
+                FieldTable.from_doc(bad)
+    for v in ([[0], [1], [2]], [{}, {}, {}], ["0", "1", 2], "012", {"0": 0, "1": 1, "2": 2}):
+        with pytest.raises(ReconstructionError, match="order-many distinct names"):
+            FieldTable.from_doc(dict(doc, carrier=v))
+    for v in (3.0, "3", True):
+        with pytest.raises(ReconstructionError, match="order-many distinct names"):
+            FieldTable.from_doc(dict(doc, order=v))
+    for key in ("zero", "one", "minus_one"):
+        for v in (1, ["0"]):
+            with pytest.raises(ReconstructionError, match="is not in the carrier"):
+                FieldTable.from_doc(dict(doc, **{key: v}))
+    for v in (None, 3, [[0, 1, 2]] * 2 + [0]):
+        with pytest.raises(ReconstructionError):
+            FieldTable.from_doc(dict(doc, add=v))
+
+
+@pytest.mark.parametrize(
+    "seed, call, message",
+    [
+        (32, lambda t: reconstruct_minus_one(t), "cannot compose 1:1>3:1>4:1 then 2:1>1:1>0:1"),
+        (89, lambda t: phi(t, "0:1", "2"),
+         "round trip (0:1,1:1;2:1,4:1) gives 2:1>4:1>1:1, not a scalar at 0:1"),
+    ],
+)
+def test_reconstruction_entry_points_raise_reconstruction_errors(seed, call, message):
+    t = CandidateTable.from_doc(cross_homset_mutation(from_model(5).to_doc(), seed))
+    with pytest.raises(ReconstructionError) as exc:
+        call(t)
+    assert str(exc.value) == message
 
 
 def test_verify_field_pinpoints_broken_addition():
@@ -291,7 +327,7 @@ def test_field_and_as_reports_are_byte_stable():
         doc = from_model(p).to_doc()
         for seed in seeds:
             t = CandidateTable.from_doc(seeded_mutation(doc, seed))
-            assert (t._ensure_inverses() < 0).any()
+            assert (t._inv < 0).any()
             report = check_axioms(t, which=["as"], max_witnesses=50)
             reports.append([f"as-{p}-{seed}", report.to_dict()])
     text = json.dumps(reports, separators=(",", ":"))
