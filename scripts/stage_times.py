@@ -33,7 +33,11 @@ size of a fresh child process that loads the saved table and runs
 work of ``projline check`` and ``projline reconstruct``.  It is
 measured after that p's stages.  The child reads its ``VmHWM`` from
 ``/proc/self/status``, not ``ru_maxrss``: Linux carries ``ru_maxrss``
-across ``exec``, so a child would report this process's peak.
+across ``exec``, so a child would report this process's peak.  The
+``gen`` row of each p holds the ``kib`` and the ``seconds`` of another
+fresh child, one that does the work of ``projline gen``: it calls
+``from_model`` and ``to_json_bytes`` and writes the file.  Its seconds
+are one wall time of those three steps, not a median.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; ``json.loads`` and ``from_doc`` time its two halves on their
@@ -170,6 +174,30 @@ def peak_rss_row(p: int, src: str, path: str) -> dict:
     return {"p": p, "stage": "peak_rss", "kib": int(out)}
 
 
+GEN_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import projline
+start = time.perf_counter()
+data = projline.from_model(int(sys.argv[2])).to_json_bytes()
+with open(sys.argv[3], "wb") as fh:
+    fh.write(data)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), seconds)
+"""
+
+
+def gen_row(p: int, src: str, path: str) -> dict:
+    """The peak RSS in KiB and the wall time of a fresh process that
+    writes the table over F_p to ``path``, as ``projline gen`` does."""
+    kib, seconds = subprocess.run(
+        [sys.executable, "-c", GEN_CHILD, src, str(p), path],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    return {"p": p, "stage": "gen", "kib": int(kib), "seconds": round(float(seconds), 6)}
+
+
 def _seeded_quadruples(field, seed: int) -> list[tuple]:
     """Quadruples of distinct points: about one point in ten is infinity;
     rational coordinates are fractions with numerators in -60..60 and
@@ -248,6 +276,7 @@ def main() -> None:
             path = os.path.join(tmp, f"f{p}.json")
             rows += stage_rows(p, REPEAT, path)
             rows.append(peak_rss_row(p, src, path))
+            rows.append(gen_row(p, src, os.path.join(tmp, f"gen{p}.json")))
     rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),

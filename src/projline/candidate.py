@@ -200,6 +200,12 @@ def _collector_paused():
             gc.enable()
 
 
+# Compose entries that to_json_bytes gathers per block.  Past the index
+# arrays and the output, its temporaries are a few times _BLOCK times the
+# longest entry, whatever the table's size.
+_BLOCK = 1 << 15
+
+
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each k paired with each index start[k] .. start[k] + count[k] - 1, in order."""
     k = np.repeat(np.arange(start.size), count)
@@ -397,22 +403,38 @@ class CandidateTable:
 
     FORMAT = 1
 
-    def to_doc(self) -> dict:
-        names = np.array([str(a) for a in self.arrows], dtype=object)
+    def _entries(self, names: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every composable pair (I, J) and its composite R, by (names[I], names[J]).
+
+        The arrows composable after i are those out of its target, so this
+        order is the arrows by name, each followed by the arrows out of its
+        target by name: no sort over the pairs is needed.
+        """
+        by_name = np.argsort(names)
         rank = np.empty(self.n_arrows, dtype=np.intp)
-        rank[np.argsort(names)] = np.arange(self.n_arrows)
-        I, J = self._pairs()
-        # Entries sorted by (first, second) name; each pair occurs once.
-        order = np.lexsort((rank[J], rank[I]))
-        I, J = I[order], J[order]
-        entries = np.stack([names[I], names[J], names[self._composite(I, J)]], axis=1).tolist()
+        rank[by_name] = np.arange(self.n_arrows)
+        # Arrows are numbered source-major, so sorting by (source, name)
+        # leaves the arrows out of each object in its out-range, by name.
+        out = np.lexsort((rank, self._src_i))
+        n, dst = self.n_objects, self._dst_i[by_name]
+        start = self._hom[dst * n]
+        k, at = _ranges(start, self._hom[dst * n + n] - start)
+        I, J = by_name[k], out[at]
+        return I, J, self._composite(I, J)
+
+    def _header(self) -> dict:
         return {
             "format": self.FORMAT,
             "objects": list(self.objects),
             "scalars": {o: list(self.scalars[o]) for o in self.objects},
             "identity": {o: self.identities[o] for o in self.objects},
-            "compose": entries,
         }
+
+    def to_doc(self) -> dict:
+        names = np.array([str(a) for a in self.arrows], dtype=object)
+        I, J, R = self._entries(names)
+        entries = np.stack([names[I], names[J], names[R]], axis=1).tolist()
+        return {**self._header(), "compose": entries}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CandidateTable":
@@ -443,9 +465,37 @@ class CandidateTable:
         return t
 
     def to_json_bytes(self) -> bytes:
-        with _collector_paused():
-            text = json.dumps(self.to_doc(), separators=(",", ":"))
-        return text.encode("ascii") + b"\n"
+        """``json.dumps(self.to_doc(), separators=(",", ":"))`` as ASCII bytes, plus a newline.
+
+        The bytes are built without the document.  That call writes the
+        compose list as the comma-join of ``"[" + A + "," + B + "," + C + "]"``
+        over its entries, A, B and C being the JSON encodings of the
+        entry's names, and a string's encoding does not depend on where it
+        stands.  So each arrow name is encoded once, the same way, into one
+        table per place in an entry, and the entries are gathered from the
+        three tables by arrow index, ``_BLOCK`` at a time.  The encodings
+        are ASCII with every control character escaped, so they hold no
+        NUL byte: NUL pads the table rows to one width, and is deleted from
+        each gathered block.
+        """
+        names = np.array([str(a) for a in self.arrows], dtype=object)
+        I, J, R = self._entries(names)
+        encoded = [json.dumps(s).encode("ascii") for s in names]
+        w = max(map(len, encoded)) + 2
+        tables = [
+            np.frombuffer(b"".join((pre + e + post).ljust(w, b"\0") for e in encoded), f"V{w}")
+            for pre, post in ((b"[", b","), (b"", b","), (b"", b"],"))
+        ]
+        entry = np.dtype([(place, f"V{w}") for place in "IJR"])
+        chunks = []
+        for at in range(0, I.size, _BLOCK):
+            block = np.empty(min(_BLOCK, I.size - at), entry)
+            for place, X, table in zip("IJR", (I, J, R), tables):
+                block[place] = table[X[at : at + _BLOCK]]
+            chunks.append(block.tobytes().translate(None, b"\0"))
+        chunks[-1] = memoryview(chunks[-1])[:-1]  # no comma after the last entry
+        head = json.dumps(self._header(), separators=(",", ":"))[:-1] + ',"compose":['
+        return b"".join([head.encode("ascii"), *chunks, b"]}\n"])
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -102,7 +102,12 @@ def _cmd_gen(args) -> int:
     table = from_model(field.p)
     data = table.to_json_bytes()
     if args.out == "-":
-        sys.stdout.buffer.write(data)
+        # A text stream without a binary buffer, such as io.StringIO, takes the text.
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(data.decode("ascii"))
+        else:
+            out.write(data)
     else:
         try:
             with open(args.out, "wb") as fh:

@@ -2,9 +2,10 @@
 relabeling mutations, group groupoid tables, and reference
 implementations kept as oracles: the table loader, the brute-force
 uniqueness search with its forced arrow map, the inverse search, the
-model table builder, the homset listing and the object-level rapport
-calculus, field reconstruction, classification and coordinatization,
-and the model's calculators composed from arrows on field elements.
+model table builder, the format-1 document and its bytes, the homset
+listing and the object-level rapport calculus, field reconstruction,
+classification and coordinatization, and the model's calculators
+composed from arrows on field elements.
 
 Each mutation rewrites exactly one compose entry of the generated table
 over F_5 and is keyed by the check expected to expose it.  The triples
@@ -14,6 +15,7 @@ are (first arrow, second arrow, replacement result).
 import copy
 import functools
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -269,6 +271,30 @@ def group_groupoid(H: list[list[int]], labels) -> dict:
         "identity": {o: "0" for o in objects},
         "compose": compose,
     }
+
+
+def reference_doc(table: CandidateTable) -> dict:
+    """The format-1 document of ``table``, its compose entries sorted by
+    Python on (first name, second name), one per composable pair."""
+    names = [str(a) for a in table.arrows]
+    I, J = table._pairs()
+    R = table._composite(I, J)
+    entries = sorted(
+        [names[i], names[j], names[r]] for i, j, r in zip(I.tolist(), J.tolist(), R.tolist())
+    )
+    return {
+        "format": CandidateTable.FORMAT,
+        "objects": list(table.objects),
+        "scalars": {o: list(table.scalars[o]) for o in table.objects},
+        "identity": {o: table.identities[o] for o in table.objects},
+        "compose": entries,
+    }
+
+
+def reference_json_bytes(table: CandidateTable) -> bytes:
+    """The writer that ``CandidateTable.to_json_bytes`` replaced: compact
+    ``json.dumps`` of the whole document, as ASCII, plus a newline."""
+    return json.dumps(reference_doc(table), separators=(",", ":")).encode("ascii") + b"\n"
 
 
 def reference_from_doc(doc) -> CandidateTable:

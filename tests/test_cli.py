@@ -1,6 +1,8 @@
 """End-to-end tests of the projline command line tool."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -14,6 +16,7 @@ from helpers import (
     seeded_mutation,
     swap_names,
 )
+from projline import cli
 from projline.candidate import AXIOM_NAMES, CandidateTable, check_axioms, from_model
 
 
@@ -332,6 +335,16 @@ def test_pipeline_stdout_bytes_are_pinned(tmp_path, p):
         assert r.returncode == 0
         got[cmd] = hashlib.sha256(r.stdout).hexdigest()
     assert got == {cmd: h for (q, cmd), h in STDOUT_SHA256.items() if q == p}
+
+
+def test_gen_writes_text_to_a_stdout_without_a_buffer():
+    """In process, under a text-only stdout, gen writes the pinned bytes as text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["gen", "--p", "5"])
+    assert code == 0, err.getvalue()
+    data = out.getvalue().encode("ascii")
+    assert hashlib.sha256(data).hexdigest() == STDOUT_SHA256[(5, "gen")]
 
 
 # SHA-256 of `check --format json --max-witnesses 50` stdout and of the
