@@ -36,12 +36,13 @@ measured after that p's stages.  The child reads its ``VmHWM`` from
 across ``exec``, so a child would report this process's peak.  The
 ``gen`` row of each p holds the ``kib`` and the ``seconds`` of another
 fresh child, one that does the work of ``projline gen``: it calls
-``from_model`` and ``to_json_bytes`` and writes the file.  Its seconds
-are one wall time of those three steps, not a median.
+``from_model`` and ``save``, which writes the file.  Its seconds are
+one wall time of those two steps, not a median.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
-CLI takes; ``json.loads`` and ``from_doc`` time its two halves on their
-own.  Each call gets a fresh argument: a fresh document for
+CLI takes; the file is canonical, so ``load`` reads it in place.
+``json.loads`` and ``from_doc`` time the two halves of the parsed path,
+which ``load`` takes for any other file.  Each call gets a fresh argument: a fresh document for
 ``from_doc`` and a fresh table from ``from_model`` for the checkers.
 A table finds its arrows' inverses when it is built, so that search
 is timed in the ``from_model``, ``from_doc`` and ``load`` rows.
@@ -179,9 +180,7 @@ import sys, time
 sys.path.insert(0, sys.argv[1])
 import projline
 start = time.perf_counter()
-data = projline.from_model(int(sys.argv[2])).to_json_bytes()
-with open(sys.argv[3], "wb") as fh:
-    fh.write(data)
+projline.from_model(int(sys.argv[2])).save(sys.argv[3])
 seconds = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), seconds)

@@ -20,7 +20,7 @@ from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,20 +127,50 @@ def _check_space(
     return tuple(objects), norm_scalars, dict(identities)
 
 
+def _pair_count(objects: Sequence[str], scalars: dict[str, Sequence[str]]) -> int:
+    """The composable pairs of a space, from its declared sizes alone.
+
+    Through object o pass ((n-1)(n-2) + k_o)^2 of them, k_o being its
+    scalar count.
+    """
+    n = len(objects)
+    return sum(((n - 1) * (n - 2) + len(scalars[o])) ** 2 for o in objects)
+
+
 def _check_count(
     objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]], count: int
 ) -> None:
-    """Reject a wrong entry count from the declared sizes alone.
-
-    Through object o pass ((n-1)(n-2) + k_o)^2 composable pairs, k_o
-    being its scalar count, so a table that declares many objects but
-    few entries is refused before its arrow space is built.
-    """
-    n = len(objects)
-    expected = sum(((n - 1) * (n - 2) + len(scalars[o])) ** 2 for o in objects)
+    """Reject a wrong entry count, so a table that declares many objects
+    but few entries is refused before its arrow space is built."""
+    expected = _pair_count(objects, scalars)
     if count != expected:
         raise CandidateFormatError(
             f"compose table has {count} entries but {expected} composable pairs exist"
+        )
+
+
+def _shaped(entries: list) -> int:
+    """How many leading compose entries are [a, b, ab] lists."""
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        return len(entries)
+    return next(k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3)
+
+
+def _raise_malformed(entries: list, shaped: int, looked_up: int, missed: Iterable) -> None:
+    """Raise the error of the earliest malformed entry, if there is one.
+
+    Names are looked up in order up to the first list or mapping among
+    them, ``looked_up`` of the names in the first ``shaped`` entries;
+    ``missed`` are the ones that resolved to no arrow, each of which is
+    parsed once, in order.  A hashable non-string fails its parse.
+    """
+    for s in dict.fromkeys(missed):
+        parse_arrow(s)
+    if looked_up < 3 * shaped:
+        parse_arrow(entries[looked_up // 3][looked_up % 3])
+    if shaped < len(entries):
+        raise CandidateFormatError(
+            f"compose entries are [a, b, ab] triples, got {entries[shaped]!r}"
         )
 
 
@@ -150,16 +180,10 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
     A well-formed name missing from ``names`` resolves to -1.  Shape,
     type and syntax errors are raised for the earliest offending entry.
     Each name costs one dict lookup, in one pass; only missed names are
-    parsed, each distinct one once.  A hashable non-string is a miss and
-    fails its parse; a list or mapping among the names is searched for
-    on that error path only.
+    parsed, each distinct one once.  A list or mapping among the names
+    is searched for on that error path only.
     """
-    m = len(entries)
-    shaped = m
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
-        shaped = next(
-            k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3
-        )
+    shaped = _shaped(entries)
     looked_up = 3 * shaped
     try:
         idx = np.fromiter(
@@ -171,15 +195,24 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
         flat = list(chain.from_iterable(islice(entries, shaped)))
         looked_up = next(k for k, s in enumerate(flat) if not isinstance(s, Hashable))
         idx = np.fromiter(map(names.get, islice(flat, looked_up), repeat(-1)), np.int32, looked_up)
-    for s in dict.fromkeys(entries[k // 3][k % 3] for k in np.flatnonzero(idx < 0).tolist()):
-        parse_arrow(s)
-    if looked_up < 3 * shaped:
-        parse_arrow(entries[looked_up // 3][looked_up % 3])
-    if shaped < m:
-        raise CandidateFormatError(
-            f"compose entries are [a, b, ab] triples, got {entries[shaped]!r}"
-        )
-    return idx.reshape(m, 3)
+    missed = (entries[k // 3][k % 3] for k in np.flatnonzero(idx < 0).tolist())
+    _raise_malformed(entries, shaped, looked_up, missed)
+    return idx.reshape(-1, 3)
+
+
+def _check_entries(entries: list) -> None:
+    """Raise the error that ``_resolve(entries, {})`` raises, if any,
+    without looking a name up: every name misses there, so each
+    distinct one is parsed, in order of first appearance."""
+    shaped = _shaped(entries)
+    flat = list(chain.from_iterable(islice(entries, shaped)))
+    try:
+        missed = dict.fromkeys(flat)
+        looked_up = len(flat)
+    except TypeError:
+        looked_up = next(k for k, s in enumerate(flat) if not isinstance(s, Hashable))
+        missed = flat[:looked_up]
+    _raise_malformed(entries, shaped, looked_up, missed)
 
 
 @contextmanager
@@ -200,10 +233,62 @@ def _collector_paused():
             gc.enable()
 
 
-# Compose entries that to_json_bytes gathers per block.  Past the index
-# arrays and the output, its temporaries are a few times _BLOCK times the
-# longest entry, whatever the table's size.
+# Compose entries that to_json_bytes gathers, and from_doc matches, per
+# block.  Past the index arrays, their temporaries are a few times _BLOCK
+# times the longest entry, whatever the table's size.
 _BLOCK = 1 << 15
+
+_COMPOSE = b',"compose":['
+
+# The fewest bytes a compose entry and the comma after it can take in a
+# format-1 file: three names of at least 5 bytes, such as "a#b".
+_SHORTEST = 20
+
+# _LAST[k] keeps the last k bytes of a little-endian 8-byte word.
+_LAST = np.array([(2**64 - 1) << (8 * (8 - k)) & (2**64 - 1) for k in range(9)], np.uint64)
+
+
+def _words(buf: bytes, start: np.ndarray, length: np.ndarray, w: int) -> np.ndarray:
+    """The w little-endian 8-byte words of ``buf`` that cover each string
+    ``buf[start:start + length]``, as a (w, len(start)) array.
+
+    A string of k < 8 bytes is the last k bytes of one word, the others
+    masked off.  A longer one is read in words that end at its end and
+    then 8, 16, ... bytes earlier, none starting before its start.  So
+    two strings of one length, at most 8 * w bytes, are equal exactly
+    when their words are.  Every word read must lie inside ``buf``.
+    """
+    every = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    end, over = start + length - 8, np.maximum(length - 8, 0)
+    mask = _LAST[np.minimum(length, 8)]
+    return np.stack([every[end - np.minimum(8 * i, over)] & mask for i in range(w)])
+
+
+def _keys(words: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each string's ``_words`` and length."""
+    key = length.astype(np.uint64)
+    for word in words:
+        key = (key + word) * np.uint64(0x9E3779B97F4A7C15)
+    return key
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each query, the index of a key equal to it, or of some key if none is.
+
+    A direct-address table on the keys' top bits, at most a quarter
+    full, answers the queries whose key holds its slot; a binary search
+    answers the rest.
+    """
+    bits = (4 * keys.size).bit_length()
+    shift = np.uint64(64 - bits)
+    slots = np.zeros(1 << bits, np.intp)
+    slots[keys >> shift] = np.arange(keys.size)
+    found = slots[queries >> shift]
+    miss = np.flatnonzero(keys[found] != queries)
+    if miss.size:
+        by_key = np.argsort(keys)
+        found[miss] = by_key[np.searchsorted(keys[by_key], queries[miss]) % keys.size]
+    return found
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,17 +298,13 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
 
 
-def _parse(path: str):
-    """The JSON value in the file at ``path``.
-
-    ``json.load`` reads the file, so its bytes are freed with the parse.
-    """
-    with open(path, "rb") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers undecodable bytes as well as bad JSON.
-            raise CandidateFormatError(f"not valid JSON: {exc}") from exc
+def _parse(data: bytes):
+    """The JSON value in ``data``."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes as well as bad JSON.
+        raise CandidateFormatError(f"not valid JSON: {exc}") from exc
 
 
 class CandidateTable:
@@ -403,14 +484,15 @@ class CandidateTable:
 
     FORMAT = 1
 
-    def _entries(self, names: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every composable pair (I, J) and its composite R, by (names[I], names[J]).
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every composable pair (I, J), by the names of I and then of J:
+        the order of the compose list in a format-1 file.
 
         The arrows composable after i are those out of its target, so this
         order is the arrows by name, each followed by the arrows out of its
         target by name: no sort over the pairs is needed.
         """
-        by_name = np.argsort(names)
+        by_name = np.argsort(np.array([str(a) for a in self.arrows], dtype=object))
         rank = np.empty(self.n_arrows, dtype=np.intp)
         rank[by_name] = np.arange(self.n_arrows)
         # Arrows are numbered source-major, so sorting by (source, name)
@@ -419,8 +501,15 @@ class CandidateTable:
         n, dst = self.n_objects, self._dst_i[by_name]
         start = self._hom[dst * n]
         k, at = _ranges(start, self._hom[dst * n + n] - start)
-        I, J = by_name[k], out[at]
-        return I, J, self._composite(I, J)
+        return by_name[k], out[at]
+
+    def _encodings(self) -> list[bytes]:
+        """Each arrow's name as a JSON string, in ASCII.
+
+        They are split out of the encoded list of names at its ", "
+        separators, as a name holds no comma.
+        """
+        return json.dumps([str(a) for a in self.arrows]).encode("ascii")[1:-1].split(b", ")
 
     def _header(self) -> dict:
         return {
@@ -430,14 +519,36 @@ class CandidateTable:
             "identity": {o: self.identities[o] for o in self.objects},
         }
 
+    def _head(self) -> bytes:
+        """The bytes of the table's format-1 file before its first compose entry."""
+        return json.dumps(self._header(), separators=(",", ":"))[:-1].encode("ascii") + _COMPOSE
+
     def to_doc(self) -> dict:
         names = np.array([str(a) for a in self.arrows], dtype=object)
-        I, J, R = self._entries(names)
+        I, J = self._entries()
+        R = self._composite(I, J)
         entries = np.stack([names[I], names[J], names[R]], axis=1).tolist()
         return {**self._header(), "compose": entries}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "CandidateTable":
+    def from_doc(cls, doc: Union[dict, bytes]) -> "CandidateTable":
+        """The table of a format-1 document, given parsed or as its JSON bytes.
+
+        Bytes that ``to_json_bytes`` writes, with or without the final
+        newline, are read in place by ``_from_canonical``.  Any other
+        bytes are parsed with json.loads, with the cyclic collector
+        paused, and give the table or the message of the parsed document.
+        """
+        if isinstance(doc, bytes):
+            table = cls._from_canonical(doc)
+            if table is not None:
+                return table
+            with _collector_paused():
+                return cls._from_parsed(_parse(doc))
+        return cls._from_parsed(doc)
+
+    @classmethod
+    def _from_parsed(cls, doc: dict) -> "CandidateTable":
         if not isinstance(doc, dict):
             raise CandidateFormatError("candidate document must be a JSON object")
         for key in ("format", "objects", "scalars", "identity", "compose"):
@@ -456,7 +567,7 @@ class CandidateTable:
             )
         except CandidateFormatError:
             # A malformed entry is reported ahead of a malformed space.
-            _resolve(compose, {})
+            _check_entries(compose)
             raise
         _check_count(objects, scalars, len(compose))
         t = object.__new__(cls)
@@ -464,47 +575,160 @@ class CandidateTable:
         t._fill(compose, _resolve(compose, t._name_i))
         return t
 
-    def to_json_bytes(self) -> bytes:
-        """``json.dumps(self.to_doc(), separators=(",", ":"))`` as ASCII bytes, plus a newline.
+    @classmethod
+    def _from_canonical(cls, data: bytes) -> Optional["CandidateTable"]:
+        """The table whose ``to_json_bytes()`` is ``data``, with or without
+        the final newline; None if there is no such table.
 
-        The bytes are built without the document.  That call writes the
-        compose list as the comma-join of ``"[" + A + "," + B + "," + C + "]"``
-        over its entries, A, B and C being the JSON encodings of the
-        entry's names, and a string's encoding does not depend on where it
-        stands.  So each arrow name is encoded once, the same way, into one
-        table per place in an entry, and the entries are gathered from the
-        three tables by arrow index, ``_BLOCK`` at a time.  The encodings
-        are ASCII with every control character escaped, so they hold no
-        NUL byte: NUL pads the table rows to one width, and is deleted from
-        each gathered block.
+        Only the header, up to the first ``,"compose":[``, is parsed with
+        json.loads.  The header fixes the arrows and ``_entries`` the
+        first and second arrow of every compose entry, so only each
+        entry's third name is data.  The pair count is checked against
+        the length of the compose list, ``_SHORTEST`` bytes an entry,
+        before the arrow space is built.  A name holds no comma, so the
+        commas in the compose list are its separators; ``_composites``
+        reads each entry's names between them and compares them in place.
+
+        Every byte of ``data`` is compared exactly: the header with the
+        table's, each entry's brackets, its three names (all of each name,
+        however long) and the commas between them, and the closing
+        ``]}``.  So a table is returned only when ``data`` is its
+        canonical bytes.  ``json.loads(data)`` is then its ``to_doc()``,
+        and ``from_doc`` of that builds an equal table: the fast path
+        accepts nothing that the parsed path would read differently.
         """
-        names = np.array([str(a) for a in self.arrows], dtype=object)
-        I, J, R = self._entries(names)
-        encoded = [json.dumps(s).encode("ascii") for s in names]
+        at = data.find(_COMPOSE)
+        stop = len(data) - 2 - data.endswith(b"\n")
+        if at < 0 or not data.startswith(b"]}", stop):
+            return None
+        try:
+            header = json.loads(data[:at] + b"}")
+        except (ValueError, RecursionError):
+            return None
+        if not isinstance(header, dict):
+            return None
+        objects, scalars, identities = (header.get(k) for k in ("objects", "scalars", "identity"))
+        if not (isinstance(objects, list) and isinstance(scalars, dict)
+                and isinstance(identities, dict)):
+            return None
+        try:
+            space = _check_space(objects, scalars, identities)
+        except CandidateFormatError:
+            return None
+        body = at + len(_COMPOSE)
+        if stop - body < _SHORTEST * _pair_count(*space[:2]) - 1:
+            return None
+        t = object.__new__(cls)
+        t._init_space(*space)
+        head = t._head()
+        if len(head) != body or not data.startswith(head):
+            return None
+        I, J = t._entries()
+        R = t._composites(data, body, stop, I, J)
+        if R is None:
+            return None
+        t._store(I, J, R)
+        return t
+
+    def _composites(
+        self, data: bytes, start: int, stop: int, I: np.ndarray, J: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """The third arrow of each compose entry in ``data[start:stop]``, if
+        the entries are exactly ``[A,B,C]``, comma-separated, with A and B
+        the encodings of the arrows I and J and C that of an arrow; else None.
+
+        The entries are read ``_BLOCK`` at a time.  Each name is compared
+        by its length and its ``_words``, as many as the longest encoding
+        needs; a third name is compared with an arrow that has its hash
+        (``_keys``), so two arrows with one hash can make this return None.
+        """
+        encoded = self._encodings()
+        length = np.array([len(e) for e in encoded])
+        w = -(-int(length.max()) // 8)
+        words = _words(b"\0" * 8 + b"".join(encoded), 8 + np.cumsum(length) - length, length, w)
+        keys = _keys(words, length)
+        raw = np.frombuffer(data, np.uint8)
+        widest = 3 * int(length.max()) + 5  # an entry and the comma after it
+        R = np.empty(I.size, np.int32)
+        for k in range(0, I.size, _BLOCK):
+            i, j = I[k : k + _BLOCK], J[k : k + _BLOCK]
+            last = k + _BLOCK >= I.size
+            window = raw[start : min(start + widest * i.size, stop)]
+            commas = start + np.flatnonzero(window == ord(","))[: 3 * i.size - last]
+            if commas.size < 3 * i.size - last:
+                return None
+            # Each entry's comma after its first name, after its second and after itself.
+            a, b, e = (np.append(commas, stop) if last else commas).reshape(-1, 3).T
+            begin = np.append(start, e[:-1] + 1)
+            start = int(e[-1]) + 1
+            la, lb, lr = a - begin - 1, b - a - 1, e - b - 2
+            if not (
+                (raw[begin] == ord("[")).all() and (raw[e - 1] == ord("]")).all()
+                and np.array_equal(la, length[i]) and np.array_equal(lb, length[j])
+                and np.array_equal(_words(data, begin + 1, la, w), words[:, i])
+                and np.array_equal(_words(data, a + 1, lb, w), words[:, j])
+            ):
+                return None
+            third = _words(data, b + 1, lr, w)
+            r = _lookup(keys, _keys(third, lr))
+            if not (np.array_equal(lr, length[r]) and np.array_equal(third, words[:, r])):
+                return None
+            R[k : k + _BLOCK] = r
+        return R
+
+    def _json_blocks(self) -> Iterator[bytes]:
+        """The bytes of ``to_json_bytes()``, in blocks.
+
+        That call writes the compose list as the comma-join of
+        ``"[" + A + "," + B + "," + C + "]"`` over its entries, A, B and C
+        being the JSON encodings of the entry's names, and a string's
+        encoding does not depend on where it stands.  So each arrow name
+        is encoded once, the same way, into one table per place in an
+        entry, and the entries are gathered from the three tables by arrow
+        index, ``_BLOCK`` at a time.  The encodings are ASCII with every
+        control character escaped, so they hold no NUL byte: NUL pads the
+        table rows to one width, and is deleted from each gathered block.
+        """
+        I, J = self._entries()
+        R = self._composite(I, J)
+        encoded = self._encodings()
         w = max(map(len, encoded)) + 2
         tables = [
             np.frombuffer(b"".join((pre + e + post).ljust(w, b"\0") for e in encoded), f"V{w}")
             for pre, post in ((b"[", b","), (b"", b","), (b"", b"],"))
         ]
         entry = np.dtype([(place, f"V{w}") for place in "IJR"])
-        chunks = []
+        yield self._head()
         for at in range(0, I.size, _BLOCK):
             block = np.empty(min(_BLOCK, I.size - at), entry)
             for place, X, table in zip("IJR", (I, J, R), tables):
                 block[place] = table[X[at : at + _BLOCK]]
-            chunks.append(block.tobytes().translate(None, b"\0"))
-        chunks[-1] = memoryview(chunks[-1])[:-1]  # no comma after the last entry
-        head = json.dumps(self._header(), separators=(",", ":"))[:-1] + ',"compose":['
-        return b"".join([head.encode("ascii"), *chunks, b"]}\n"])
+            chunk = block.tobytes().translate(None, b"\0")
+            # No comma after the last entry.
+            yield chunk if at + _BLOCK < I.size else chunk[:-1]
+        yield b"]}\n"
+
+    def to_json_bytes(self, fh: Optional[BinaryIO] = None) -> Optional[bytes]:
+        """``json.dumps(self.to_doc(), separators=(",", ":"))`` as ASCII
+        bytes, plus a newline, built without the document (``_json_blocks``).
+
+        Given a binary file ``fh``, the bytes are written to it a block at
+        a time and not returned, so they are never held whole.
+        """
+        if fh is None:
+            return b"".join(self._json_blocks())
+        fh.writelines(self._json_blocks())
+        return None
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+            self.to_json_bytes(fh)
 
     @classmethod
     def load(cls, path: str) -> "CandidateTable":
-        with _collector_paused():
-            return cls.from_doc(_parse(path))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return cls.from_doc(data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CandidateTable):

@@ -100,18 +100,16 @@ def _cmd_gen(args) -> int:
             f"p={field.p} exceeds the size cap {args.cap}; pass --cap to override"
         )
     table = from_model(field.p)
-    data = table.to_json_bytes()
     if args.out == "-":
         # A text stream without a binary buffer, such as io.StringIO, takes the text.
         out = getattr(sys.stdout, "buffer", None)
         if out is None:
-            sys.stdout.write(data.decode("ascii"))
+            sys.stdout.write(table.to_json_bytes().decode("ascii"))
         else:
-            out.write(data)
+            table.to_json_bytes(out)
     else:
         try:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
+            table.save(args.out)
         except OSError as exc:
             raise _InputError(f"cannot write {args.out}: {exc}") from exc
     return 0

@@ -200,6 +200,15 @@ def test_loading_and_exporting_run_no_garbage_collection(tmp_path):
     assert _collections_inside(table.to_json_bytes) == 0
 
 
+def test_parsing_a_document_runs_no_garbage_collection(tmp_path):
+    """Spaced bytes are not canonical, so they are parsed as a document."""
+    table = from_model(7)
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps(table.to_doc(), indent=1))
+    assert CandidateTable._from_canonical(path.read_bytes()) is None
+    assert _collections_inside(lambda: CandidateTable.load(str(path))) == 0
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loading_and_exporting_restore_the_collector(tmp_path, enabled):
     table = from_model(5)
@@ -791,6 +800,50 @@ def test_loader_parses_missed_names_in_entry_order(f5_doc):
         want = outcome(reference_from_doc, doc)
         assert want[1].startswith("compose entries are [a, b, ab] triples")
         assert outcome(CandidateTable.from_doc, doc) == want, (first, second)
+
+
+_MALFORMED_SPACES = {
+    "object": (lambda d: d["objects"].__setitem__(2, "2:1>x"),
+               "object name '2:1>x' is invalid (nonempty, no '>', '#', ',' or whitespace)"),
+    "few": (lambda d: d.update(objects=d["objects"][:2]), "at least three objects are required"),
+    "identity": (lambda d: d["identity"].update({"0:1": "9"}),
+                 "identity '9' at '0:1' is not a declared scalar"),
+}
+_MALFORMED_ENTRIES = {
+    "syntax": (lambda c: c[7].__setitem__(2, "0:1>2:1"),
+               "bad arrow syntax '0:1>2:1', want src>label>dst"),
+    "int-then-syntax": (lambda c: (c[4].__setitem__(1, 7), c[9].__setitem__(0, "a#b#c")),
+                        "arrow must be a string, got 7"),
+    "list": (lambda c: c[4].__setitem__(1, ["0:1"]), "arrow must be a string, got ['0:1']"),
+    "syntax-then-map": (lambda c: (c[3].__setitem__(0, "0:1#2#3"), c[4].__setitem__(1, {"a": 1})),
+                        "bad endo arrow syntax '0:1#2#3', want obj#scalar"),
+    "short": (lambda c: c.__setitem__(6, ["0:1#1"]),
+              "compose entries are [a, b, ab] triples, got ['0:1#1']"),
+    "string": (lambda c: c.__setitem__(6, "a,b,c"),
+               "compose entries are [a, b, ab] triples, got 'a,b,c'"),
+    "syntax-then-short": (
+        lambda c: (c[2].__setitem__(2, "0:1>2:1>3:1>4:1"), c.__setitem__(6, ["0:1#1"])),
+        "bad arrow syntax '0:1>2:1>3:1>4:1', want src>label>dst",
+    ),
+}
+
+
+@pytest.mark.parametrize("space", [None, *_MALFORMED_SPACES])
+@pytest.mark.parametrize("entry", [None, *_MALFORMED_ENTRIES])
+def test_a_malformed_entry_is_reported_ahead_of_a_malformed_space(f5_doc, space, entry):
+    """The messages, pinned: an entry's error, else the space's."""
+    if space is None and entry is None:
+        return
+    doc = copy.deepcopy(f5_doc)
+    want = None
+    if entry is not None:
+        edit, want = _MALFORMED_ENTRIES[entry]
+        edit(doc["compose"])
+    if space is not None:
+        edit, message = _MALFORMED_SPACES[space]
+        edit(doc)
+        want = want or message
+    assert outcome(CandidateTable.from_doc, doc) == (CandidateFormatError, want)
 
 
 @settings(max_examples=150, deadline=None)
