@@ -37,7 +37,11 @@ across ``exec``, so a child would report this process's peak.  The
 ``gen`` row of each p holds the ``kib`` and the ``seconds`` of another
 fresh child, one that does the work of ``projline gen``: it calls
 ``from_model`` and ``save``, which writes the file.  Its seconds are
-one wall time of those two steps, not a median.
+one wall time of those two steps, not a median.  The ``coord`` row of
+each p is a third fresh child: it builds the table with ``from_model``,
+reads its ``VmHWM`` into ``table_kib``, then runs ``coordinatize`` and
+``verify_uniqueness`` and reports the ``VmHWM`` after them as ``kib``
+and one wall time of those two calls as ``seconds``.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; the file is canonical, so ``load`` reads it in place.
@@ -47,7 +51,8 @@ which ``load`` takes for any other file.  Each call gets a fresh argument: a fre
 A table finds its arrows' inverses when it is built, so that search
 is timed in the ``from_model``, ``from_doc`` and ``load`` rows.
 ``coordinatize`` and ``verify_uniqueness`` reuse the target model,
-which ``coordinatize_first_call`` builds anew every time.  No parsed
+the line's arithmetic, which ``coordinatize_first_call`` builds anew
+every time.  No parsed
 document outlives the call it is made for, so no stage's garbage
 collections walk another stage's document.  The rows go into the file
 under ``--label`` next to the rows of other labels, so one file holds
@@ -124,7 +129,7 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
         return projline.from_model(p)
 
     def first_call(t):
-        coordinatize_module._model.cache_clear()
+        coordinatize_module._line.cache_clear()
         projline.coordinatize(t)
 
     def nothing():
@@ -195,6 +200,40 @@ def gen_row(p: int, src: str, path: str) -> dict:
         check=True, capture_output=True, text=True,
     ).stdout.split()
     return {"p": p, "stage": "gen", "kib": int(kib), "seconds": round(float(seconds), 6)}
+
+
+COORD_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import projline
+
+def vmhwm():
+    with open("/proc/self/status") as fh:
+        return next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+
+table = projline.from_model(int(sys.argv[2]))
+table_kib = vmhwm()
+start = time.perf_counter()
+iso = projline.coordinatize(table)
+report, _ = projline.verify_uniqueness(table)
+seconds = time.perf_counter() - start
+assert iso.verified and report.status == "pass"
+print(vmhwm(), table_kib, seconds)
+"""
+
+
+def coord_row(p: int, src: str) -> dict:
+    """The peak RSS in KiB of a fresh process that builds the table over
+    F_p and then coordinatizes it and checks uniqueness, its peak before
+    those two calls, and their wall time."""
+    kib, table_kib, seconds = subprocess.run(
+        [sys.executable, "-c", COORD_CHILD, src, str(p)],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    return {
+        "p": p, "stage": "coord", "kib": int(kib), "table_kib": int(table_kib),
+        "seconds": round(float(seconds), 6),
+    }
 
 
 def _seeded_quadruples(field, seed: int) -> list[tuple]:
@@ -276,6 +315,7 @@ def main() -> None:
             rows += stage_rows(p, REPEAT, path)
             rows.append(peak_rss_row(p, src, path))
             rows.append(gen_row(p, src, os.path.join(tmp, f"gen{p}.json")))
+            rows.append(coord_row(p, src))
     rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),

@@ -745,43 +745,61 @@ class CandidateTable:
         return f"CandidateTable({self.n_objects} objects, {self.n_arrows} arrows)"
 
 
+class ModelLine:
+    """The projective line over F_p as arithmetic, with no table.
+
+    ``points`` are named in ``points(GF(p))`` order: i:1 for i < p, then
+    1:0.  ``factor[a, b, c]``, for distinct a, b and c, is the factor of
+    the arrow a -> b named c, ``model.label_to_arrow``'s formula mod p;
+    scalar ``scalar_ids[v - 1]`` has factor v.  Factors multiply by
+    ``mul`` and divide by ``div``, mod p.
+    """
+
+    def __init__(self, p: int):
+        self.p, n, v = p, p + 1, np.arange(p)
+        self.points = tuple(str(q) for q in points(PrimeField(p)))
+        self.index = {q: i for i, q in enumerate(self.points)}
+        self.scalar_ids = tuple(str(u) for u in range(1, p))
+        x, y = np.append(v, 1), np.append(np.ones(p, dtype=np.intp), 0)
+        inverse = np.array([0] + [pow(u, -1, p) for u in range(1, p)])
+        a, b, c = np.indices((n, n, n))
+        num, den = _rapport_terms([((x[a], y[a]), (x[b], y[b]), (x[c], y[c]))])
+        self.factor = num % p * inverse[den % p] % p
+        self.mul = np.outer(v, v) % p
+        self.div = self.mul[:, inverse]
+
+    def name(self, x: int, y: int, v: int) -> str:
+        """The name of the arrow x -> y with factor v."""
+        pts = self.points
+        if x == y:
+            return str(Endo(pts[x], self.scalar_ids[v - 1]))
+        return str(NonEndo(pts[x], pts[y], pts[int(np.argmax(self.factor[x, y] == v))]))
+
+
 def from_model(p: int) -> CandidateTable:
     """The candidate table of the projective line over F_p.
 
     Objects are the p+1 points in canonical order, scalars at every
-    object are the nonzero residues, and composition follows the
-    concrete arrows (factors multiply).
+    object are the nonzero residues, and composition follows
+    ``ModelLine`` (factors multiply).
     """
-    names = [str(q) for q in points(PrimeField(p))]
-    scalar_ids = [str(v) for v in range(1, p)]
-    scalars = {nm: list(scalar_ids) for nm in names}
-    identities = {nm: "1" for nm in names}
-    t = CandidateTable._bare(names, scalars, identities)
-
+    line = ModelLine(p)
+    t = CandidateTable._bare(
+        line.points, dict.fromkeys(line.points, line.scalar_ids), dict.fromkeys(line.points, "1")
+    )
     n, src, dst = t.n_objects, t._src_i, t._dst_i
     # Factor of each arrow: its scalar id 1 .. p-1 at an endo, the
     # model's factor between distinct points.
     fac = np.zeros(t.n_arrows, dtype=np.intp)
     fac[src == dst] = np.tile(np.arange(1, p), n)
-    a, b, c = np.nonzero(t._ne3 >= 0)
-    fac[t._ne3[a, b, c]] = _label_factors(p, a, b, c)
+    ne = t._ne3 >= 0
+    fac[t._ne3[ne]] = line.factor[ne]
     # by_factor[x, y, v] is the arrow x -> y with factor v.
     by_factor = np.full((n, n, p), -1, dtype=np.int32)
     by_factor[src, dst, fac] = np.arange(t.n_arrows)
     I, J = t._pairs()
-    t._store(I, J, by_factor[src[I], dst[J], fac[I] * fac[J] % p])
+    t._store(I, J, by_factor[src[I], dst[J], line.mul[fac[I], fac[J]]])
     return t
-
-
-def _label_factors(p: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The factor of the model arrow a -> b named by c, for index arrays
-    into ``points(GF(p))``, by ``model.label_to_arrow``'s own formula
-    taken mod p.  Point i < p is i:1 and point p is 1:0."""
-    x = np.append(np.arange(p), 1)
-    y = np.append(np.ones(p, dtype=np.intp), 0)
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-    num, den = _rapport_terms([((x[a], y[a]), (x[b], y[b]), (x[c], y[c]))])
-    return num % p * inverse[den % p] % p
 
 
 # -- rapport calculus on abstract tables --------------------------------------

@@ -6,8 +6,8 @@ out by its round trip against the frame, the reconstructed field names
 the scalars, and the resulting object and scalar maps determine a full
 arrow map whose functoriality is checked exhaustively.
 
-The target model over F_p is built once per p and the last one is
-kept, so repeated calls at the same p share it; it is only read.
+The target model over F_p is its arithmetic, ``ModelLine``, not a
+table; the last one is kept for the next call at the same p.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import numpy as np
 
 from .candidate import (
     CandidateTable,
+    Endo,
+    ModelLine,
     NonEndo,
     _round_trips,
     _toward,
     _transports,
     canonical_scalar,
     cross_ratio_abs,
-    from_model,
 )
 from .reconstruct import ReconstructionError, build_field, classify_prime
 from .reports import CheckReport, ReportGroup, make_check, sweep
@@ -84,44 +85,42 @@ def _frame(table: CandidateTable, frame: Optional[Frame]) -> Frame:
 
 
 @functools.lru_cache(maxsize=1)
-def _model(p: int) -> CandidateTable:
-    """The model over F_p, kept for the next call at the same p."""
-    return from_model(p)
-
-
-def _target_model(table: CandidateTable) -> CandidateTable:
-    p = table.n_objects - 1
+def _line(p: int) -> ModelLine:
+    """The model for a table of p + 1 objects, kept for the next call at the same p."""
     if not is_prime(p):
         raise CoordinatizationError(
-            f"{table.n_objects} objects would need a field of order {p}, which is not prime"
+            f"{p + 1} objects would need a field of order {p}, which is not prime"
         )
-    return _model(p)
+    return ModelLine(p)
 
 
 class _Forcing:
     """The forced arrow map of one table, as a function of the object bijection.
 
     Called with ``obj_to``, which maps each table object index to a model
-    object index.  Arrows between distinct objects go to the arrow with
-    the image label, all in one gather.  Each scalar s at X is forced by
-    functoriality through an arrow f out of X: the image of s must be
-    (image of s.f) then the inverse image of f.  The least outgoing
-    non-endo arrow f_X is used: the first of hom(X, Y), Y the first
-    other object.
+    object index, it gives the factor of each arrow's image, whose
+    endpoints are the arrow's under ``obj_to``.  Arrows between distinct
+    objects go to the arrow with the image label, all in one gather.
+    Each scalar s at X is forced by functoriality through an arrow f out
+    of X: the image of s must be (image of s.f) then the inverse image
+    of f.  The least outgoing non-endo arrow f_X is used: the first of
+    hom(X, Y), Y the first other object.
 
-    Precondition: every composite s.f_X is an arrow between distinct
-    objects, as it is on every groupoid table; otherwise the constructor
-    raises CoordinatizationError naming the first scalar where it fails.
+    Precondition: every composite s.f_X is an arrow X -> Y, as it is on
+    every groupoid table; otherwise the constructor raises
+    CoordinatizationError naming the first scalar where it fails.
     Under it the image of each scalar reads only images of arrows
     between distinct objects, never that of another scalar, so forcing
     the scalars one object at a time, in any order, gives the same map
     as the second gather here.
 
     The table's composable pairs (I, J) and their composites R are kept
-    for the callers that check the map on them.
+    for the callers that check the map on them.  A pair holds when the
+    image factors of I and J multiply to that of R and R lies in
+    hom(src I, dst J), ``ends``, whatever the bijection.
     """
 
-    def __init__(self, table: CandidateTable, model: CandidateTable):
+    def __init__(self, table: CandidateTable, line: ModelLine):
         ne3, n = table._ne3, table.n_objects
         src, dst = table._src_i, table._dst_i
         self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
@@ -131,23 +130,23 @@ class _Forcing:
         x = src[self.scal]
         self.f = table._hom[x * n + (x == 0)]
         self.comp_f = table._composite(self.scal, self.f)
-        endo = np.flatnonzero(src[self.comp_f] == dst[self.comp_f])
-        if endo.size:
-            k = endo[0]
+        off = np.flatnonzero((src[self.comp_f] != x) | (dst[self.comp_f] != dst[self.f]))
+        if off.size:
+            k = off[0]
             s, f, r = (table.arrows[a[k]] for a in (self.scal, self.f, self.comp_f))
-            raise CoordinatizationError(
-                f"{s} then {f} gives {r}, not an arrow between distinct objects"
-            )
+            want = "between distinct objects" if isinstance(r, Endo) else f"from {f.src} to {f.dst}"
+            raise CoordinatizationError(f"{s} then {f} gives {r}, not an arrow {want}")
         self.I, self.J = table._pairs()
         self.R = table._composite(self.I, self.J)
+        self.ends = (src * n + dst).take(self.R) == src.take(self.I) * n + dst.take(self.J)
         self.n_arrows = table.n_arrows
-        self.model = model
+        self.line = line
 
     def __call__(self, obj_to) -> np.ndarray:
         o = np.asarray(obj_to, dtype=np.intp)
-        F = np.full(self.n_arrows, -1, dtype=np.int32)
-        F[self.non_endo] = self.model._ne3[o[self.src], o[self.dst], o[self.lab]]
-        F[self.scal] = self.model._composite(F[self.comp_f], self.model._inv[F[self.f]])
+        F = np.empty(self.n_arrows, dtype=np.intp)
+        F[self.non_endo] = self.line.factor[o[self.src], o[self.dst], o[self.lab]]
+        F[self.scal] = self.line.div[F[self.comp_f], F[self.f]]
         return F
 
 
@@ -162,41 +161,39 @@ def verify_iso(
     table without a forced arrow map (see ``_Forcing``) raises too.
     """
     cap = max_witnesses
-    model = _target_model(table)
+    line = _line(table.n_objects - 1)
     if set(iso.object_map) != set(table.objects):
         raise CoordinatizationError("object map must be defined on exactly the objects")
-    if sorted(iso.object_map.values()) != sorted(model.objects):
+    if sorted(iso.object_map.values()) != sorted(line.points):
         raise CoordinatizationError("object map must be a bijection onto the model points")
     if iso.base_object not in table.identities:
         raise CoordinatizationError(f"unknown base object {iso.base_object!r}")
     base_scalars = table.scalars[iso.base_object]
     if set(iso.scalar_map) != set(base_scalars):
         raise CoordinatizationError("scalar map must be defined on exactly the base scalars")
-    model_ids = model.scalars[model.objects[0]]
-    if sorted(iso.scalar_map.values()) != sorted(model_ids):
+    if sorted(iso.scalar_map.values()) != sorted(line.scalar_ids):
         raise CoordinatizationError("scalar map must be a bijection onto the model scalars")
 
-    obj_to = [model._obj_i[iso.object_map[o]] for o in table.objects]
-    forced = _Forcing(table, model)
-    F = forced(obj_to)
+    o = np.array([line.index[iso.object_map[x]] for x in table.objects])
+    forced = _Forcing(table, line)
+    F = forced(o)
 
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
-    img_i = obj_to[base_i]
+    img = o[base_i]
     lo = table._hom[base_i * (table.n_objects + 1)]
     got = F[lo : lo + len(base_scalars)]
-    img_ids = model.scalars[model.objects[img_i]]
-    want = model._hom[img_i * (model.n_objects + 1)] + np.array(
-        [img_ids.index(iso.scalar_map[sid]) for sid in base_scalars]
-    )
+    want = np.array([line.scalar_ids.index(iso.scalar_map[sid]) + 1 for sid in base_scalars])
     checks.append(sweep(
         "scalar-map", len(base_scalars), got != want,
         lambda k: f"scalar-map({iso.base_object}#{base_scalars[k]}): structure forces "
-        f"{model.arrows[got[k]]}, map says {model.arrows[want[k]]}",
+        f"{line.name(img, img, got[k])}, map says {line.name(img, img, want[k])}",
         cap,
     ))
 
-    distinct = int(np.unique(F).size)
+    # An image is its endpoints and its factor, and o is a bijection.
+    src, dst = table._src_i, table._dst_i
+    distinct = int(np.unique((src * table.n_objects + dst) * line.p + F).size)
     checks.append(
         make_check(
             "arrows-bijective",
@@ -209,17 +206,18 @@ def verify_iso(
     )
 
     I, J, R = forced.I, forced.J, forced.R
-    lhs = model._composite(F[I], F[J])
-    rhs = F[R]
+    lhs = line.mul[F[I], F[J]]
+    rhs = F.take(R)
 
     def functorial(k: int) -> str:
         kind = "label-compatibility" if isinstance(table.arrows[R[k]], NonEndo) else "functoriality"
         return (
             f"{kind}({table.arrows[I[k]]}; {table.arrows[J[k]]}): composite maps to "
-            f"{model.arrows[rhs[k]]} but images compose to {model.arrows[lhs[k]]}"
+            f"{line.name(o[src[R[k]]], o[dst[R[k]]], rhs[k])} but images compose to "
+            f"{line.name(o[src[I[k]]], o[dst[J[k]]], lhs[k])}"
         )
 
-    checks.append(sweep("functorial", int(I.size), lhs != rhs, functorial, cap))
+    checks.append(sweep("functorial", int(I.size), ~forced.ends | (lhs != rhs), functorial, cap))
     return ReportGroup("iso", checks)
 
 
@@ -233,8 +231,8 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
     is returned; failure raises CoordinatizationError.
     """
     f0, f1, f2 = _frame(table, frame).members()
-    model = _target_model(table)
     p = table.n_objects - 1
+    line = _line(p)
     try:
         ft = build_field(table, base=f0)
         cl = classify_prime(ft)
@@ -263,7 +261,7 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
         (table.objects[x], f"{res[ids[r - lo]]}:1") for x, r in zip(xs.tolist(), moved.tolist())
     )
     omap = {x: coords[x] for x in table.objects}
-    if sorted(omap.values()) != sorted(model.objects):
+    if sorted(omap.values()) != sorted(line.points):
         raise CoordinatizationError("coordinates do not exhaust the model points")
     smap = {sid: str(res[sid]) for sid in table.scalars[f0]}
     iso = CandidateIso(base_object=f0, object_map=omap, scalar_map=smap, verified=False)
@@ -288,9 +286,8 @@ def verify_uniqueness(
     covered; its induced arrow map is accepted when fully functorial.
     Returns the check plus the unique passing object map, if unique.
     The forced map requires every scalar s at X, composed with f_X, the
-    least arrow out of X to another object, to give an arrow between
-    distinct objects; a table where one does not raises
-    CoordinatizationError.
+    least arrow from X to another object Y, to give an arrow X -> Y; a
+    table where one does not raises CoordinatizationError.
 
     The search is depth first over the non-frame objects ``others``,
     assigning ``others[k]`` at depth k+1 and trying the targets in
@@ -314,12 +311,12 @@ def verify_uniqueness(
     every bijection in turn.
     """
     f0, f1, f2 = _frame(table, frame).members()
-    model = _target_model(table)
+    line = _line(table.n_objects - 1)
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
-    targets = [m for m in model.objects if m not in ("0:1", "1:0", "1:1")]
+    targets = [m for m in line.points if m not in ("0:1", "1:0", "1:1")]
     leaf = len(others)
-    forced = _Forcing(table, model)
+    forced = _Forcing(table, line)
 
     # Depths are at most the leaf depth, p - 2, so they are small unsigned
     # ints, and a stable sort of those is a radix sort.
@@ -334,10 +331,10 @@ def verify_uniqueness(
     # f_X leaves X, so its depth is at least that of X.
     depth[forced.scal] = np.maximum(depth[forced.comp_f], depth[forced.f])
     I, J, R = forced.I, forced.J, forced.R
-    pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth[R])
+    pair_depth = np.maximum(np.maximum(depth[I], depth[J]), depth.take(R))
     order = np.argsort(pair_depth, kind="stable")
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
-    buckets = [(I[sel], J[sel], R[sel]) for sel in np.split(order, cuts)]
+    buckets = [(I[sel], J[sel], R[sel], forced.ends[sel].all()) for sel in np.split(order, cuts)]
 
     passing: list[dict[str, str]] = []
     checked = 0
@@ -347,9 +344,9 @@ def verify_uniqueness(
         k = len(prefix)
         omap = dict(fixed)
         omap.update(zip(others, prefix + [t for t in targets if t not in prefix]))
-        F = forced([model._obj_i[omap[o]] for o in table.objects])
-        bI, bJ, bR = buckets[k]
-        if not np.array_equal(model._composite(F[bI], F[bJ]), F[bR]):
+        F = forced([line.index[omap[o]] for o in table.objects])
+        bI, bJ, bR, ends = buckets[k]
+        if not (ends and np.array_equal(line.mul[F[bI], F[bJ]], F.take(bR))):
             checked += math.factorial(leaf - k)
         elif k == leaf:
             checked += 1

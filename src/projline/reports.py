@@ -21,10 +21,10 @@ VACUOUS = "vacuous"
 class CheckReport:
     """Outcome of a single named check.
 
-    ``checked`` counts examined instances, ``failures`` counts all
-    violations found, ``witnesses`` keeps a deterministic capped sample
-    of them: human-readable descriptions, or the failing records of the
-    identity table.
+    ``checked`` counts the instances covered, each one examined except
+    in ``uniqueness``, which covers whole refuted subtrees of object
+    bijections; ``failures`` counts all violations found, ``witnesses``
+    a deterministic capped sample: descriptions or identity-table rows.
     """
 
     name: str

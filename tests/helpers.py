@@ -37,8 +37,7 @@ from projline.coordinatize import (
     CandidateIso,
     CoordinatizationError,
     Frame,
-    _Forcing,
-    _target_model,
+    _line,
 )
 from projline.model import (
     CR_ROWS,
@@ -394,7 +393,9 @@ def reference_forced_arrow_map(
     Arrows between distinct objects go to the arrow with the image
     label.  Each scalar s at X is forced by functoriality through any
     arrow f out of X: the image of s must be (image of s.f) then the
-    inverse image of f.  The least outgoing arrow is used.
+    inverse image of f.  The least outgoing arrow is used, and a
+    composite s.f that is not an arrow with the endpoints of f raises
+    CoordinatizationError with the library's message.
     """
     F = np.full(table.n_arrows, -1, dtype=np.int32)
     for i, ar in enumerate(table.arrows):
@@ -412,8 +413,24 @@ def reference_forced_arrow_map(
         Ff_inv = int(model._inv[Ff])
         for sid in table.scalars[x]:
             si = _endo_index(table, x, sid)
-            F[si] = model._composite(int(F[int(table._composite(si, f))]), Ff_inv)
+            r = int(table._composite(si, f))
+            s_, f_, r_ = table.arrows[si], table.arrows[f], table.arrows[r]
+            if isinstance(r_, Endo):
+                raise CoordinatizationError(
+                    f"{s_} then {f_} gives {r_}, not an arrow between distinct objects"
+                )
+            if (r_.src, r_.dst) != (f_.src, f_.dst):
+                raise CoordinatizationError(
+                    f"{s_} then {f_} gives {r_}, not an arrow from {f_.src} to {f_.dst}"
+                )
+            F[si] = model._composite(int(F[r]), Ff_inv)
     return F
+
+
+def reference_model(table: CandidateTable) -> CandidateTable:
+    """The model table over F_p, p = n_objects - 1, for the oracles; a
+    table whose p is not prime raises as the library does."""
+    return from_model(_line(table.n_objects - 1).p)
 
 
 def reference_uniqueness(
@@ -431,7 +448,7 @@ def reference_uniqueness(
     for o in frame.members():
         if o not in table.identities:
             raise CoordinatizationError(f"frame object {o!r} is not in the table")
-    model = _target_model(table)
+    model = reference_model(table)
     f0, f1, f2 = frame.members()
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
@@ -795,9 +812,10 @@ def reference_classify_prime(
 def reference_verify_iso(
     table: CandidateTable, iso: CandidateIso, max_witnesses: int = 5
 ) -> ReportGroup:
-    """The isomorphism check, with the scalar map checked one scalar at a time."""
+    """The isomorphism check on the model table, with the forced map
+    and the scalar map built one arrow at a time."""
     cap = max_witnesses
-    model = _target_model(table)
+    model = reference_model(table)
     if set(iso.object_map) != set(table.objects):
         raise CoordinatizationError("object map must be defined on exactly the objects")
     if sorted(iso.object_map.values()) != sorted(model.objects):
@@ -812,7 +830,7 @@ def reference_verify_iso(
         raise CoordinatizationError("scalar map must be a bijection onto the model scalars")
 
     obj_to = [model._obj_i[iso.object_map[o]] for o in table.objects]
-    F = _Forcing(table, model)(obj_to)
+    F = reference_forced_arrow_map(table, model, obj_to)
 
     checks: list[CheckReport] = []
     img_base = model.objects[obj_to[table._obj_i[iso.base_object]]]
@@ -866,7 +884,7 @@ def reference_coordinatize(table: CandidateTable, frame: Optional[Frame] = None)
         if o not in table.identities:
             raise CoordinatizationError(f"frame object {o!r} is not in the table")
     f0, f1, f2 = frame.members()
-    model = _target_model(table)
+    model = reference_model(table)
     p = table.n_objects - 1
     try:
         ft = reference_build_field(table, base=f0)

@@ -25,10 +25,10 @@ from helpers import (
 )
 from projline.candidate import (
     CandidateTable,
+    ModelLine,
     _associativity,
     _distinct,
     _generated_associativity,
-    _label_factors,
     _name,
     check_axioms,
     from_model,
@@ -162,7 +162,7 @@ def test_group_groupoid_of_the_model_factors_is_the_line():
     log = {pow(3, h, p): h for h in range(p - 1)}
     cyclic = [[(x + y) % (p - 1) for y in range(p - 1)] for x in range(p - 1)]
     a, b, c = _distinct(p + 1, 3).T
-    factors = _label_factors(p, a, b, c)
+    factors = ModelLine(p).factor[a, b, c]
     labels = {(x, y, z): log[f] for x, y, z, f in zip(*(v.tolist() for v in (a, b, c, factors)))}
     t = CandidateTable.from_doc(group_groupoid(cyclic, labels))
     assert validate_structure(t).passed

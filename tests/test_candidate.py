@@ -41,8 +41,8 @@ from projline.candidate import (
     CandidateFormatError,
     CandidateTable,
     Endo,
+    ModelLine,
     NonEndo,
-    _label_factors,
     _legs,
     _toward,
     _transports,
@@ -440,7 +440,7 @@ def test_label_factors_equal_the_model_factors(p):
         int(label_to_arrow(pts[x], pts[y], pts[z]).factor.value)
         for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())
     ]
-    assert _label_factors(p, a, b, c).tolist() == want
+    assert ModelLine(p).factor[a, b, c].tolist() == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 13])

@@ -16,19 +16,19 @@ from helpers import (
     outcome,
     reference_coordinatize,
     reference_forced_arrow_map,
+    reference_model,
     reference_uniqueness,
     reference_verify_iso,
     relabel,
     seeded_mutation,
 )
-from projline.candidate import CandidateTable, from_model, validate_structure
+from projline.candidate import CandidateTable, ModelLine, from_model, validate_structure
 from projline.coordinatize import (
     CandidateIso,
     CoordinatizationError,
     Frame,
     _Forcing,
-    _model,
-    _target_model,
+    _line,
     coordinatize,
     verify_iso,
     verify_uniqueness,
@@ -150,14 +150,19 @@ def test_uniqueness_on_relabeled_f11_with_another_frame():
 
 
 def _assert_matches_brute_force(table, frames, seed):
-    """The forced map on seeded object bijections and the uniqueness
-    report and map on each frame equal the brute force's."""
-    model = _target_model(table)
-    forced = _Forcing(table, model)
+    """The forced map on seeded object bijections, by model arrow name,
+    and the uniqueness report and map on each frame equal the brute
+    force's."""
+    line, model = _line(table.n_objects - 1), reference_model(table)
+    forced = _Forcing(table, line)
+    src, dst = table._src_i, table._dst_i
     rng = random.Random(seed)
     for _ in range(4):
         obj_to = rng.sample(range(table.n_objects), table.n_objects)
-        assert np.array_equal(forced(obj_to), reference_forced_arrow_map(table, model, obj_to))
+        o, F = np.array(obj_to), forced(obj_to)
+        got = [line.name(o[src[a]], o[dst[a]], F[a]) for a in range(table.n_arrows)]
+        ref = reference_forced_arrow_map(table, model, obj_to)
+        assert got == [str(model.arrows[r]) for r in ref]
     for frame in frames:
         report, found = verify_uniqueness(table, frame)
         ref, ref_found = reference_uniqueness(table, frame)
@@ -190,14 +195,16 @@ def _own_scalar_rewrite(doc, _):
 
 def _scalar_composite_rewrite(doc, where):
     """s.f_X rewritten to a scalar of X after s, of an earlier object or
-    of a later one, where X is the second object and s its third scalar."""
+    of a later one, where X is the second object and s its third scalar;
+    or, "off-homset", to the arrow from X to the third object named by
+    the first, where f_X ends at the first: not an arrow of hom(X, first)."""
     objs = doc["objects"]
     x = objs[1]
-    y = {"own-later": x, "earlier": objs[0], "later": objs[3]}[where]
+    y = {"own-later": x, "earlier": objs[0], "later": objs[3]}.get(where)
     first, second = f"{x}#{doc['scalars'][x][2]}", f"{x}>{objs[2]}>{objs[0]}"
     out = {**doc, "compose": [list(e) for e in doc["compose"]]}
     hit = next(e for e in out["compose"] if e[:2] == [first, second])
-    hit[2] = f"{y}#{doc['scalars'][y][3]}"
+    hit[2] = f"{x}>{objs[0]}>{objs[2]}" if y is None else f"{y}#{doc['scalars'][y][3]}"
     return out
 
 
@@ -223,10 +230,14 @@ def test_uniqueness_matches_brute_force_on_broken_tables(kind, p, arg):
     _assert_matches_brute_force(t, [Frame(*t.objects[:3]), Frame(*t.objects[-3:])], p)
 
 
-# F_5 with 1:1#3 then 1:1>2:1>0:1 rewritten to a scalar, and that scalar.
+# F_5 with 1:1#3 then 1:1>2:1>0:1 rewritten to a scalar, and that scalar;
+# last, to an arrow out of 1:1 that does not end at 0:1.
 NO_FORCED_MAP = [("own-scalar", None, "1:1#2")] + [
     ("scalar-composite", where, got)
-    for where, got in (("own-later", "1:1#4"), ("earlier", "0:1#4"), ("later", "3:1#4"))
+    for where, got in (
+        ("own-later", "1:1#4"), ("earlier", "0:1#4"), ("later", "3:1#4"),
+        ("off-homset", "1:1>0:1>2:1"),
+    )
 ]
 
 
@@ -234,9 +245,10 @@ NO_FORCED_MAP = [("own-scalar", None, "1:1#2")] + [
 def test_tables_without_a_forced_arrow_map_raise(kind, arg, got):
     t = CandidateTable.from_doc(MUTATORS[kind](from_model(5).to_doc(), arg))
     assert validate_structure(t).check("endpoints").status == "fail"
-    message = f"1:1#3 then 1:1>2:1>0:1 gives {got}, not an arrow between distinct objects"
+    want = "from 1:1 to 0:1" if arg == "off-homset" else "between distinct objects"
+    message = f"1:1#3 then 1:1>2:1>0:1 gives {got}, not an arrow {want}"
     identity = CandidateIso("0:1", {o: o for o in t.objects}, {s: s for s in t.scalars["0:1"]})
-    calls = [lambda: _Forcing(t, _target_model(t)), lambda: verify_iso(t, identity)]
+    calls = [lambda: _Forcing(t, _line(t.n_objects - 1)), lambda: verify_iso(t, identity)]
     for frame in (Frame(*t.objects[:3]), Frame(*t.objects[-3:])):
         calls += [lambda f=frame: verify_uniqueness(t, f), lambda f=frame: coordinatize(t, f)]
     for call in calls:
@@ -276,16 +288,23 @@ def test_failed_coordinates_raise_coordinatization_error(case, message):
     assert outcome(reference_coordinatize, t) == (CoordinatizationError, message)
 
 
-def test_target_model_is_built_once_per_p(monkeypatch):
+def test_coordinatizer_builds_no_model_table_and_one_line_per_p(monkeypatch):
     built = []
 
     def counting(p):
         built.append(p)
-        return from_model(p)
+        return ModelLine(p)
 
-    monkeypatch.setattr(importlib.import_module("projline.coordinatize"), "from_model", counting)
-    _model.cache_clear()
+    def refuse(*args):
+        raise AssertionError("a composition table was built")
+
     t5, t7 = from_model(5), from_model(7)
+    module = importlib.import_module("projline.coordinatize")
+    assert not hasattr(module, "from_model")
+    monkeypatch.setattr(module, "ModelLine", counting)
+    monkeypatch.setattr(importlib.import_module("projline.candidate"), "from_model", refuse)
+    monkeypatch.setattr(CandidateTable, "_store", refuse)
+    _line.cache_clear()
     for _ in range(2):
         verify_iso(t5, coordinatize(t5))
         verify_uniqueness(t5)
