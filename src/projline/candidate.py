@@ -422,13 +422,11 @@ class CandidateTable:
 
     @classmethod
     def _bare(
-        cls,
-        objects: Sequence[str],
-        scalars: dict[str, Sequence[str]],
-        identities: dict[str, str],
+        cls, objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]], identities: dict[str, str]
     ) -> "CandidateTable":
+        """The arrow space of a space that passed _check_space, with no composites."""
         t = object.__new__(cls)
-        t._init_space(*_check_space(objects, scalars, identities))
+        t._init_space(objects, scalars, identities)
         return t
 
     # -- basic accessors -------------------------------------------------------
@@ -442,16 +440,11 @@ class CandidateTable:
         return len(self.arrows)
 
     def arrow_index(self, arrow: AbstractArrow) -> int:
-        get, n = self._obj_i.get, self.n_objects
-        if isinstance(arrow, Endo):
-            o = get(arrow.obj)
-            if o is not None and arrow.scalar in self.scalars[arrow.obj]:
-                return int(self._hom[o * (n + 1)]) + self.scalars[arrow.obj].index(arrow.scalar)
-        elif isinstance(arrow, NonEndo):
-            s, d, lab = get(arrow.src, -1), get(arrow.dst, -1), get(arrow.label, -1)
-            if min(s, d, lab) >= 0 and self._ne3[s, d, lab] >= 0:
-                return int(self._ne3[s, d, lab])
-        raise CandidateFormatError(f"unknown arrow {arrow}")
+        """The index of the arrow named ``str(arrow)``, if that arrow is ``arrow``."""
+        i = self._name_i.get(str(arrow))
+        if i is None or self.arrows[i] != arrow:
+            raise CandidateFormatError(f"unknown arrow {arrow}")
+        return i
 
     def identity_arrow(self, obj: str) -> Endo:
         return Endo(obj, self.identities[obj])
@@ -539,13 +532,16 @@ class CandidateTable:
         bytes are parsed with json.loads, with the cyclic collector
         paused, and give the table or the message of the parsed document.
         """
-        if isinstance(doc, bytes):
-            table = cls._from_canonical(doc)
-            if table is not None:
-                return table
+        if not isinstance(doc, bytes):
+            return cls._from_parsed(doc)
+        table = cls._from_canonical(doc)
+        if table is None:
             with _collector_paused():
-                return cls._from_parsed(_parse(doc))
-        return cls._from_parsed(doc)
+                # Drop the bytes while the table is built, the document before gc resumes.
+                doc = _parse(doc)
+                table = cls._from_parsed(doc)
+                del doc
+        return table
 
     @classmethod
     def _from_parsed(cls, doc: dict) -> "CandidateTable":
@@ -554,7 +550,8 @@ class CandidateTable:
         for key in ("format", "objects", "scalars", "identity", "compose"):
             if key not in doc:
                 raise CandidateFormatError(f"missing key {key!r}")
-        if doc["format"] != cls.FORMAT:
+        # A JSON integer only: true and 1.0 equal 1 but are no format.
+        if type(doc["format"]) is not int or doc["format"] != cls.FORMAT:
             raise CandidateFormatError(f"unsupported format {doc['format']!r}, want {cls.FORMAT}")
         if not isinstance(doc["objects"], list) or not isinstance(doc["scalars"], dict):
             raise CandidateFormatError("objects must be a list and scalars a mapping")
@@ -570,8 +567,7 @@ class CandidateTable:
             _check_entries(compose)
             raise
         _check_count(objects, scalars, len(compose))
-        t = object.__new__(cls)
-        t._init_space(objects, scalars, identities)
+        t = cls._bare(objects, scalars, identities)
         t._fill(compose, _resolve(compose, t._name_i))
         return t
 
@@ -618,8 +614,7 @@ class CandidateTable:
         body = at + len(_COMPOSE)
         if stop - body < _SHORTEST * _pair_count(*space[:2]) - 1:
             return None
-        t = object.__new__(cls)
-        t._init_space(*space)
+        t = cls._bare(*space)
         head = t._head()
         if len(head) != body or not data.startswith(head):
             return None
@@ -727,8 +722,8 @@ class CandidateTable:
     @classmethod
     def load(cls, path: str) -> "CandidateTable":
         with open(path, "rb") as fh:
-            data = fh.read()
-        return cls.from_doc(data)
+            # Unnamed, so from_doc can drop the bytes (on Python 3.11 and later).
+            return cls.from_doc(fh.read())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CandidateTable):

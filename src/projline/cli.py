@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .candidate import (
@@ -30,11 +28,10 @@ from .model import (
     cross_ratio,
     evaluate_table_rows,
     harmonic_conjugate,
-    points,
     tri_rapport,
 )
 from .reconstruct import ReconstructionError, build_field, classify_prime, verify_field
-from .scalars import QQ, PrimeField, is_prime
+from .scalars import QQ, PrimeField
 
 GEN_CAP = 13
 
@@ -52,9 +49,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def _prime_arg(p: int) -> PrimeField:
-    if not is_prime(p):
-        raise _InputError(f"--p must be prime, got {p}")
-    return PrimeField(p)
+    try:
+        return PrimeField(p)
+    except ValueError as exc:
+        raise _InputError(f"bad --p: {exc}") from exc
 
 
 class _InputError(Exception):
@@ -94,12 +92,9 @@ def _field_of(args):
 
 
 def _cmd_gen(args) -> int:
-    field = _prime_arg(args.p)
-    if field.p > args.cap:
-        raise _InputError(
-            f"p={field.p} exceeds the size cap {args.cap}; pass --cap to override"
-        )
-    table = from_model(field.p)
+    if args.p > args.cap:
+        raise _InputError(f"p={args.p} exceeds the size cap {args.cap}; pass --cap to override")
+    table = from_model(_prime_arg(args.p).p)
     if args.out == "-":
         # A text stream without a binary buffer, such as io.StringIO, takes the text.
         out = getattr(sys.stdout, "buffer", None)
@@ -233,10 +228,11 @@ def _cmd_harmonic(args) -> int:
 
 
 def _find_quadruple(field: PrimeField, mu) -> tuple:
-    for quad in permutations(points(field), 4):
-        if cross_ratio(*quad) == mu:
-            return quad
-    raise _InputError(f"no pairwise distinct quadruple has cross ratio {mu}")
+    """The first quadruple of points(field), in permutations order, with
+    cross ratio mu (not 0 or 1): (0:1, 1:1, 2:1, d) with 2(d - 1)/d = mu."""
+    two = field(2)
+    d = Point.infinity(field) if mu == two else Point.affine(field, two / (two - mu))
+    return (*(Point.affine(field, v) for v in range(3)), d)
 
 
 def _cmd_tables(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate
 from typing import Iterator, Union
 
 
@@ -20,16 +20,24 @@ class FieldMismatchError(ValueError):
     """Two elements from different fields were combined."""
 
 
+# Miller-Rabin with these bases is exact below PRIME_BOUND (Sorenson and Webster, 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"cannot tell whether {n} is prime: the test is exact below {PRIME_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s  # n - 1 = d * 2^s with d odd
+    for a in _BASES:
+        # n passes base a when a^d is 1 or one of a^d, a^2d, ..., a^(2^(s-1) d) is -1.
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
             return False
-        d += 2
     return True
 
 

@@ -311,7 +311,7 @@ def reference_from_doc(doc) -> CandidateTable:
     for key in ("format", "objects", "scalars", "identity", "compose"):
         if key not in doc:
             raise CandidateFormatError(f"missing key {key!r}")
-    if doc["format"] != CandidateTable.FORMAT:
+    if type(doc["format"]) is not int or doc["format"] != CandidateTable.FORMAT:
         raise CandidateFormatError(
             f"unsupported format {doc['format']!r}, want {CandidateTable.FORMAT}"
         )
@@ -341,7 +341,7 @@ def reference_from_doc(doc) -> CandidateTable:
             raise CandidateFormatError(f"scalar ids at {o!r} must be nonempty and unique")
         for s in ids:
             _check_name("scalar", s)
-        norm_scalars[o] = ids
+        norm_scalars[o] = tuple(ids)
     if set(identities) != set(objects):
         raise CandidateFormatError("an identity must be declared for exactly the objects")
     for o in objects:
@@ -350,10 +350,11 @@ def reference_from_doc(doc) -> CandidateTable:
                 f"identity {identities[o]!r} at {o!r} is not a declared scalar"
             )
 
-    t = CandidateTable._bare(objects, norm_scalars, identities)
+    t = CandidateTable._bare(tuple(objects), norm_scalars, dict(identities))
+    index = ObjectCalculus(t).arrow_index
     comp: dict[tuple[int, int], int] = {}
     for a, b, r in entries:
-        ia, ib, ir = t.arrow_index(a), t.arrow_index(b), t.arrow_index(r)
+        ia, ib, ir = index(a), index(b), index(r)
         if t._dst_i[ia] != t._src_i[ib]:
             raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
         if (ia, ib) in comp:
@@ -510,10 +511,10 @@ def reference_from_model(p: int) -> CandidateTable:
     field = PrimeField(p)
     pts = points(field)
     names = [str(q) for q in pts]
-    scalar_ids = [str(v) for v in range(1, p)]
-    scalars = {nm: list(scalar_ids) for nm in names}
+    scalar_ids = tuple(str(v) for v in range(1, p))
+    scalars = {nm: scalar_ids for nm in names}
     identities = {nm: "1" for nm in names}
-    t = CandidateTable._bare(names, scalars, identities)
+    t = CandidateTable._bare(tuple(names), scalars, identities)
 
     fac: list[int] = [0] * t.n_arrows
     for i, ar in enumerate(t.arrows):
@@ -982,6 +983,16 @@ def reference_harmonic_conjugate(a: Point, b: Point, c: Point) -> Point:
         )
     g = compose(reference_label_to_arrow(b, c, a), reference_label_to_arrow(c, a, b))
     return reference_arrow_to_label(g)
+
+
+def reference_find_quadruple(field: PrimeField, mu) -> Optional[tuple]:
+    """The search that ``cli._find_quadruple`` replaced: the first
+    quadruple of ``points(field)`` in ``permutations`` order with cross
+    ratio mu, None if there is none."""
+    for quad in itertools.permutations(points(field), 4):
+        if reference_cross_ratio(*quad) == mu:
+            return quad
+    return None
 
 
 _REFERENCE_EXPR_VALUES = {

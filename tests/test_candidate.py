@@ -10,8 +10,10 @@ import io
 import itertools
 import json
 import os
+import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from projline.candidate import (
     Endo,
     ModelLine,
     NonEndo,
+    _check_space,
     _legs,
     _toward,
     _transports,
@@ -207,6 +210,32 @@ def test_parsing_a_document_runs_no_garbage_collection(tmp_path):
     path.write_text(json.dumps(table.to_doc(), indent=1))
     assert CandidateTable._from_canonical(path.read_bytes()) is None
     assert _collections_inside(lambda: CandidateTable.load(str(path))) == 0
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="Python 3.10 keeps a call's arguments on the caller's stack"
+)
+def test_load_drops_the_bytes_before_the_table_is_built(tmp_path, monkeypatch):
+    """Memory traced as the parsed document reaches _from_parsed: through
+    load, and through from_doc with the caller holding the bytes."""
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps(from_model(7).to_doc(), indent=1))
+    traced = []
+    real = CandidateTable._from_parsed.__func__
+
+    def recording(cls, doc):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return real(cls, doc)
+
+    monkeypatch.setattr(CandidateTable, "_from_parsed", classmethod(recording))
+    tracemalloc.start()
+    try:
+        CandidateTable.load(str(path))
+        data = path.read_bytes()
+        CandidateTable.from_doc(data)
+    finally:
+        tracemalloc.stop()
+    assert traced[1] - traced[0] > 0.9 * len(data)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -521,7 +550,7 @@ def _distinct_pairs(n):
 def test_toward_is_the_arrow_named_by_the_least_other_object(n):
     # Names run against index order, so only the index can pick the label.
     objs = [f"o{k}" for k in reversed(range(n))]
-    t = CandidateTable._bare(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs})
+    t = CandidateTable._bare(*_check_space(objs, {o: ["1"] for o in objs}, {o: "1" for o in objs}))
     x, y = _distinct_pairs(n)
     got = _toward(t, x, y)
     for xi, yi, arrow in zip(x.tolist(), y.tolist(), got.tolist()):
@@ -629,6 +658,27 @@ def test_rapport_calculus_matches_the_object_level_reference(case):
     for i, j in rng.integers(0, len(arrows), size=(3000, 2)).tolist():
         f, g = arrows[i], arrows[j]
         assert outcome(t.compose, f, g) == outcome(ref.compose, f, g)
+
+
+@pytest.mark.parametrize("case", ["model-5", "model-7", "relabel-f7-0"])
+def test_arrow_index_is_the_object_level_lookup(case):
+    """The name lookup gives the index or the message of the lookup by
+    arrow object, on every arrow and on objects that share a name with
+    one or name none."""
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    ref = ObjectCalculus(t)
+    a, b, c = t.objects[:3]
+    s = t.scalars[a][0]
+    point = points(GF(t.n_objects - 1))[0]  # its name is 0:1, an object of every case
+    look_alikes = [
+        Endo(point, s), NonEndo(point, b, c), NonEndo(a, b, point), Endo(a, int(s)), Endo(None, None),
+        NonEndo(a, b, a), NonEndo(a, b, b), NonEndo(a, a, b), Endo(a, "x"), Endo("9:9", s),
+        NonEndo(a, b, "9:9"), NonEndo(a, b, f"{c}>{c}"), str(Endo(a, s)), str(NonEndo(a, b, c)), 0,
+    ]
+    for arrow in list(t.arrows) + look_alikes:
+        assert outcome(t.arrow_index, arrow) == outcome(ref.arrow_index, arrow), arrow
+    assert [t.arrow_index(x) for x in t.arrows] == list(range(t.n_arrows))
+    assert all(outcome(t.arrow_index, x)[0] is CandidateFormatError for x in look_alikes)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -808,6 +858,10 @@ _MALFORMED_SPACES = {
     "few": (lambda d: d.update(objects=d["objects"][:2]), "at least three objects are required"),
     "identity": (lambda d: d["identity"].update({"0:1": "9"}),
                  "identity '9' at '0:1' is not a declared scalar"),
+    "no-scalars": (lambda d: d["scalars"].update({"1:0": []}),
+                   "scalar ids at '1:0' must be nonempty and unique"),
+    "identity-keys": (lambda d: d["identity"].pop("2:1"),
+                      "an identity must be declared for exactly the objects"),
 }
 _MALFORMED_ENTRIES = {
     "syntax": (lambda c: c[7].__setitem__(2, "0:1>2:1"),

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -12,12 +13,14 @@ from helpers import (
     NON_GROUPOID,
     SWAPPED_NAMES,
     mutate_doc,
+    reference_find_quadruple,
     run_cli,
     seeded_mutation,
     swap_names,
 )
 from projline import cli
 from projline.candidate import AXIOM_NAMES, CandidateTable, check_axioms, from_model
+from projline.scalars import GF, PRIME_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +60,9 @@ def test_gen_rejects_nonprime():
 
 
 def test_gen_size_cap(tmp_path):
-    assert run_cli("gen", "--p", "17").returncode == 2
+    r = run_cli("gen", "--p", "17")
+    assert r.returncode == 2
+    assert r.stderr == "p=17 exceeds the size cap 13; pass --cap to override\n"
     assert run_cli("gen", "--p", "13", "--out", str(tmp_path / "a")).returncode == 0
     assert run_cli("gen", "--p", "17", "--cap", "17", "--out", str(tmp_path / "b")).returncode == 0
 
@@ -535,6 +540,40 @@ def test_tables_normalizes_mu_mod_p():
     b = run_cli("tables", "--p", "5", "--mu", "7", binary=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_tables_quadruple_is_the_first_the_search_finds(p):
+    field = GF(p)
+    for mu in map(field, range(2, p)):
+        assert cli._find_quadruple(field, mu) == reference_find_quadruple(field, mu)
+
+
+_LARGE = 10**18 + 3  # prime
+_UNDECIDED = f"bad --p: cannot tell whether {PRIME_BOUND} is prime: the test is exact below {PRIME_BOUND}\n"
+
+
+@pytest.mark.parametrize(
+    "args, code, first, stderr",
+    [
+        (("tables", "--p", str(2**31 - 1), "--mu", "3"), 0,
+         "F2147483647 mu=3 quad=(0:1, 1:1, 2:1, 2147483645:1)", ""),
+        (("cr", "--p", str(_LARGE), "0:1", "1:0", "1:1", "2:1"), 0, "500000000000000002", ""),
+        (("gen", "--p", str(_LARGE)), 2, "",
+         f"p={_LARGE} exceeds the size cap 13; pass --cap to override\n"),
+        (("gen", "--p", str(PRIME_BOUND)), 2, "",
+         f"p={PRIME_BOUND} exceeds the size cap 13; pass --cap to override\n"),
+        (("gen", "--p", str(PRIME_BOUND), "--cap", str(PRIME_BOUND)), 2, "", _UNDECIDED),
+        (("cr", "--p", str(PRIME_BOUND), "0:1", "1:0", "1:1", "2:1"), 2, "", _UNDECIDED),
+        (("tables", "--p", "9", "--mu", "2"), 2, "", "bad --p: field order must be prime, got 9\n"),
+    ],
+)
+def test_every_p_ends_within_2_s(args, code, first, stderr):
+    """The exit code, the first line of stdout and stderr."""
+    start = time.perf_counter()
+    r = run_cli(*args)
+    assert time.perf_counter() - start < 2.0
+    assert (r.returncode, r.stdout.split("\n")[0], r.stderr) == (code, first, stderr)
 
 
 def test_tables_rejects_unusable_mu():

@@ -22,7 +22,13 @@ from helpers import (
     relabel,
     seeded_mutation,
 )
-from projline.candidate import CandidateTable, ModelLine, from_model, validate_structure
+from projline.candidate import (
+    CandidateTable,
+    ModelLine,
+    _check_space,
+    from_model,
+    validate_structure,
+)
 from projline.coordinatize import (
     CandidateIso,
     CoordinatizationError,
@@ -87,15 +93,22 @@ def test_default_frame_is_first_three_objects():
 def test_verify_iso_rejects_malformed_maps():
     t = from_model(3)
     iso = coordinatize(t)
-    broken = dict(iso.object_map)
+    base, omap, smap = iso.base_object, iso.object_map, iso.scalar_map
+    broken = dict(omap)
     broken[t.objects[0]] = broken[t.objects[1]]  # not a bijection
-    with pytest.raises(CoordinatizationError):
-        verify_iso(t, CandidateIso(iso.base_object, broken, iso.scalar_map))
-    with pytest.raises(CoordinatizationError):
-        verify_iso(t, CandidateIso("9:9", iso.object_map, iso.scalar_map))
-    bad_scalars = {k: "1" for k in iso.scalar_map}
-    with pytest.raises(CoordinatizationError):
-        verify_iso(t, CandidateIso(iso.base_object, iso.object_map, bad_scalars))
+    missing = {o: omap[o] for o in t.objects[1:]}
+    cases = [
+        (CandidateIso(base, missing, smap), "object map must be defined on exactly the objects"),
+        (CandidateIso(base, broken, smap), "object map must be a bijection onto the model points"),
+        (CandidateIso("9:9", omap, smap), "unknown base object '9:9'"),
+        (CandidateIso(base, omap, {**smap, "9": "1"}),
+         "scalar map must be defined on exactly the base scalars"),
+        (CandidateIso(base, omap, {k: "1" for k in smap}),
+         "scalar map must be a bijection onto the model scalars"),
+    ]
+    for bad, message in cases:
+        assert outcome(verify_iso, t, bad) == (CoordinatizationError, message)
+        assert outcome(reference_verify_iso, t, bad) == (CoordinatizationError, message)
 
 
 def test_swapping_two_objects_breaks_functoriality():
@@ -130,6 +143,34 @@ def test_uniqueness_candidate_counts(p, count):
     assert report.status == "pass"
     assert report.checked == count
     assert found == coordinatize(t).object_map
+
+
+class _EveryMapHolds(_Forcing):
+    """A forcing under which every object bijection passes: each arrow's
+    image has factor 1, and 1 * 1 = 1."""
+
+    def __call__(self, obj_to):
+        return np.ones(self.n_arrows, dtype=np.intp)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_uniqueness_reports_every_second_structure_map(monkeypatch, p):
+    monkeypatch.setattr(importlib.import_module("projline.coordinatize"), "_Forcing", _EveryMapHolds)
+    report, omap = verify_uniqueness(from_model(p))
+    count = math.factorial(p - 2)
+    assert omap is None
+    assert (report.status, report.checked, report.failures) == ("fail", count, count - 1)
+    if p == 5:
+        assert report.witnesses == [
+            f"a second structure map exists, differing at {diff}"
+            for diff in (
+                {"4:1": "4:1", "1:0": "3:1"},
+                {"3:1": "3:1", "4:1": "2:1"},
+                {"3:1": "3:1", "4:1": "4:1", "1:0": "2:1"},
+                {"3:1": "4:1", "4:1": "2:1", "1:0": "3:1"},
+                {"3:1": "4:1", "1:0": "2:1"},
+            )
+        ]
 
 
 def test_uniqueness_with_rotated_frame():
@@ -321,7 +362,7 @@ def test_object_count_must_fit_a_prime_model():
     objects = ["a", "b", "c", "d", "e"]
     scalars = {o: ["1", "2", "3"] for o in objects}
     identities = {o: "1" for o in objects}
-    t = CandidateTable._bare(objects, scalars, identities)
+    t = CandidateTable._bare(*_check_space(objects, scalars, identities))
     with pytest.raises(CoordinatizationError, match="not prime"):
         coordinatize(t)
 

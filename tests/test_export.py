@@ -21,6 +21,7 @@ from helpers import (
     four_object_table,
     group_groupoid,
     reference_doc,
+    reference_from_doc,
     reference_json_bytes,
     relabel,
     seeded_mutation,
@@ -225,6 +226,19 @@ def test_other_bytes_give_the_parsed_table_or_message(tmp_path, variant):
     data = make()
     assert (CandidateTable._from_canonical(data) is not None) is canonical
     assert loaded(tmp_path, data) == outcome(parsed, data)
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_format_is_the_integer_1(tmp_path, value):
+    """true and 1.0 equal 1 in Python but are no format, as a document
+    and as bytes."""
+    doc = dict(model_doc(5), format=value)
+    data = json.dumps(doc, separators=(",", ":")).encode()
+    want = (CandidateFormatError, f"unsupported format {value}, want 1")
+    assert outcome(CandidateTable.from_doc, doc) == want
+    assert outcome(CandidateTable.from_doc, data) == want
+    assert loaded(tmp_path, data) == want
+    assert outcome(reference_from_doc, doc) == want
 
 
 def test_a_declared_size_bomb_is_refused_before_its_space_is_built(tmp_path):

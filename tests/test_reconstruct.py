@@ -51,6 +51,14 @@ def test_minus_one_rejects_twisted_table():
     )
 
 
+def test_minus_one_must_square_to_the_identity():
+    doc = rewrite_entry(from_model(5).to_doc(), "0:1#4", "0:1#4", "0:1#2")
+    t = CandidateTable.from_doc(doc)
+    want = (ReconstructionError, "candidate -1 at 0:1 does not square to the identity: 0:1#4")
+    assert outcome(reconstruct_minus_one, t, "0:1") == want
+    assert outcome(reference_minus_one, t, "0:1") == want
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_phi_is_one_minus_mu(p):
     t = from_model(p)

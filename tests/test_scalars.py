@@ -1,6 +1,7 @@
 """Exact scalar arithmetic over prime fields and the rationals."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from projline.scalars import (
     QQ,
     FieldElement,
     FieldMismatchError,
+    PRIME_BOUND,
     PrimeField,
     RationalField,
     _element,
@@ -21,8 +23,32 @@ PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def test_is_prime_matches_trial_division_reference():
-    reference = {n for n in range(2, 300) if all(n % d for d in range(2, n))}
-    assert {n for n in range(300) if is_prime(n)} == reference
+    limit = 100_000
+    reference = {n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))}
+    assert {n for n in range(limit) if is_prime(n)} == reference
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    """Strong pseudoprimes to the bases 2 to 7 and 2 to 23."""
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_large_primes():
+    assert is_prime(2**31 - 1) and is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+
+def test_is_prime_refuses_at_the_bound():
+    # The bound is the least strong pseudoprime to all 13 bases.
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    message = f"cannot tell whether {PRIME_BOUND} is prime: the test is exact below {PRIME_BOUND}"
+    for call in (is_prime, PrimeField):
+        with pytest.raises(ValueError) as exc:
+            call(PRIME_BOUND)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="cannot tell whether"):
+        is_prime(PRIME_BOUND + 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 15, 343])
