@@ -52,7 +52,12 @@ A table finds its arrows' inverses when it is built, so that search
 is timed in the ``from_model``, ``from_doc`` and ``load`` rows.
 ``coordinatize`` and ``verify_uniqueness`` reuse the target model,
 the line's arithmetic, which ``coordinatize_first_call`` builds anew
-every time.  No parsed
+every time.  ``cli_check`` is ``projline.cli.main(["check", "--in",
+saved, "--format", "json"])`` in this process with its stdout captured,
+after one untimed call: parsing the arguments, loading the saved file,
+both checkers and the report, as a caller that runs the CLI in process
+sees them.  It runs after the other stages, so their rows are taken in
+the same process state as in files without it.  No parsed
 document outlives the call it is made for, so no stage's garbage
 collections walk another stage's document.  The rows go into the file
 under ``--label`` next to the rows of other labels, so one file holds
@@ -62,8 +67,10 @@ every run, each with its host and a digest of the code it ran.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import platform
@@ -76,7 +83,7 @@ import time
 STAGES = (
     "from_model", "to_json_bytes", "json.loads", "from_doc", "load", "validate_structure",
     "check_axioms", "build_field", "coordinatize_first_call", "coordinatize",
-    "verify_uniqueness",
+    "verify_uniqueness", "cli_check",
 )
 PRIMES = (5, 7, 11, 13, 17)
 REPEAT = 7
@@ -121,6 +128,7 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     import projline
 
     coordinatize_module = importlib.import_module("projline.coordinatize")
+    cli = importlib.import_module("projline.cli")
     table = projline.from_model(p)
     table.save(path)
     data = table.to_json_bytes()
@@ -135,6 +143,12 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     def nothing():
         return None
 
+    def cli_check(_):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["check", "--in", path, "--format", "json"])
+        if code != 0:
+            raise SystemExit(f"check of the table over F_{p} exited {code}")
+
     timed = {
         "from_model": (nothing, lambda _: fresh()),
         "to_json_bytes": (nothing, lambda _: table.to_json_bytes()),
@@ -147,10 +161,13 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
         "coordinatize_first_call": (fresh, first_call),
         "coordinatize": (fresh, projline.coordinatize),
         "verify_uniqueness": (fresh, projline.verify_uniqueness),
+        "cli_check": (nothing, cli_check),
     }
     projline.coordinatize(fresh())
     rows = []
     for name in STAGES:
+        if name == "cli_check":
+            cli_check(None)
         q1, median, q3 = (round(t, 6) for t in _quartile_seconds(*timed[name], repeat))
         rows.append(
             {"p": p, "stage": name, "seconds": median, "q1": q1, "q3": q3, "repeat": repeat}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 from collections.abc import Hashable
 from contextlib import contextmanager
@@ -358,7 +359,8 @@ class CandidateTable:
         # scalars at a, in declared order, start at _hom[a*(n + 1)].
         self._hom = np.array(hom, dtype=np.intp)
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
-        self._name_i: dict[str, int] = {str(a): i for i, a in enumerate(arrows)}
+        self._names: list[str] = [str(a) for a in arrows]
+        self._name_i: dict[str, int] = {s: i for i, s in enumerate(self._names)}
         pair = np.repeat(np.arange(n * n), np.diff(self._hom))
         self._src_i = (pair // n).astype(np.int32)
         self._dst_i = (pair % n).astype(np.int32)
@@ -485,7 +487,7 @@ class CandidateTable:
         order is the arrows by name, each followed by the arrows out of its
         target by name: no sort over the pairs is needed.
         """
-        by_name = np.argsort(np.array([str(a) for a in self.arrows], dtype=object))
+        by_name = np.argsort(np.array(self._names, dtype=object))
         rank = np.empty(self.n_arrows, dtype=np.intp)
         rank[by_name] = np.arange(self.n_arrows)
         # Arrows are numbered source-major, so sorting by (source, name)
@@ -502,7 +504,7 @@ class CandidateTable:
         They are split out of the encoded list of names at its ", "
         separators, as a name holds no comma.
         """
-        return json.dumps([str(a) for a in self.arrows]).encode("ascii")[1:-1].split(b", ")
+        return json.dumps(self._names).encode("ascii")[1:-1].split(b", ")
 
     def _header(self) -> dict:
         return {
@@ -517,7 +519,7 @@ class CandidateTable:
         return json.dumps(self._header(), separators=(",", ":"))[:-1].encode("ascii") + _COMPOSE
 
     def to_doc(self) -> dict:
-        names = np.array([str(a) for a in self.arrows], dtype=object)
+        names = np.array(self._names, dtype=object)
         I, J = self._entries()
         R = self._composite(I, J)
         entries = np.stack([names[I], names[J], names[R]], axis=1).tolist()
@@ -776,8 +778,17 @@ def from_model(p: int) -> CandidateTable:
 
     Objects are the p+1 points in canonical order, scalars at every
     object are the nonzero residues, and composition follows
-    ``ModelLine`` (factors multiply).
+    ``ModelLine`` (factors multiply).  A ``ValueError`` refuses, before
+    anything is allocated, a table whose store and factors alone would
+    not fit in physical memory.
     """
+    store, factors = 4 * ((p + 1) ** 2 * (p - 1)) ** 2, 8 * (p + 1) ** 3
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if store + factors > memory:
+        raise ValueError(
+            f"the table over F_{p} needs {store} bytes for its store and {factors} for "
+            f"the line's factors, more than the {memory} bytes of physical memory"
+        )
     line = ModelLine(p)
     t = CandidateTable._bare(
         line.points, dict.fromkeys(line.points, line.scalar_ids), dict.fromkeys(line.points, "1")
@@ -1215,9 +1226,12 @@ def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
 
     key = canon(_legs(table, _cr_legs(a, b, c, d)))
     val = canon(_legs(table, _cr_legs(a, c, b, d)))
-    # Distinct (key, val) pairs in sorted order, each with its least quadruple.
-    pairs, least = np.unique(np.stack([key, val], axis=1), axis=0, return_index=True)
-    keys, start, count = np.unique(pairs[:, 0], return_index=True, return_counts=True)
+    # Distinct (key, val) pairs in sorted order, each with its least
+    # quadruple.  Both lie in [-1, n_arrows), so one integer per pair
+    # orders the pairs as (key, val) does.
+    m = table.n_arrows + 1
+    pairs, least = np.unique((key.astype(np.intp) + 1) * m + (val + 1), return_index=True)
+    keys, start, count = np.unique(pairs // m - 1, return_index=True, return_counts=True)
     split = np.flatnonzero(count > 1)
     witnesses = []
     for g in split[:cap]:

@@ -10,6 +10,7 @@ compatibility; every sweep runs in one process whatever N is.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -94,7 +95,11 @@ def _field_of(args):
 def _cmd_gen(args) -> int:
     if args.p > args.cap:
         raise _InputError(f"p={args.p} exceeds the size cap {args.cap}; pass --cap to override")
-    table = from_model(_prime_arg(args.p).p)
+    p = _prime_arg(args.p).p
+    try:
+        table = from_model(p)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     if args.out == "-":
         # A text stream without a binary buffer, such as io.StringIO, takes the text.
         out = getattr(sys.stdout, "buffer", None)
@@ -269,7 +274,15 @@ def _cmd_tables(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Reusing it is safe: ``parse_args`` fills a fresh namespace and leaves
+    the parser unchanged, the ``fn`` defaults are this module's handlers,
+    which look the library functions up when they run, and argparse finds
+    ``sys.stdout`` and ``sys.stderr`` when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="projline",
         description="Exact projective-line groupoid calculator and checker.",

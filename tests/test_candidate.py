@@ -623,7 +623,31 @@ def test_as_transports_only_scalars_away_from_object_0(monkeypatch):
             assert (t._src_i[sigma] == t._src_i[f]).all()
 
 
-F5_CASES = ["model-5", "swap-f5"] + [
+def test_as_groups_an_undefined_cross_ratio_like_any_other():
+    # Three composites of F_5 rewritten to arrows with the wrong endpoints:
+    # some cross ratios and swaps come out undefined (-1), and the group
+    # keyed by an undefined cross ratio splits.
+    doc = from_model(5).to_doc()
+    for first, second, replacement in (
+        ("1:1>3:1>4:1", "4:1>1:0>1:1", "1:1>4:1>3:1"),
+        ("0:1>2:1>1:0", "1:0>1:1>0:1", "0:1>1:1>3:1"),
+        ("0:1>3:1>1:0", "1:0#2", "1:0>1:1>4:1"),
+    ):
+        doc = rewrite_entry(doc, first, second, replacement)
+    report = check_axioms(CandidateTable.from_doc(doc), which=["as"], max_witnesses=50).checks[0]
+    assert report.to_dict() == {
+        "name": "as", "status": "fail", "checked": 360, "failures": 3, "witnesses": [
+            "as: (1:1,4:1,3:1,1:0) and (1:0,0:1,1:1,2:1) share cross ratio undefined "
+            "but their swaps differ: 0:1#3 vs 0:1#4",
+            "as: (0:1,1:1,2:1,3:1) and (1:1,3:1,4:1,1:0) share cross ratio 0:1#3 "
+            "but their swaps differ: 0:1#3 vs undefined",
+            "as: (0:1,1:1,2:1,4:1) and (0:1,2:1,1:0,1:1) share cross ratio 0:1#4 "
+            "but their swaps differ: 0:1#2 vs 0:1>1:1>3:1",
+        ],
+    }
+
+
+F5_CASES =["model-5", "swap-f5"] + [
     name for name in REFERENCE_CASES if name.startswith(("mutation-", "cross_homset_mutation-f5"))
 ]
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the projline command line tool."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -352,6 +353,59 @@ def test_gen_writes_text_to_a_stdout_without_a_buffer():
     assert hashlib.sha256(data).hexdigest() == STDOUT_SHA256[(5, "gen")]
 
 
+def _in_process(argv):
+    """``cli.main(argv)`` in this process: (exit code, stdout bytes, stderr bytes)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch):
+    """Calls in one process share one parser and carry no flag over: each
+    gives the exit code and output of the same argv in a fresh process."""
+    model, swapped = str(tmp_path / "f5.json"), str(tmp_path / "swapped.json")
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert _in_process(["gen", "--p", "5", "--out", model]) == (0, b"", b"")
+        with open(model) as fh:
+            (tmp_path / "swapped.json").write_text(
+                json.dumps(swap_names(json.load(fh), *SWAPPED_NAMES))
+            )
+        argvs = [
+            ["check", "--in", swapped, "--max-witnesses", "1"],
+            ["check", "--in", swapped],
+            ["check", "--in", swapped, "--axioms", "one"],
+            ["check", "--in", swapped],
+            ["check", "--in", swapped, "--axioms", "one,frobnicate"],
+            ["check", "--in", swapped, "--max-witnesses", "many"],
+            ["check", "--help"],
+            ["classify", "--in", model, "--base", "1:0"],
+            ["classify", "--in", model],
+        ]
+        got = [_in_process(argv) for argv in argvs]
+        parsers = list(built)
+    finally:
+        cli._build_parser.cache_clear()
+    want = [run_cli(*argv, binary=True) for argv in argvs]
+    assert [g[0] for g in got] == [1, 1, 1, 1, 2, 2, 0, 0, 0]
+    assert got == [(w.returncode, w.stdout, w.stderr) for w in want]
+    # One parser tree: the top-level parser once, each subparser once.
+    assert parsers.count("projline") == 1
+    assert len(parsers) == len(set(parsers))
+
+
 # SHA-256 of `check --format json --max-witnesses 50` stdout and of the
 # compact JSON of check_axioms(table, max_witnesses=50), recorded from the
 # nested-loop sweeps these reports must not drift from.  Every case fails
@@ -574,6 +628,18 @@ def test_every_p_ends_within_2_s(args, code, first, stderr):
     r = run_cli(*args)
     assert time.perf_counter() - start < 2.0
     assert (r.returncode, r.stdout.split("\n")[0], r.stderr) == (code, first, stderr)
+
+
+@pytest.mark.parametrize("p", [1000003, _LARGE])
+def test_gen_refuses_a_table_larger_than_physical_memory(p):
+    start = time.perf_counter()
+    r = run_cli("gen", "--p", str(p), "--cap", str(p))
+    assert time.perf_counter() - start < 2.0
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"the table over F_{p} needs ")
+    assert r.stderr.endswith(" bytes of physical memory\n")
+    with pytest.raises(ValueError, match=f"the table over F_{p} needs"):
+        from_model(p)
 
 
 def test_tables_rejects_unusable_mu():
