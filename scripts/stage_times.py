@@ -27,21 +27,22 @@ seconds per calculator call; its ``field`` is ``F10007`` or ``Q`` in
 place of ``p``.  They run after every pipeline stage, so the stage rows
 are taken in the same process state as in files without them.
 
-The ``peak_rss`` row of each p holds ``kib``, the peak resident set
-size of a fresh child process that loads the saved table and runs
+After that p's stages, one child script (``CHILD``) runs three jobs,
+each in a fresh process, and ``child_row`` makes each job's row.  The
+child's ``kib`` is its peak resident set size at the end, its
+``VmHWM`` from ``/proc/self/status``, not ``ru_maxrss``: Linux carries
+``ru_maxrss`` across ``exec``, so a child would report this process's
+peak.  ``peak_rss`` loads the saved table and runs
 ``validate_structure``, ``check_axioms`` and ``build_field`` on it, the
-work of ``projline check`` and ``projline reconstruct``.  It is
-measured after that p's stages.  The child reads its ``VmHWM`` from
-``/proc/self/status``, not ``ru_maxrss``: Linux carries ``ru_maxrss``
-across ``exec``, so a child would report this process's peak.  The
-``gen`` row of each p holds the ``kib`` and the ``seconds`` of another
-fresh child, one that does the work of ``projline gen``: it calls
-``from_model`` and ``save``, which writes the file.  Its seconds are
-one wall time of those two steps, not a median.  The ``coord`` row of
-each p is a third fresh child: it builds the table with ``from_model``,
-reads its ``VmHWM`` into ``table_kib``, then runs ``coordinatize`` and
-``verify_uniqueness`` and reports the ``VmHWM`` after them as ``kib``
-and one wall time of those two calls as ``seconds``.
+work of ``projline check`` and ``projline reconstruct``.  ``gen`` does
+the work of ``projline gen``: ``from_model`` and ``save``, which writes
+the file; its ``seconds`` are one wall time of those two steps, not a
+median.  ``coord`` builds the table with ``from_model``, reads its
+``VmHWM`` into ``table_kib``, then runs ``coordinatize`` and
+``verify_uniqueness``; its ``seconds`` are one wall time of those two
+calls.  The ``--src`` tree is byte-compiled before any child starts,
+so no child's peak holds the compile of a source whose bytecode is
+missing or stale.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; the file is canonical, so ``load`` reads it in place.
@@ -67,6 +68,7 @@ every run, each with its host and a digest of the code it ran.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import hashlib
 import importlib
@@ -175,82 +177,49 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     return rows
 
 
-PEAK_RSS_CHILD = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import projline
-table = projline.CandidateTable.load(sys.argv[2])
-projline.validate_structure(table)
-projline.check_axioms(table)
-projline.build_field(table)
-with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-"""
-
-
-def peak_rss_row(p: int, src: str, path: str) -> dict:
-    """The peak RSS in KiB of a fresh process that checks the table saved at ``path``."""
-    out = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_CHILD, src, path],
-        check=True, capture_output=True, text=True,
-    ).stdout
-    return {"p": p, "stage": "peak_rss", "kib": int(out)}
-
-
-GEN_CHILD = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-import projline
-start = time.perf_counter()
-projline.from_model(int(sys.argv[2])).save(sys.argv[3])
-seconds = time.perf_counter() - start
-with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), seconds)
-"""
-
-
-def gen_row(p: int, src: str, path: str) -> dict:
-    """The peak RSS in KiB and the wall time of a fresh process that
-    writes the table over F_p to ``path``, as ``projline gen`` does."""
-    kib, seconds = subprocess.run(
-        [sys.executable, "-c", GEN_CHILD, src, str(p), path],
-        check=True, capture_output=True, text=True,
-    ).stdout.split()
-    return {"p": p, "stage": "gen", "kib": int(kib), "seconds": round(float(seconds), 6)}
-
-
-COORD_CHILD = """
-import sys, time
+CHILD = """
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import projline
 
 def vmhwm():
     with open("/proc/self/status") as fh:
-        return next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 
-table = projline.from_model(int(sys.argv[2]))
-table_kib = vmhwm()
-start = time.perf_counter()
-iso = projline.coordinatize(table)
-report, _ = projline.verify_uniqueness(table)
-seconds = time.perf_counter() - start
-assert iso.verified and report.status == "pass"
-print(vmhwm(), table_kib, seconds)
+job, p, path = sys.argv[2], int(sys.argv[3]), sys.argv[4]
+row = {}
+if job == "peak_rss":
+    table = projline.CandidateTable.load(path)
+    projline.validate_structure(table)
+    projline.check_axioms(table)
+    projline.build_field(table)
+elif job == "gen":
+    start = time.perf_counter()
+    projline.from_model(p).save(path)
+    row["seconds"] = round(time.perf_counter() - start, 6)
+elif job == "coord":
+    table = projline.from_model(p)
+    row["table_kib"] = vmhwm()
+    start = time.perf_counter()
+    iso = projline.coordinatize(table)
+    report, _ = projline.verify_uniqueness(table)
+    row["seconds"] = round(time.perf_counter() - start, 6)
+    assert iso.verified and report.status == "pass"
+else:
+    raise SystemExit(f"unknown job {job!r}")
+print(json.dumps({"kib": vmhwm(), **row}))
 """
 
 
-def coord_row(p: int, src: str) -> dict:
-    """The peak RSS in KiB of a fresh process that builds the table over
-    F_p and then coordinatizes it and checks uniqueness, its peak before
-    those two calls, and their wall time."""
-    kib, table_kib, seconds = subprocess.run(
-        [sys.executable, "-c", COORD_CHILD, src, str(p)],
+def child_row(job: str, p: int, src: str, path: str) -> dict:
+    """The row of ``job`` (``peak_rss``, ``gen`` or ``coord``) at p, from a
+    fresh process that imports projline from ``src``: ``peak_rss`` checks
+    the table saved at ``path``, ``gen`` writes the table over F_p there."""
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, src, job, str(p), path],
         check=True, capture_output=True, text=True,
-    ).stdout.split()
-    return {
-        "p": p, "stage": "coord", "kib": int(kib), "table_kib": int(table_kib),
-        "seconds": round(float(seconds), 6),
-    }
+    ).stdout
+    return {"p": p, "stage": job, **json.loads(out)}
 
 
 def _seeded_quadruples(field, seed: int) -> list[tuple]:
@@ -319,6 +288,7 @@ def main() -> None:
     args = parser.parse_args()
 
     src = os.path.abspath(args.src)
+    compileall.compile_dir(src, quiet=1)
     sys.path.insert(0, src)
     import numpy
     import projline
@@ -330,9 +300,9 @@ def main() -> None:
         for p in PRIMES:
             path = os.path.join(tmp, f"f{p}.json")
             rows += stage_rows(p, REPEAT, path)
-            rows.append(peak_rss_row(p, src, path))
-            rows.append(gen_row(p, src, os.path.join(tmp, f"gen{p}.json")))
-            rows.append(coord_row(p, src))
+            rows.append(child_row("peak_rss", p, src, path))
+            rows.append(child_row("gen", p, src, os.path.join(tmp, f"gen{p}.json")))
+            rows.append(child_row("coord", p, src, path))
     rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),

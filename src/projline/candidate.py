@@ -361,9 +361,9 @@ class CandidateTable:
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
         self._names: list[str] = [str(a) for a in arrows]
         self._name_i: dict[str, int] = {s: i for i, s in enumerate(self._names)}
-        pair = np.repeat(np.arange(n * n), np.diff(self._hom))
-        self._src_i = (pair // n).astype(np.int32)
-        self._dst_i = (pair % n).astype(np.int32)
+        self._hom_i = np.repeat(np.arange(n * n, dtype=np.int32), np.diff(self._hom))
+        self._src_i = self._hom_i // n
+        self._dst_i = self._hom_i % n
         self._id_idx = np.array(
             [hom[oi * (n + 1)] + self.scalars[o].index(self.identities[o])
              for oi, o in enumerate(self.objects)],
@@ -465,6 +465,10 @@ class CandidateTable:
         start = self._hom[self._dst_i * n]
         return _ranges(start, self._hom[self._dst_i * n + n] - start)
 
+    def _ends(self, I: np.ndarray, J: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Where the composite R of each pair (I, J) lies in hom(src I, dst J)."""
+        return self._hom_i.take(R) == self._src_i.take(I) * self.n_objects + self._dst_i.take(J)
+
     def compose(self, f: AbstractArrow, g: AbstractArrow) -> AbstractArrow:
         """Left-to-right composite: ``f`` then ``g``."""
         return self.arrows[_compose_i(self, self.arrow_index(f), self.arrow_index(g))]
@@ -506,24 +510,26 @@ class CandidateTable:
         """
         return json.dumps(self._names).encode("ascii")[1:-1].split(b", ")
 
-    def _header(self) -> dict:
+    @classmethod
+    def _header(cls, objects: tuple[str, ...], scalars: dict, identities: dict) -> dict:
         return {
-            "format": self.FORMAT,
-            "objects": list(self.objects),
-            "scalars": {o: list(self.scalars[o]) for o in self.objects},
-            "identity": {o: self.identities[o] for o in self.objects},
+            "format": cls.FORMAT,
+            "objects": list(objects),
+            "scalars": {o: list(scalars[o]) for o in objects},
+            "identity": {o: identities[o] for o in objects},
         }
 
-    def _head(self) -> bytes:
-        """The bytes of the table's format-1 file before its first compose entry."""
-        return json.dumps(self._header(), separators=(",", ":"))[:-1].encode("ascii") + _COMPOSE
+    @classmethod
+    def _head(cls, *space) -> bytes:
+        """The bytes of a format-1 file of ``space`` before its first compose entry."""
+        return json.dumps(cls._header(*space), separators=(",", ":"))[:-1].encode() + _COMPOSE
 
     def to_doc(self) -> dict:
         names = np.array(self._names, dtype=object)
         I, J = self._entries()
         R = self._composite(I, J)
         entries = np.stack([names[I], names[J], names[R]], axis=1).tolist()
-        return {**self._header(), "compose": entries}
+        return {**self._header(self.objects, self.scalars, self.identities), "compose": entries}
 
     @classmethod
     def from_doc(cls, doc: Union[dict, bytes]) -> "CandidateTable":
@@ -546,7 +552,8 @@ class CandidateTable:
         return table
 
     @classmethod
-    def _from_parsed(cls, doc: dict) -> "CandidateTable":
+    def _check_header(cls, doc: dict) -> tuple:
+        """The objects, scalar ids and identities of a format-1 document, checked."""
         if not isinstance(doc, dict):
             raise CandidateFormatError("candidate document must be a JSON object")
         for key in ("format", "objects", "scalars", "identity", "compose"):
@@ -559,18 +566,19 @@ class CandidateTable:
             raise CandidateFormatError("objects must be a list and scalars a mapping")
         if not isinstance(doc["identity"], dict) or not isinstance(doc["compose"], list):
             raise CandidateFormatError("identity must be a mapping and compose a list")
-        compose = doc["compose"]
         try:
-            objects, scalars, identities = _check_space(
-                doc["objects"], doc["scalars"], doc["identity"]
-            )
+            return _check_space(doc["objects"], doc["scalars"], doc["identity"])
         except CandidateFormatError:
             # A malformed entry is reported ahead of a malformed space.
-            _check_entries(compose)
+            _check_entries(doc["compose"])
             raise
-        _check_count(objects, scalars, len(compose))
+
+    @classmethod
+    def _from_parsed(cls, doc: dict) -> "CandidateTable":
+        objects, scalars, identities = cls._check_header(doc)
+        _check_count(objects, scalars, len(doc["compose"]))
         t = cls._bare(objects, scalars, identities)
-        t._fill(compose, _resolve(compose, t._name_i))
+        t._fill(doc["compose"], _resolve(doc["compose"], t._name_i))
         return t
 
     @classmethod
@@ -579,16 +587,16 @@ class CandidateTable:
         the final newline; None if there is no such table.
 
         Only the header, up to the first ``,"compose":[``, is parsed with
-        json.loads.  The header fixes the arrows and ``_entries`` the
-        first and second arrow of every compose entry, so only each
-        entry's third name is data.  The pair count is checked against
-        the length of the compose list, ``_SHORTEST`` bytes an entry,
-        before the arrow space is built.  A name holds no comma, so the
-        commas in the compose list are its separators; ``_composites``
-        reads each entry's names between them and compares them in place.
+        json.loads, and ``_check_header`` checks it.  The header fixes the
+        arrows and ``_entries`` the first and second arrow of every compose
+        entry, so only each entry's third name is data.  The header's bytes,
+        and the pair count against the compose list's length at ``_SHORTEST``
+        bytes an entry, are checked before the arrow space is built.  Names
+        hold no comma, so the commas in the compose list are its separators;
+        ``_composites`` compares each entry's names between them in place.
 
         Every byte of ``data`` is compared exactly: the header with the
-        table's, each entry's brackets, its three names (all of each name,
+        space's, each entry's brackets, its three names (all of each name,
         however long) and the commas between them, and the closing
         ``]}``.  So a table is returned only when ``data`` is its
         canonical bytes.  ``json.loads(data)`` is then its ``to_doc()``,
@@ -600,26 +608,15 @@ class CandidateTable:
         if at < 0 or not data.startswith(b"]}", stop):
             return None
         try:
-            header = json.loads(data[:at] + b"}")
-        except (ValueError, RecursionError):
-            return None
-        if not isinstance(header, dict):
-            return None
-        objects, scalars, identities = (header.get(k) for k in ("objects", "scalars", "identity"))
-        if not (isinstance(objects, list) and isinstance(scalars, dict)
-                and isinstance(identities, dict)):
-            return None
-        try:
-            space = _check_space(objects, scalars, identities)
-        except CandidateFormatError:
+            space = cls._check_header({**json.loads(data[:at] + b"}"), "compose": []})
+        except (ValueError, RecursionError):  # CandidateFormatError among them
             return None
         body = at + len(_COMPOSE)
+        if data[:body] != cls._head(*space):
+            return None
         if stop - body < _SHORTEST * _pair_count(*space[:2]) - 1:
             return None
         t = cls._bare(*space)
-        head = t._head()
-        if len(head) != body or not data.startswith(head):
-            return None
         I, J = t._entries()
         R = t._composites(data, body, stop, I, J)
         if R is None:
@@ -695,7 +692,7 @@ class CandidateTable:
             for pre, post in ((b"[", b","), (b"", b","), (b"", b"],"))
         ]
         entry = np.dtype([(place, f"V{w}") for place in "IJR"])
-        yield self._head()
+        yield self._head(self.objects, self.scalars, self.identities)
         for at in range(0, I.size, _BLOCK):
             block = np.empty(min(_BLOCK, I.size - at), entry)
             for place, X, table in zip("IJR", (I, J, R), tables):
@@ -1063,7 +1060,7 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     R = comp(I, J)
     src, dst = table._src_i, table._dst_i
     endpoints = sweep(
-        "endpoints", int(I.size), (src[R] != src[I]) | (dst[R] != dst[J]),
+        "endpoints", int(I.size), ~table._ends(I, J, R),
         lambda k: f"endpoints({table.arrows[I[k]]}, {table.arrows[J[k]]}): "
         f"composite {table.arrows[R[k]]} has wrong endpoints",
         cap,

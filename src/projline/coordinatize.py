@@ -138,7 +138,7 @@ class _Forcing:
             raise CoordinatizationError(f"{s} then {f} gives {r}, not an arrow {want}")
         self.I, self.J = table._pairs()
         self.R = table._composite(self.I, self.J)
-        self.ends = (src * n + dst).take(self.R) == src.take(self.I) * n + dst.take(self.J)
+        self.ends = table._ends(self.I, self.J, self.R)
         self.n_arrows = table.n_arrows
         self.line = line
 
@@ -162,11 +162,14 @@ def verify_iso(
     """
     cap = max_witnesses
     line = _line(table.n_objects - 1)
+    for kind, names in (("object", iso.object_map), ("scalar", iso.scalar_map)):
+        if not isinstance(names, dict) or not all(isinstance(v, str) for v in names.values()):
+            raise CoordinatizationError(f"{kind} map must be a mapping to strings")
     if set(iso.object_map) != set(table.objects):
         raise CoordinatizationError("object map must be defined on exactly the objects")
     if sorted(iso.object_map.values()) != sorted(line.points):
         raise CoordinatizationError("object map must be a bijection onto the model points")
-    if iso.base_object not in table.identities:
+    if not isinstance(iso.base_object, str) or iso.base_object not in table.identities:
         raise CoordinatizationError(f"unknown base object {iso.base_object!r}")
     base_scalars = table.scalars[iso.base_object]
     if set(iso.scalar_map) != set(base_scalars):

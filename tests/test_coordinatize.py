@@ -111,6 +111,23 @@ def test_verify_iso_rejects_malformed_maps():
         assert outcome(reference_verify_iso, t, bad) == (CoordinatizationError, message)
 
 
+def test_verify_iso_rejects_maps_that_are_not_mappings_to_strings():
+    t = from_model(5)
+    iso = coordinatize(t)
+    base, omap, smap = iso.base_object, iso.object_map, iso.scalar_map
+    cases = [
+        (CandidateIso(base, {**omap, t.objects[0]: 0}, smap),
+         "object map must be a mapping to strings"),
+        (CandidateIso(base, omap, {**smap, t.scalars[base][0]: None}),
+         "scalar map must be a mapping to strings"),
+        (CandidateIso([base], omap, smap), f"unknown base object {[base]!r}"),
+        (CandidateIso(base, list(omap), smap), "object map must be a mapping to strings"),
+        (CandidateIso(base, omap, list(smap)), "scalar map must be a mapping to strings"),
+    ]
+    for bad, message in cases:
+        assert outcome(verify_iso, t, bad) == (CoordinatizationError, message)
+
+
 def test_swapping_two_objects_breaks_functoriality():
     t = from_model(5)
     good = coordinatize(t, Frame("0:1", "1:0", "1:1"))

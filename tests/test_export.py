@@ -241,6 +241,27 @@ def test_format_is_the_integer_1(tmp_path, value):
     assert outcome(reference_from_doc, doc) == want
 
 
+@pytest.mark.parametrize("header, want", [
+    (b'{"format":"1",', (CandidateFormatError, "unsupported format '1', want 1")),
+    (b'{"format":1,"x":0,', ("ok", from_model(5))),
+])
+def test_a_header_that_is_not_canonical_is_refused_before_its_space_is_built(
+    tmp_path, monkeypatch, header, want
+):
+    data = _model_bytes().replace(b'{"format":1,', header, 1)
+    real = CandidateTable._init_space
+    built = []
+
+    def counted(self, *space):
+        built.append(space)
+        real(self, *space)
+
+    monkeypatch.setattr(CandidateTable, "_init_space", counted)
+    assert CandidateTable._from_canonical(data) is None
+    assert built == []
+    assert loaded(tmp_path, data) == outcome(parsed, data) == want
+
+
 def test_a_declared_size_bomb_is_refused_before_its_space_is_built(tmp_path):
     data = _bomb(400)
     start = time.perf_counter()
