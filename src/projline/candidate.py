@@ -1107,6 +1107,15 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
 AXIOM_NAMES = ("one", "two", "pappus", "hex1", "hex2", "as")
 
 
+def axiom_names(which: Optional[Sequence[str]] = None) -> list[str]:
+    """The axioms ``which`` names in canonical order, all six for None;
+    ValueError for a name that is not an axiom."""
+    unknown = [w for w in which or () if w not in AXIOM_NAMES]
+    if unknown:
+        raise ValueError(f"unknown axiom names {unknown}; valid: {', '.join(AXIOM_NAMES)}")
+    return [n for n in AXIOM_NAMES if which is None or n in which]
+
+
 def _distinct(n: int, k: int) -> np.ndarray:
     """The k-tuples of distinct indices below n, one per row, in lexicographic order."""
     rows = np.indices((n,) * k, dtype=np.intp).reshape(k, -1)
@@ -1265,11 +1274,4 @@ def check_axioms(
     Checks quantifying over more objects than the table has are
     reported as vacuous.
     """
-    if which is None:
-        names = list(AXIOM_NAMES)
-    else:
-        unknown = [w for w in which if w not in AXIOM_NAMES]
-        if unknown:
-            raise ValueError(f"unknown axiom names {unknown}; valid: {', '.join(AXIOM_NAMES)}")
-        names = [n for n in AXIOM_NAMES if n in set(which)]
-    return ReportGroup("axioms", [_AXIOMS[name](table, max_witnesses) for name in names])
+    return ReportGroup("axioms", [_AXIOMS[n](table, max_witnesses) for n in axiom_names(which)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ from .candidate import (
     AXIOM_NAMES,
     CandidateFormatError,
     CandidateTable,
+    axiom_names,
     check_axioms,
     from_model,
     validate_structure,
@@ -76,11 +78,33 @@ def _load_with_base(args) -> CandidateTable:
     return table
 
 
+# Fraction builds 10**e to read a coordinate written with exponent e; the
+# interpreter's default int-string digit limit bounds |e|, and so the time.
+EXPONENT_BOUND = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _parse_point(text: str, field) -> Point:
     try:
+        if field is QQ:
+            for coord in text.split(":"):
+                m = _EXPONENT.search(coord)
+                if m and abs(int(m[1])) > EXPONENT_BOUND:
+                    raise ValueError(f"the exponent {m[1]} exceeds {EXPONENT_BOUND} in magnitude")
         return Point.parse(field, text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"bad point {text!r}: {exc}") from exc
+
+
+def _printable(value) -> str:
+    """``str(value)``, refused as input when it is too long for the interpreter to print."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise _InputError(
+            f"the result has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from exc
 
 
 def _field_of(args):
@@ -120,11 +144,10 @@ def _cmd_check(args) -> int:
     which: Optional[list[str]] = None
     if args.axioms is not None:
         which = [w.strip() for w in args.axioms.split(",") if w.strip()]
-        bad = [w for w in which if w not in AXIOM_NAMES]
-        if bad:
-            raise _InputError(
-                f"unknown axiom names {bad}; valid: {', '.join(AXIOM_NAMES)}"
-            )
+        try:
+            which = axiom_names(which)
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
         if not which:
             raise _InputError(f"--axioms names no axiom; valid: {', '.join(AXIOM_NAMES)}")
     structure = validate_structure(table, max_witnesses=args.max_witnesses)
@@ -210,7 +233,8 @@ def _cmd_rapport(args) -> int:
         value = (cross_ratio if args.command == "cr" else tri_rapport)(*pts)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    _emit({"value": str(value)}, args, lambda: f"{value}\n")
+    text = _printable(value)
+    _emit({"value": text}, args, lambda: f"{text}\n")
     return 0
 
 
@@ -228,7 +252,8 @@ def _cmd_harmonic(args) -> int:
         return 1
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    _emit({"degenerate": False, "point": str(h)}, args, lambda: f"{h}\n")
+    text = _printable(h)
+    _emit({"degenerate": False, "point": text}, args, lambda: f"{text}\n")
     return 0
 
 

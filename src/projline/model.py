@@ -14,7 +14,6 @@ applies ``f`` first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -329,12 +328,6 @@ _ROWS = (
 )
 
 
-def _composite(quad: Sequence[Point], legs) -> FieldElement:
-    """The factor of the composite of the model arrows quad[a] -> quad[b]
-    named by quad[c], one per leg (a, b, c) in order."""
-    return reduce(compose, [label_to_arrow(*(quad[i] for i in leg)) for leg in legs]).factor
-
-
 def table_row_ids() -> list[str]:
     """The eighteen row identifiers in canonical order."""
     return [row[0] for row in _ROWS]
@@ -347,15 +340,20 @@ def evaluate_table_rows(
 
     Returns one record per row with the fixed shape
     {row, frame, expected, got, pass}.  ``got`` is the row's value, the
-    composite of the model arrows along its legs, or ``v1|v2`` when a
-    negated row's two forms differ; a row passes when every form equals
-    ``expected``.  mu is the value of the first row, cr:mu.
+    product of the factors det(a,c)/det(b,c) along its legs, or ``v1|v2``
+    when a negated row's two forms differ; a row passes when every form
+    equals ``expected``.  mu is the value of the first row, cr:mu.
     """
     a, b, c, d = quad
-    if len(set(_shared(quad)[1])) != 4:
+    field, coords = _shared(quad)
+    if len(set(coords)) != 4:
         raise ValueError("table rows need four pairwise-distinct points")
     frame = f"{a},{b},{c},{d}"
-    got_rows = [[_composite(quad, legs) for legs in forms] for *_, forms in _ROWS]
+    got_rows = [
+        [field._ratio(*_rapport_terms([[coords[i] for i in leg] for leg in legs]))
+         for legs in forms]
+        for *_, forms in _ROWS
+    ]
     mu = got_rows[0][0]
     values = {expr: value(mu) for expr, value in _EXPR_VALUES.items()}
     records = []

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +14,13 @@ from helpers import (
     MUTATIONS,
     NON_GROUPOID,
     SWAPPED_NAMES,
+    group_groupoid,
     mutate_doc,
     reference_find_quadruple,
     run_cli,
     seeded_mutation,
     swap_names,
+    symmetric_group,
 )
 from projline import cli
 from projline.candidate import AXIOM_NAMES, CandidateTable, check_axioms, from_model
@@ -110,8 +113,13 @@ def test_check_axiom_subset_in_canonical_order(f5_path):
 
 def test_check_rejects_unknown_axiom(f5_path):
     r = run_cli("check", "--in", f5_path, "--axioms", "one,zorn")
-    assert r.returncode == 2
-    assert "zorn" in r.stderr
+    assert (r.returncode, r.stdout) == (2, "")
+    with pytest.raises(ValueError) as exc:
+        check_axioms(from_model(5), which=["one", "zorn"])
+    assert r.stderr == f"{exc.value}\n"
+    # the file is read before the names are checked
+    r = run_cli("check", "--in", f5_path + ".missing", "--axioms", "zorn")
+    assert r.returncode == 2 and r.stderr.startswith(f"cannot read {f5_path}.missing: ")
 
 
 @pytest.mark.parametrize("axioms", ["", ",", " , "])
@@ -298,6 +306,35 @@ def test_relabeled_groupoid_passes_structure_and_every_command_exits_1(tmp_path,
 
 
 # -- byte stability -------------------------------------------------------------
+
+# SHA-256 of `check --format json --max-witnesses 50` on structurally valid
+# tables that are not lines: swapped F_5 and F_7 fail one, two, hex1, hex2
+# and as, and the S_3 groupoids (n=8) all six, so every axiom's witness
+# text is pinned through the CLI.
+WITNESS_SHA256 = {
+    "swap-5": "ef76bd0a217487be1e539eec0c6b6c15a1876b61c21970e4f60ba8c0424d67da",
+    "swap-7": "83cc28597873dbb710567abf5dfbde1f850c7865a3a93a48642123e6ca158b24",
+    "s3-0": "76025cf6a901f768fe82ccf04681d38e89b6f42e3634bcf0cffa5d3fb10e94df",
+    "s3-1": "08925d38b51138cc02c553b8017dabe9e0514912af8b0fc3fcf64d8513a434f0",
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESS_SHA256))
+def test_check_witnesses_on_structurally_valid_non_lines_are_pinned(tmp_path, case):
+    kind, arg = case.split("-")
+    if kind == "swap":
+        doc = swap_names(from_model(int(arg)).to_doc(), *SWAPPED_NAMES)
+    else:
+        doc = group_groupoid(symmetric_group(3), int(arg))
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--in", str(path), "--format", "json", "--max-witnesses", "50",
+                binary=True)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert all(c["status"] == "pass" for c in report["structure"]["checks"])
+    assert hashlib.sha256(r.stdout).hexdigest() == WITNESS_SHA256[case]
+
 
 # SHA-256 of stdout, recorded from the per-entry loader these outputs must
 # not drift from.  The check pins were re-recorded when associativity came
@@ -640,6 +677,38 @@ def test_gen_refuses_a_table_larger_than_physical_memory(p):
     assert r.stderr.endswith(" bytes of physical memory\n")
     with pytest.raises(ValueError, match=f"the table over F_{p} needs"):
         from_model(p)
+
+
+_DIGITS = ("7" * 4000, "3" * 4000, "5" * 3999)  # each under the int-string digit limit
+_TOO_LONG = "the result has more than 4300 digits, the interpreter's limit for printing an integer\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, points, stderr",
+    [
+        ("cr", ("1e5000:1", "1:0", "1:1", "2:1"),
+         "bad point '1e5000:1': the exponent 5000 exceeds 4300 in magnitude\n"),
+        ("cr", ("1e1000000000:1", "1:0", "1:1", "2:1"),
+         "bad point '1e1000000000:1': the exponent 1000000000 exceeds 4300 in magnitude\n"),
+        ("cr", ("1e-1000000000:1", "1:0", "1:1", "2:1"),
+         "bad point '1e-1000000000:1': the exponent -1000000000 exceeds 4300 in magnitude\n"),
+        ("tri", (*(f"{x}:1" for x in _DIGITS), "1:1", "2:1", "0:1"), _TOO_LONG),
+        ("harmonic", tuple(f"{x}:1" for x in _DIGITS), _TOO_LONG),
+    ],
+    ids=["cr-1e5000", "cr-1e1000000000", "cr-1e-1000000000", "tri-long", "harmonic-long"],
+)
+def test_rational_calculators_end_in_exit_2_within_2_s(command, points, stderr, fmt):
+    start = time.perf_counter()
+    r = run_cli(command, "--field", "rationals", "--format", fmt, "--", *points)
+    assert time.perf_counter() - start < 2.0
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr)
+
+
+def test_cr_over_rationals_prints_an_exponent_within_the_bound():
+    x = 10**4000  # cr(x:1, 1:0; 1:1, 2:1) = det(x, 1) / det(x, 2)
+    r = run_cli("cr", "--field", "rationals", "--", "1e4000:1", "1:0", "1:1", "2:1")
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{Fraction(x - 1, x - 2)}\n", "")
 
 
 def test_tables_rejects_unusable_mu():

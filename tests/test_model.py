@@ -485,11 +485,13 @@ def test_calculators_match_the_element_reference_on_seeded_tuples(field):
         assert outcome(evaluate_table_rows, quad) == outcome(reference_table_records, quad)
 
 
-def test_table_rows_build_each_leg_once(monkeypatch):
+def test_table_rows_are_determinant_products_without_arrows(monkeypatch):
     # 6 two-leg cross-ratio rows, 6 three-leg rows and 6 negated rows of
-    # two three-leg forms: 66 arrows, and no second cross ratio for mu
+    # two three-leg forms: one determinant product per form, 24 in all, no
+    # model arrow built or composed, and no second cross ratio for mu
     calls = []
-    for name in ("label_to_arrow", "cross_ratio", "tri_rapport"):
+    for name in ("ModelArrow", "label_to_arrow", "compose", "cross_ratio", "tri_rapport",
+                 "_rapport_terms"):
         honest = getattr(projline.model, name)
 
         def counted(*args, name=name, honest=honest):
@@ -500,7 +502,7 @@ def test_table_rows_build_each_leg_once(monkeypatch):
     for quad in itertools.permutations(points(GF(5)), 4):
         calls.clear()
         evaluate_table_rows(quad)
-        assert calls == ["label_to_arrow"] * 66
+        assert calls == ["_rapport_terms"] * 24
 
 
 def test_points_over_two_fields_raise_field_mismatch_first():
