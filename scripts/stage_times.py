@@ -27,7 +27,7 @@ seconds per calculator call; its ``field`` is ``F10007`` or ``Q`` in
 place of ``p``.  They run after every pipeline stage, so the stage rows
 are taken in the same process state as in files without them.
 
-After that p's stages, one child script (``CHILD``) runs three jobs,
+After that p's stages, one child script (``CHILD``) runs four jobs,
 each in a fresh process, and ``child_row`` makes each job's row.  The
 child's ``kib`` is its peak resident set size at the end, its
 ``VmHWM`` from ``/proc/self/status``, not ``ru_maxrss``: Linux carries
@@ -40,9 +40,12 @@ the file; its ``seconds`` are one wall time of those two steps, not a
 median.  ``coord`` builds the table with ``from_model``, reads its
 ``VmHWM`` into ``table_kib``, then runs ``coordinatize`` and
 ``verify_uniqueness``; its ``seconds`` are one wall time of those two
-calls.  The ``--src`` tree is byte-compiled before any child starts,
-so no child's peak holds the compile of a source whose bytecode is
-missing or stale.
+calls.  ``parsed_load`` loads the saved table with its first two
+compose entries swapped (``swap_first_entries``), a valid file that is
+not canonical, so ``CandidateTable.load`` parses it; its ``seconds``
+are one wall time of that call.  The ``--src`` tree is byte-compiled
+before any child starts, so no child's peak holds the compile of a
+source whose bytecode is missing or stale.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; the file is canonical, so ``load`` reads it in place.
@@ -205,6 +208,10 @@ elif job == "coord":
     report, _ = projline.verify_uniqueness(table)
     row["seconds"] = round(time.perf_counter() - start, 6)
     assert iso.verified and report.status == "pass"
+elif job == "parsed_load":
+    start = time.perf_counter()
+    projline.CandidateTable.load(path)
+    row["seconds"] = round(time.perf_counter() - start, 6)
 else:
     raise SystemExit(f"unknown job {job!r}")
 print(json.dumps({"kib": vmhwm(), **row}))
@@ -212,14 +219,26 @@ print(json.dumps({"kib": vmhwm(), **row}))
 
 
 def child_row(job: str, p: int, src: str, path: str) -> dict:
-    """The row of ``job`` (``peak_rss``, ``gen`` or ``coord``) at p, from a
-    fresh process that imports projline from ``src``: ``peak_rss`` checks
-    the table saved at ``path``, ``gen`` writes the table over F_p there."""
+    """The row of ``job`` (``peak_rss``, ``gen``, ``coord`` or
+    ``parsed_load``) at p, from a fresh process that imports projline from
+    ``src``: ``peak_rss`` checks the table saved at ``path`` and
+    ``parsed_load`` loads it, ``gen`` writes the table over F_p there."""
     out = subprocess.run(
         [sys.executable, "-c", CHILD, src, job, str(p), path],
         check=True, capture_output=True, text=True,
     ).stdout
     return {"p": p, "stage": job, **json.loads(out)}
+
+
+def swap_first_entries(path: str, out: str) -> str:
+    """Write the table document at ``path`` to ``out``, compact, with its
+    first two compose entries swapped; return ``out``."""
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    doc["compose"][:2] = doc["compose"][1::-1]
+    with open(out, "w") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
+    return out
 
 
 def _seeded_quadruples(field, seed: int) -> list[tuple]:
@@ -303,6 +322,8 @@ def main() -> None:
             rows.append(child_row("peak_rss", p, src, path))
             rows.append(child_row("gen", p, src, os.path.join(tmp, f"gen{p}.json")))
             rows.append(child_row("coord", p, src, path))
+            swapped = swap_first_entries(path, os.path.join(tmp, f"swapped{p}.json"))
+            rows.append(child_row("parsed_load", p, src, swapped))
     rows += calculator_rows(REPEAT)
     run = {
         "source_sha256": _source_digest(os.path.dirname(projline.__file__)),

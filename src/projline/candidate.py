@@ -150,70 +150,27 @@ def _check_count(
         )
 
 
-def _shaped(entries: list) -> int:
-    """How many leading compose entries are [a, b, ab] lists."""
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
-        return len(entries)
-    return next(k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3)
-
-
-def _raise_malformed(entries: list, shaped: int, looked_up: int, missed: Iterable) -> None:
-    """Raise the error of the earliest malformed entry, if there is one.
-
-    Names are looked up in order up to the first list or mapping among
-    them, ``looked_up`` of the names in the first ``shaped`` entries;
-    ``missed`` are the ones that resolved to no arrow, each of which is
-    parsed once, in order.  A hashable non-string fails its parse.
-    """
-    for s in dict.fromkeys(missed):
-        parse_arrow(s)
-    if looked_up < 3 * shaped:
-        parse_arrow(entries[looked_up // 3][looked_up % 3])
-    if shaped < len(entries):
-        raise CandidateFormatError(
-            f"compose entries are [a, b, ab] triples, got {entries[shaped]!r}"
-        )
-
-
 def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
-    """Arrow indices of the compose entries, as an (m, 3) int32 array.
+    """Arrow indices of the leading compose entries, as an (m, 3) int32 array.
 
-    A well-formed name missing from ``names`` resolves to -1.  Shape,
-    type and syntax errors are raised for the earliest offending entry.
-    Each name costs one dict lookup, in one pass; only missed names are
-    parsed, each distinct one once.  A list or mapping among the names
-    is searched for on that error path only.
+    The lookup stops at the first entry that is not an [a, b, ab] list of
+    hashable names; a name missing from ``names`` resolves to -1.  Each
+    name costs one dict lookup, in one pass.  A list or mapping among the
+    names is searched for on that error path only.
     """
-    shaped = _shaped(entries)
-    looked_up = 3 * shaped
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        m = len(entries)
+    else:
+        m = next(k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3)
     try:
         idx = np.fromiter(
-            map(names.get, chain.from_iterable(islice(entries, shaped)), repeat(-1)),
-            np.int32, looked_up,
+            map(names.get, chain.from_iterable(islice(entries, m)), repeat(-1)), np.int32, 3 * m
         )
     except TypeError:
-        # A list or mapping where a name belongs: look up the names before it.
-        flat = list(chain.from_iterable(islice(entries, shaped)))
-        looked_up = next(k for k, s in enumerate(flat) if not isinstance(s, Hashable))
-        idx = np.fromiter(map(names.get, islice(flat, looked_up), repeat(-1)), np.int32, looked_up)
-    missed = (entries[k // 3][k % 3] for k in np.flatnonzero(idx < 0).tolist())
-    _raise_malformed(entries, shaped, looked_up, missed)
+        # A list or mapping where a name belongs: stop at its entry.
+        k = next(k for k, e in enumerate(entries) if not all(isinstance(s, Hashable) for s in e))
+        return _resolve(entries[:k], names)
     return idx.reshape(-1, 3)
-
-
-def _check_entries(entries: list) -> None:
-    """Raise the error that ``_resolve(entries, {})`` raises, if any,
-    without looking a name up: every name misses there, so each
-    distinct one is parsed, in order of first appearance."""
-    shaped = _shaped(entries)
-    flat = list(chain.from_iterable(islice(entries, shaped)))
-    try:
-        missed = dict.fromkeys(flat)
-        looked_up = len(flat)
-    except TypeError:
-        looked_up = next(k for k, s in enumerate(flat) if not isinstance(s, Hashable))
-        missed = flat[:looked_up]
-    _raise_malformed(entries, shaped, looked_up, missed)
 
 
 @contextmanager
@@ -373,10 +330,12 @@ class CandidateTable:
     def _fill(self, entries: Sequence, idx: np.ndarray) -> None:
         """Store the composites of entries whose count is already checked.
 
-        ``idx`` holds the (a, b, ab) arrow indices per entry, -1 for an
-        unknown arrow.  The earliest entry with an unknown arrow, a pair
-        that is not composable or a pair given before is reported; with
-        none and the right count, every composable pair is filled once.
+        ``idx`` holds the (a, b, ab) arrow indices of the leading entries
+        that ``_resolve`` looked up, -1 for a name that is no arrow.  The
+        earliest entry with a defect is reported, naming the first of: not
+        an [a, b, ab] list, a name that is not a string in arrow syntax (in
+        entry order), an unknown arrow, a pair that is not composable, a
+        pair given before.  With none, every composable pair is filled once.
         """
         ia, ib, ir = idx.T
         m = len(idx)
@@ -387,16 +346,22 @@ class CandidateTable:
         repeated = np.zeros(m, dtype=bool)
         repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
         bad = (idx < 0).any(axis=1) | ~composable | repeated
-        if bad.any():
-            k = int(np.argmax(bad))
-            a, b, r = entries[k]
-            for arrow, i in zip((a, b, r), idx[k]):
-                if i < 0:
-                    raise CandidateFormatError(f"unknown arrow {arrow}")
-            if not composable[k]:
-                raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
-            raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
-        self._store(ia, ib, ir)
+        k = int(np.argmax(bad)) if bad.any() else m
+        if k == len(entries):
+            self._store(ia, ib, ir)
+            return
+        entry = entries[k]
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise CandidateFormatError(f"compose entries are [a, b, ab] triples, got {entry!r}")
+        for name in entry:
+            parse_arrow(name)
+        for name, i in zip(entry, idx[k]):
+            if i < 0:
+                raise CandidateFormatError(f"unknown arrow {name}")
+        a, b, _ = entry
+        if not composable[k]:
+            raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
+        raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
 
     def _composite(self, I, J) -> np.ndarray:
         """The composite of I then J, -1 where they do not compose.
@@ -566,12 +531,7 @@ class CandidateTable:
             raise CandidateFormatError("objects must be a list and scalars a mapping")
         if not isinstance(doc["identity"], dict) or not isinstance(doc["compose"], list):
             raise CandidateFormatError("identity must be a mapping and compose a list")
-        try:
-            return _check_space(doc["objects"], doc["scalars"], doc["identity"])
-        except CandidateFormatError:
-            # A malformed entry is reported ahead of a malformed space.
-            _check_entries(doc["compose"])
-            raise
+        return _check_space(doc["objects"], doc["scalars"], doc["identity"])
 
     @classmethod
     def _from_parsed(cls, doc: dict) -> "CandidateTable":

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 all requested checks pass, 1 a check or mathematical
-precondition fails, 2 unusable input (bad file, bad arguments), 3
-unexpected internal error.  JSON output is deterministic: same input
-and flags give the same bytes.  ``check --jobs N`` is accepted for
-compatibility; every sweep runs in one process whatever N is.
+precondition fails, 2 unusable input (bad file, bad arguments, or more
+memory than the process may use), 3 unexpected internal error.  JSON
+output is deterministic: same input and flags give the same bytes.
+``check --jobs N`` is accepted for compatibility; every sweep runs in
+one process whatever N is.
 """
 
 from __future__ import annotations
@@ -402,6 +403,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except _InputError as exc:
         return _fail(str(exc), 2)
+    except MemoryError:
+        return _fail("out of memory: the input needs more memory than this process may use", 2)
     except Exception as exc:  # pragma: no cover - defensive
         return _fail(f"internal error: {type(exc).__name__}: {exc}", 3)
 

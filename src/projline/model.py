@@ -201,6 +201,15 @@ def arrow_to_label(f: ModelArrow) -> Point:
     return Point.from_homogeneous(x, y)
 
 
+def _text(p: Point) -> str:
+    """``str(p)``, or a stand-in when a coordinate is too long for the
+    interpreter to print, so that a message naming ``p`` can be built."""
+    try:
+        return str(p)
+    except ValueError:
+        return "<a point too long to print>"
+
+
 def cross_ratio(a: Point, b: Point, c: Point, d: Point) -> FieldElement:
     """The scalar at ``a`` of the round trip a -> b via c, b -> a via d:
     det(a,c)·det(b,d) / (det(b,c)·det(a,d)).
@@ -210,6 +219,7 @@ def cross_ratio(a: Point, b: Point, c: Point, d: Point) -> FieldElement:
     """
     field, (ca, cb, cc, cd) = _shared((a, b, c, d))
     if ca == cb or cc in (ca, cb) or cd in (ca, cb):
+        a, b, c, d = map(_text, (a, b, c, d))
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
     return field._ratio(*_rapport_terms(_cr_legs(ca, cb, cc, cd)))
 
@@ -226,8 +236,10 @@ def tri_rapport(
     """
     field, (ca, cb, cc, cd, ce, cf) = _shared((a, b, c, d, e, f))
     if ca == cb or ca == cc or cb == cc:
+        a, b, c = map(_text, (a, b, c))
         raise ValueError(f"base points must be pairwise distinct: {a},{b},{c}")
     if cd in (ca, cb) or ce in (cb, cc) or cf in (cc, ca):
+        a, b, c, d, e, f = map(_text, (a, b, c, d, e, f))
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
     return field._ratio(*_rapport_terms(_tri_legs(ca, cb, cc, cd, ce, cf)))
 
@@ -258,6 +270,7 @@ def harmonic_conjugate(a: Point, b: Point, c: Point) -> Point:
     """
     field, (ca, cb, cc) = _shared((a, b, c))
     if ca == cb or cc in (ca, cb):
+        a, b, c = map(_text, (a, b, c))
         raise ValueError(f"need three distinct points, got {a}, {b}, {c}")
     if field.characteristic == 2:
         raise DegenerateHarmonicError(

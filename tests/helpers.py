@@ -299,12 +299,12 @@ def reference_json_bytes(table: CandidateTable) -> bytes:
 def reference_from_doc(doc) -> CandidateTable:
     """The per-entry loader that ``CandidateTable.from_doc`` replaced.
 
-    It parses every arrow string into an arrow object, validates the
-    declared space, then collects the composites entry by entry,
-    counting entries last, and stores them.  Its errors are the loader's, except that the loader
-    reports a wrong entry count first.  Documents with a list where a
-    name belongs, or a non-list of scalar ids, make it raise TypeError
-    or read a string as its characters.
+    It validates the declared space and the entry count, then checks
+    the entries one by one, each for its shape, its names parsed into
+    arrow objects, their lookup, the composability of its pair and then
+    a repeated pair, and stores them.  Its errors are the loader's.  Documents with a list where a name
+    belongs, or a non-list of scalar ids, make it raise TypeError or
+    read a string as its characters.
     """
     if not isinstance(doc, dict):
         raise CandidateFormatError("candidate document must be a JSON object")
@@ -319,11 +319,6 @@ def reference_from_doc(doc) -> CandidateTable:
         raise CandidateFormatError("objects must be a list and scalars a mapping")
     if not isinstance(doc["identity"], dict) or not isinstance(doc["compose"], list):
         raise CandidateFormatError("identity must be a mapping and compose a list")
-    entries = []
-    for e in doc["compose"]:
-        if not isinstance(e, list) or len(e) != 3:
-            raise CandidateFormatError(f"compose entries are [a, b, ab] triples, got {e!r}")
-        entries.append(tuple(parse_arrow(s) for s in e))
 
     objects, scalars, identities = list(doc["objects"]), doc["scalars"], doc["identity"]
     if len(objects) < 3:
@@ -351,21 +346,24 @@ def reference_from_doc(doc) -> CandidateTable:
             )
 
     t = CandidateTable._bare(tuple(objects), norm_scalars, dict(identities))
+    count = len(doc["compose"])
+    expected = sum(len(i) * len(o) for i, o in zip(in_lists(t), out_lists(t)))
+    if count != expected:
+        raise CandidateFormatError(
+            f"compose table has {count} entries but {expected} composable pairs exist"
+        )
     index = ObjectCalculus(t).arrow_index
     comp: dict[tuple[int, int], int] = {}
-    for a, b, r in entries:
+    for e in doc["compose"]:
+        if not isinstance(e, list) or len(e) != 3:
+            raise CandidateFormatError(f"compose entries are [a, b, ab] triples, got {e!r}")
+        a, b, r = (parse_arrow(s) for s in e)
         ia, ib, ir = index(a), index(b), index(r)
         if t._dst_i[ia] != t._src_i[ib]:
             raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
         if (ia, ib) in comp:
             raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
         comp[ia, ib] = ir
-    count = len(comp)
-    expected = sum(len(i) * len(o) for i, o in zip(in_lists(t), out_lists(t)))
-    if count != expected:
-        raise CandidateFormatError(
-            f"compose table has {count} entries but {expected} composable pairs exist"
-        )
     t._store(*zip(*comp), list(comp.values()))
     return t
 

@@ -908,20 +908,40 @@ _MALFORMED_ENTRIES = {
 
 @pytest.mark.parametrize("space", [None, *_MALFORMED_SPACES])
 @pytest.mark.parametrize("entry", [None, *_MALFORMED_ENTRIES])
-def test_a_malformed_entry_is_reported_ahead_of_a_malformed_space(f5_doc, space, entry):
-    """The messages, pinned: an entry's error, else the space's."""
+def test_a_malformed_space_is_reported_ahead_of_a_malformed_entry(f5_doc, space, entry):
+    """The messages, pinned: the space's error, else an entry's."""
     if space is None and entry is None:
         return
     doc = copy.deepcopy(f5_doc)
     want = None
-    if entry is not None:
-        edit, want = _MALFORMED_ENTRIES[entry]
-        edit(doc["compose"])
     if space is not None:
-        edit, message = _MALFORMED_SPACES[space]
+        edit, want = _MALFORMED_SPACES[space]
         edit(doc)
+    if entry is not None:
+        edit, message = _MALFORMED_ENTRIES[entry]
+        edit(doc["compose"])
         want = want or message
     assert outcome(CandidateTable.from_doc, doc) == (CandidateFormatError, want)
+
+
+@pytest.mark.parametrize(
+    "third, ninth, want",
+    [
+        ("0:1#9", "0:1>2:1", "unknown arrow 0:1#9"),
+        ("0:1>2:1", "0:1#9", "bad arrow syntax '0:1>2:1', want src>label>dst"),
+        ("pair", 7, "entry (0:1#1, 1:0>0:1>2:1) is not composable"),
+    ],
+)
+def test_the_earliest_bad_entry_is_named_whatever_its_defect(f5_doc, third, ninth, want):
+    """Entry 3 holds one defect and entry 9 another: entry 3's is reported."""
+    doc = copy.deepcopy(f5_doc)
+    if third == "pair":
+        doc["compose"][3][1] = "1:0>0:1>2:1"
+    else:
+        doc["compose"][3][0] = third
+    doc["compose"][9][0] = ninth
+    assert outcome(CandidateTable.from_doc, doc) == (CandidateFormatError, want)
+    assert outcome(reference_from_doc, doc) == (CandidateFormatError, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -947,10 +967,6 @@ def test_loader_matches_reference_on_edited_documents(data):
         # The reference crashes, or reads a string of scalar ids as its
         # characters; the loader rejects both.
         assert got == "rejected"
-    elif got == "rejected" and new.startswith("compose table has"):
-        # The entry count is checked first; the reference may report a
-        # per-entry error instead.
-        assert want == "rejected"
     else:
         assert (got, new) == (want, ref)
 

@@ -216,6 +216,17 @@ def test_check_rejects_wrong_json_types(tmp_path, f5_path, breakage):
     assert str(path) in r.stderr and "internal error" not in r.stderr
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_ends_in_exit_2_when_memory_runs_out(f5_path, monkeypatch, fmt):
+    def exhausted(cls, path):
+        raise MemoryError
+
+    monkeypatch.setattr(CandidateTable, "load", classmethod(exhausted))
+    assert _in_process(["check", "--in", f5_path, "--format", fmt]) == (
+        2, b"", b"out of memory: the input needs more memory than this process may use\n",
+    )
+
+
 # -- reconstruct and classify ------------------------------------------------
 
 
@@ -681,6 +692,7 @@ def test_gen_refuses_a_table_larger_than_physical_memory(p):
 
 _DIGITS = ("7" * 4000, "3" * 4000, "5" * 3999)  # each under the int-string digit limit
 _TOO_LONG = "the result has more than 4300 digits, the interpreter's limit for printing an integer\n"
+_HUGE = "<a point too long to print>"  # 1e4300 has 4301 digits
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -695,8 +707,17 @@ _TOO_LONG = "the result has more than 4300 digits, the interpreter's limit for p
          "bad point '1e-1000000000:1': the exponent -1000000000 exceeds 4300 in magnitude\n"),
         ("tri", (*(f"{x}:1" for x in _DIGITS), "1:1", "2:1", "0:1"), _TOO_LONG),
         ("harmonic", tuple(f"{x}:1" for x in _DIGITS), _TOO_LONG),
+        ("cr", ("1e4300:1", "1e4300:1", "1:1", "2:1"),
+         f"cross ratio needs a,b,c and a,b,d distinct: {_HUGE},{_HUGE};1:1,2:1\n"),
+        ("harmonic", ("1e4300:1", "1e4300:1", "1:1"),
+         f"need three distinct points, got {_HUGE}, {_HUGE}, 1:1\n"),
+        ("tri", ("1e4300:1", "1e4300:1", "1:1", "2:1", "3:1", "4:1"),
+         f"base points must be pairwise distinct: {_HUGE},{_HUGE},1:1\n"),
+        ("tri", ("1e4300:1", "2:1", "3:1", "1e4300:1", "3:1", "4:1"),
+         f"labels must avoid their endpoints: ({_HUGE},2:1,3:1;{_HUGE},3:1,4:1)\n"),
     ],
-    ids=["cr-1e5000", "cr-1e1000000000", "cr-1e-1000000000", "tri-long", "harmonic-long"],
+    ids=["cr-1e5000", "cr-1e1000000000", "cr-1e-1000000000", "tri-long", "harmonic-long",
+         "cr-repeated", "harmonic-repeated", "tri-repeated", "tri-label-repeated"],
 )
 def test_rational_calculators_end_in_exit_2_within_2_s(command, points, stderr, fmt):
     start = time.perf_counter()

@@ -12,6 +12,7 @@ from helpers import (
     MUTATIONS,
     REFERENCE_CASES,
     cross_homset_mutation,
+    four_object_table,
     mutate_doc,
     outcome,
     reference_coordinatize,
@@ -382,6 +383,10 @@ def test_object_count_must_fit_a_prime_model():
     t = CandidateTable._bare(*_check_space(objects, scalars, identities))
     with pytest.raises(CoordinatizationError, match="not prime"):
         coordinatize(t)
+    # four objects need order 3, and the four-object table's field has order 2
+    want = (CoordinatizationError, "reconstructed field has order 2; the model needs prime order 3")
+    assert outcome(coordinatize, four_object_table()) == want
+    assert outcome(reference_coordinatize, four_object_table()) == want
 
 
 def test_mutated_table_fails_coordinatization():

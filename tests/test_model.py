@@ -97,8 +97,29 @@ def test_cross_ratio_matches_affine_oracle(p):
 def test_points_enumeration_order():
     F = GF(5)
     assert [str(q) for q in points(F)] == ["0:1", "1:1", "2:1", "3:1", "4:1", "1:0"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coordinate lists are only for the rationals$"):
         points(F, coords=[0, 1])  # finite fields enumerate themselves
+    with pytest.raises(ValueError, match="^the rationals need an explicit finite coordinate list$"):
+        points(QQ)
+    assert [str(q) for q in points(QQ, [Fraction(1, 2), -3])] == ["1/2:1", "-3:1"]
+
+
+_A, _B = Point.affine(GF(5), 0), Point.affine(GF(5), 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelArrow(_A, _B, GF(5)(0)), "arrow factors are nonzero"),
+        (lambda: arrow_to_label(identity(_A)), "endo arrows are scalars, not labeled projections"),
+        (lambda: minus_one(_A, [_A, _B]), "need at least two points besides the base point"),
+        (lambda: verify_classical_tables(QQ),
+         "table sweeps enumerate points, so they need a prime field"),
+    ],
+    ids=["zero-factor", "endo-label", "minus-one-helpers", "rational-sweep"],
+)
+def test_model_refusals_raise_value_error(call, message):
+    assert outcome(call) == (ValueError, message)
 
 
 def test_point_parse_and_render():
@@ -545,3 +566,5 @@ def test_point_normalization_check_is_unchanged():
         Point(QQ(Fraction(1, 2)), QQ(2))
     with pytest.raises(ValueError, match="^coordinates of a point must share a field$"):
         Point(GF(5)(1), GF(7)(1))
+    with pytest.raises(ValueError, match="^coordinates of a point must share a field$"):
+        Point.from_homogeneous(GF(5)(2), GF(7)(2))

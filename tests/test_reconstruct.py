@@ -172,6 +172,12 @@ def test_field_table_round_trip_and_validation():
     for v in (None, 3, [[0, 1, 2]] * 2 + [0]):
         with pytest.raises(ReconstructionError):
             FieldTable.from_doc(dict(doc, add=v))
+    for op in ("add", "mul"):
+        for v in ([[0, 1, 2]] * 2, [[0, 1, 2], [0, 1], [0, 1, 2]], [[0, 1, 2, 0]] * 3):
+            with pytest.raises(ReconstructionError, match="^operation tables must be order x order$"):
+                FieldTable.from_doc(dict(doc, **{op: v}))
+    with pytest.raises(ReconstructionError, match="^'9' is not a field element$"):
+        ft.index("9")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from projline.reports import sweep
+from projline.reports import ReportGroup, sweep
 
 
 def _describe(*index):
@@ -34,3 +34,11 @@ def test_sweep_passes_without_failures_and_is_vacuous_with_nothing_checked():
     assert sweep("law", 0, empty, _describe, 5).status == "vacuous"
     report = sweep("law", 2, np.array([True, True]), _describe, 0)
     assert (report.status, report.failures, report.witnesses) == ("fail", 2, [])
+
+
+def test_a_group_refuses_an_unknown_check_name():
+    group = ReportGroup("structure", [sweep("law", 1, np.zeros(1, dtype=bool), _describe, 5)])
+    assert group.check("law").name == "law"
+    with pytest.raises(KeyError) as exc:
+        group.check("nope")
+    assert exc.value.args == ("nope",)

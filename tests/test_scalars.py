@@ -101,6 +101,8 @@ def test_mixed_fields_rejected_ints_coerced():
         a + GF(7)(1)
     with pytest.raises(FieldMismatchError):
         a * QQ(1)
+    with pytest.raises(FieldMismatchError, match="^2 does not belong to F7$"):
+        GF(7)(a)
     assert a + 3 == GF(5)(0)
     assert 3 + a == GF(5)(0)
     assert 1 - a == GF(5)(4)

@@ -14,6 +14,7 @@ KEYS = {
     "peak_rss": ["p", "stage", "kib"],
     "gen": ["p", "stage", "kib", "seconds"],
     "coord": ["p", "stage", "kib", "table_kib", "seconds"],
+    "parsed_load": ["p", "stage", "kib", "seconds"],
 }
 
 
@@ -28,8 +29,13 @@ def _stage_times():
 @pytest.mark.parametrize("job", sorted(KEYS))
 def test_child_rows(tmp_path, job):
     path = tmp_path / "f5.json"
-    if job == "peak_rss":
+    if job in ("peak_rss", "parsed_load"):
         from_model(5).save(str(path))
+    if job == "parsed_load":
+        path = Path(_stage_times().swap_first_entries(str(path), str(tmp_path / "swapped.json")))
+        # Valid but not canonical: the child takes the parsed path.
+        assert CandidateTable._from_canonical(path.read_bytes()) is None
+        assert CandidateTable.load(str(path)) == from_model(5)
     row = _stage_times().child_row(job, 5, str(ROOT / "src"), str(path))
     assert list(row) == KEYS[job]
     assert row["p"] == 5 and row["stage"] == job
