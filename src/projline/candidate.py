@@ -17,7 +17,6 @@ import gc
 import json
 import os
 import re
-from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -87,10 +86,19 @@ def parse_arrow(text: str) -> AbstractArrow:
     return NonEndo(src=parts[0], dst=parts[2], label=parts[1])
 
 
+def _hashable(x) -> bool:
+    """Whether ``x`` can be hashed: a tuple holding a list is a Hashable that cannot."""
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_names(kind: str, names: Sequence, repeated: str) -> None:
-    # A list or mapping among the names cannot go into a set; the name
-    # check reports it instead of the uniqueness check.
-    if all(isinstance(x, Hashable) for x in names) and len(set(names)) != len(names):
+    # A name that cannot be hashed cannot go into a set; the name check
+    # reports it instead of the uniqueness check.
+    if all(map(_hashable, names)) and len(set(names)) != len(names):
         raise CandidateFormatError(repeated)
     for x in names:
         _check_name(kind, x)
@@ -155,8 +163,8 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
 
     The lookup stops at the first entry that is not an [a, b, ab] list of
     hashable names; a name missing from ``names`` resolves to -1.  Each
-    name costs one dict lookup, in one pass.  A list or mapping among the
-    names is searched for on that error path only.
+    name costs one dict lookup, in one pass.  A name that cannot be
+    hashed is searched for on that error path only.
     """
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
         m = len(entries)
@@ -167,8 +175,8 @@ def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
             map(names.get, chain.from_iterable(islice(entries, m)), repeat(-1)), np.int32, 3 * m
         )
     except TypeError:
-        # A list or mapping where a name belongs: stop at its entry.
-        k = next(k for k, e in enumerate(entries) if not all(isinstance(s, Hashable) for s in e))
+        # A name that cannot be hashed: stop at its entry.
+        k = next(k for k, e in enumerate(entries) if not all(map(_hashable, e)))
         return _resolve(entries[:k], names)
     return idx.reshape(-1, 3)
 
@@ -373,10 +381,13 @@ class CandidateTable:
         return self._comp[I, J]
 
     def _store(self, I, J, R) -> None:
-        """Store R as the composite of each composable pair (I, J) and find the inverses."""
+        """Store R as the composite of each composable pair (I, J), find the
+        inverses and drop the forced map kept from earlier composites."""
         comp = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.int32)
         comp[I, J] = R
         self._comp = comp
+        # The table's coordinatize._Forcing, built on its first use.
+        self._forcing = None
         # The inverse of an arrow a -> b lies in hom(b, a): keep the least
         # arrow there whose composites both ways are the units, -1 if none.
         n, src, dst = self.n_objects, self._src_i, self._dst_i

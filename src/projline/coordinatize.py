@@ -7,7 +7,11 @@ the scalars, and the resulting object and scalar maps determine a full
 arrow map whose functoriality is checked exhaustively.
 
 The target model over F_p is its arithmetic, ``ModelLine``, not a
-table; the last one is kept for the next call at the same p.
+table; the last one is kept for the next call at the same p.  The
+table's part of the forced arrow map (``_Forcing``) is kept by the
+table until its composites are written again, so ``verify_iso``,
+``coordinatize`` and ``verify_uniqueness`` share one build from every
+frame.
 """
 
 from __future__ import annotations
@@ -97,14 +101,15 @@ def _line(p: int) -> ModelLine:
 class _Forcing:
     """The forced arrow map of one table, as a function of the object bijection.
 
-    Called with ``obj_to``, which maps each table object index to a model
-    object index, it gives the factor of each arrow's image, whose
-    endpoints are the arrow's under ``obj_to``.  Arrows between distinct
-    objects go to the arrow with the image label, all in one gather.
-    Each scalar s at X is forced by functoriality through an arrow f out
-    of X: the image of s must be (image of s.f) then the inverse image
-    of f.  The least outgoing non-endo arrow f_X is used: the first of
-    hom(X, Y), Y the first other object.
+    Called with ``obj_to``, which maps each table object index to an
+    object index of the model ``line``, it gives the factor of each
+    arrow's image, whose endpoints are the arrow's under ``obj_to``.
+    Arrows between distinct objects go to the arrow with the image
+    label, all in one gather.  Each scalar s at X is forced by
+    functoriality through an arrow f out of X: the image of s must be
+    (image of s.f) then the inverse image of f.  The least outgoing
+    non-endo arrow f_X is used: the first of hom(X, Y), Y the first
+    other object.
 
     Precondition: every composite s.f_X is an arrow X -> Y, as it is on
     every groupoid table; otherwise the constructor raises
@@ -118,9 +123,12 @@ class _Forcing:
     for the callers that check the map on them.  A pair holds when the
     image factors of I and J multiply to that of R and R lies in
     hom(src I, dst J), ``ends``, whatever the bijection.
+
+    Nothing here depends on a frame or a model, so a table keeps one
+    (``_forced``) for all of its callers, with its arrays read-only.
     """
 
-    def __init__(self, table: CandidateTable, line: ModelLine):
+    def __init__(self, table: CandidateTable):
         ne3, n = table._ne3, table.n_objects
         src, dst = table._src_i, table._dst_i
         self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
@@ -140,14 +148,23 @@ class _Forcing:
         self.R = table._composite(self.I, self.J)
         self.ends = table._ends(self.I, self.J, self.R)
         self.n_arrows = table.n_arrows
-        self.line = line
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
-    def __call__(self, obj_to) -> np.ndarray:
+    def __call__(self, obj_to, line: ModelLine) -> np.ndarray:
         o = np.asarray(obj_to, dtype=np.intp)
         F = np.empty(self.n_arrows, dtype=np.intp)
-        F[self.non_endo] = self.line.factor[o[self.src], o[self.dst], o[self.lab]]
-        F[self.scal] = self.line.div[F[self.comp_f], F[self.f]]
+        F[self.non_endo] = line.factor[o[self.src], o[self.dst], o[self.lab]]
+        F[self.scal] = line.div[F[self.comp_f], F[self.f]]
         return F
+
+
+def _forced(table: CandidateTable) -> _Forcing:
+    """The table's ``_Forcing``, built on first use after ``_store``."""
+    if table._forcing is None:
+        table._forcing = _Forcing(table)
+    return table._forcing
 
 
 def verify_iso(
@@ -178,8 +195,8 @@ def verify_iso(
         raise CoordinatizationError("scalar map must be a bijection onto the model scalars")
 
     o = np.array([line.index[iso.object_map[x]] for x in table.objects])
-    forced = _Forcing(table, line)
-    F = forced(o)
+    forced = _forced(table)
+    F = forced(o, line)
 
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
@@ -317,9 +334,9 @@ def verify_uniqueness(
     line = _line(table.n_objects - 1)
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}
     others = [o for o in table.objects if o not in fixed]
-    targets = [m for m in line.points if m not in ("0:1", "1:0", "1:1")]
+    targets = [i for i, m in enumerate(line.points) if m not in ("0:1", "1:0", "1:1")]
     leaf = len(others)
-    forced = _Forcing(table, line)
+    forced = _forced(table)
 
     # Depths are at most the leaf depth, p - 2, so they are small unsigned
     # ints, and a stable sort of those is a radix sort.
@@ -339,21 +356,26 @@ def verify_uniqueness(
     cuts = np.searchsorted(pair_depth[order], np.arange(1, leaf + 1))
     buckets = [(I[sel], J[sel], R[sel], forced.ends[sel].all()) for sel in np.split(order, cuts)]
 
+    # The bijection of each node, written in place: the frame's images
+    # once, then those of ``others`` (at ``at``) as model point indices.
+    o = np.empty(table.n_objects, dtype=np.intp)
+    for x, m in fixed.items():
+        o[table._obj_i[x]] = line.index[m]
+    at = [table._obj_i[x] for x in others]
     passing: list[dict[str, str]] = []
     checked = 0
-    stack: list[list[str]] = [[]]
+    stack: list[list[int]] = [[]]
     while stack:
         prefix = stack.pop()
         k = len(prefix)
-        omap = dict(fixed)
-        omap.update(zip(others, prefix + [t for t in targets if t not in prefix]))
-        F = forced([line.index[omap[o]] for o in table.objects])
+        o[at] = prefix + [t for t in targets if t not in prefix]
+        F = forced(o, line)
         bI, bJ, bR, ends = buckets[k]
         if not (ends and np.array_equal(line.mul[F[bI], F[bJ]], F.take(bR))):
             checked += math.factorial(leaf - k)
         elif k == leaf:
             checked += 1
-            passing.append(omap)
+            passing.append({**fixed, **{x: line.points[t] for x, t in zip(others, prefix)}})
         else:
             stack.extend(prefix + [t] for t in reversed(targets) if t not in prefix)
     assert checked == math.factorial(len(others))

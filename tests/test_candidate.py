@@ -461,6 +461,68 @@ def test_only_composite_and_store_name_the_composition_store():
         assert written == [], f"projline.{name} assigns _inv on lines {written}"
 
 
+def test_only_store_and_forced_name_the_kept_forced_map():
+    # _store drops the forced map whenever it writes the composites, so
+    # the map a table keeps cannot outlive the store it was built from.
+    for name in ("candidate", "reconstruct", "coordinatize"):
+        module = importlib.import_module(f"projline.{name}")
+        tree = ast.parse(inspect.getsource(module))
+        owners = _nodes_in(tree, ("_store", "_forced"))
+        stray = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_forcing" and id(node) not in owners
+        ]
+        assert stray == [], f"projline.{name} names _forcing on lines {stray}"
+
+
+def test_every_reader_writes_the_store_once(monkeypatch, f5_doc, tmp_path):
+    calls = []
+    store = CandidateTable._store
+
+    def counting(self, *args):
+        calls.append(self)
+        store(self, *args)
+
+    monkeypatch.setattr(CandidateTable, "_store", counting)
+    path = tmp_path / "f5.json"
+    from_model(5).save(str(path))
+    swapped = copy.deepcopy(f5_doc)
+    swapped["compose"][:2] = swapped["compose"][1::-1]
+    readers = {
+        "from_model": lambda: from_model(5),
+        "parsed": lambda: CandidateTable.from_doc(f5_doc),
+        "canonical": lambda: CandidateTable.from_doc(path.read_bytes()),
+        "parsed-bytes": lambda: CandidateTable.from_doc(json.dumps(swapped).encode()),
+        "load": lambda: CandidateTable.load(str(path)),
+        "constructor": four_object_table,
+    }
+    for name, read in readers.items():
+        calls.clear()
+        t = read()
+        assert calls == [t], name
+        assert t._forcing is None, name
+
+
+_UNHASHABLE_NAMES = {
+    "compose": (lambda d, x: d["compose"][4].__setitem__(1, x), "arrow must be a string, got {!r}"),
+    "object": (lambda d, x: d["objects"].__setitem__(2, x),
+               "object name {!r} is invalid (nonempty, no '>', '#', ',' or whitespace)"),
+    "scalar": (lambda d, x: d["scalars"]["1:0"].__setitem__(1, x),
+               "scalar name {!r} is invalid (nonempty, no '>', '#', ',' or whitespace)"),
+}
+
+
+@pytest.mark.parametrize("place", list(_UNHASHABLE_NAMES))
+def test_a_name_that_cannot_be_hashed_is_refused_as_a_list_is(f5_doc, place):
+    # A tuple holding a list is a collections.abc.Hashable that hash() refuses.
+    edit, message = _UNHASHABLE_NAMES[place]
+    for name in (["x"], ("0:1", ["x"])):
+        doc = copy.deepcopy(f5_doc)
+        edit(doc, name)
+        assert outcome(CandidateTable.from_doc, doc) == (CandidateFormatError, message.format(name))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_label_factors_equal_the_model_factors(p):
     pts = points(GF(p))

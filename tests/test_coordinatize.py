@@ -1,5 +1,6 @@
 """Frame-pinned isomorphisms onto the concrete model."""
 
+import copy
 import importlib
 import itertools
 import math
@@ -35,6 +36,7 @@ from projline.coordinatize import (
     CoordinatizationError,
     Frame,
     _Forcing,
+    _forced,
     _line,
     coordinatize,
     verify_iso,
@@ -167,7 +169,7 @@ class _EveryMapHolds(_Forcing):
     """A forcing under which every object bijection passes: each arrow's
     image has factor 1, and 1 * 1 = 1."""
 
-    def __call__(self, obj_to):
+    def __call__(self, obj_to, line):
         return np.ones(self.n_arrows, dtype=np.intp)
 
 
@@ -213,12 +215,12 @@ def _assert_matches_brute_force(table, frames, seed):
     and the uniqueness report and map on each frame equal the brute
     force's."""
     line, model = _line(table.n_objects - 1), reference_model(table)
-    forced = _Forcing(table, line)
+    forced = _Forcing(table)
     src, dst = table._src_i, table._dst_i
     rng = random.Random(seed)
     for _ in range(4):
         obj_to = rng.sample(range(table.n_objects), table.n_objects)
-        o, F = np.array(obj_to), forced(obj_to)
+        o, F = np.array(obj_to), forced(obj_to, line)
         got = [line.name(o[src[a]], o[dst[a]], F[a]) for a in range(table.n_arrows)]
         ref = reference_forced_arrow_map(table, model, obj_to)
         assert got == [str(model.arrows[r]) for r in ref]
@@ -307,7 +309,7 @@ def test_tables_without_a_forced_arrow_map_raise(kind, arg, got):
     want = "from 1:1 to 0:1" if arg == "off-homset" else "between distinct objects"
     message = f"1:1#3 then 1:1>2:1>0:1 gives {got}, not an arrow {want}"
     identity = CandidateIso("0:1", {o: o for o in t.objects}, {s: s for s in t.scalars["0:1"]})
-    calls = [lambda: _Forcing(t, _line(t.n_objects - 1)), lambda: verify_iso(t, identity)]
+    calls = [lambda: _Forcing(t), lambda: verify_iso(t, identity)]
     for frame in (Frame(*t.objects[:3]), Frame(*t.objects[-3:])):
         calls += [lambda f=frame: verify_uniqueness(t, f), lambda f=frame: coordinatize(t, f)]
     for call in calls:
@@ -394,3 +396,88 @@ def test_mutated_table_fails_coordinatization():
     t = CandidateTable.from_doc(doc)
     with pytest.raises(CoordinatizationError):
         coordinatize(t)
+
+
+def test_one_forced_map_per_table_across_calls_and_frames(monkeypatch):
+    built = []
+
+    class Counting(_Forcing):
+        def __init__(self, table):
+            built.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(importlib.import_module("projline.coordinatize"), "_Forcing", Counting)
+    t = from_model(7)
+    for frame in (None, Frame("1:1", "2:1", "3:1"), Frame(*t.objects[-3:][::-1])):
+        iso = coordinatize(t, frame)
+        verify_iso(t, iso)
+        verify_uniqueness(t, frame)
+    assert built == [t]
+    other = from_model(5)
+    verify_uniqueness(other)
+    assert built == [t, other]
+    # Writing the store again drops the kept map.
+    I, J = t._pairs()
+    t._store(I, J, t._composite(I, J))
+    coordinatize(t)
+    assert built == [t, other, t]
+
+
+def test_the_kept_forced_map_is_read_only_until_the_store_is_written():
+    t = from_model(5)
+    forced = _forced(t)
+    assert _forced(t) is forced
+    arrays = [a for a in vars(forced).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
+    I, J = t._pairs()
+    t._store(I, J, t._composite(I, J))
+    assert _forced(t) is not forced
+
+
+def _fresh(table: CandidateTable) -> CandidateTable:
+    """The same table with nothing kept: its composites written again."""
+    out = copy.copy(table)
+    I, J = table._pairs()
+    out._store(I, J, table._composite(I, J))
+    return out
+
+
+def _coordinatization(table, frame):
+    """coordinatize's map (with its dict orders), verify_iso's report on
+    it, and verify_uniqueness's report and map, or the exceptions."""
+    got = outcome(coordinatize, table, frame)
+    if got[0] == "ok":
+        iso = got[1]
+        got = (iso.to_doc(), list(iso.object_map.items()), verify_iso(table, iso).to_dict())
+    found = outcome(verify_uniqueness, table, frame)
+    if found[0] == "ok":
+        report, omap = found[1]
+        found = (report.to_dict(), omap and list(omap.items()))
+    return got, found
+
+
+def _assert_warm_equals_fresh(table, frames):
+    for frame in frames:
+        assert _coordinatization(table, frame) == _coordinatization(_fresh(table), frame), frame
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_a_warm_table_coordinatizes_as_a_fresh_one(case):
+    t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    rng = random.Random(case)
+    frames = [None, Frame(*t.objects[-3:][::-1]), Frame(*rng.sample(t.objects, 3)), None]
+    _assert_warm_equals_fresh(t, frames)
+
+
+@pytest.mark.parametrize("p,seed", [(5, 0), (5, 1), (7, 0), (7, 1)])
+def test_a_warm_relabeled_table_coordinatizes_as_a_fresh_one_from_every_frame(p, seed):
+    t = CandidateTable.from_doc(relabel(from_model(p).to_doc(), seed))
+    frames = [Frame(*f) for f in itertools.permutations(t.objects, 3)]
+    _assert_warm_equals_fresh(t, frames)
+    # The passing map lists the frame first, then the other objects in table order.
+    f0, f1, f2 = frames[-1].members()
+    _, found = verify_uniqueness(t, frames[-1])
+    assert list(found) == [f0, f1, f2] + [o for o in t.objects if o not in (f0, f1, f2)]

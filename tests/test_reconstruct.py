@@ -19,6 +19,7 @@ from helpers import (
     rewrite_entry,
     seeded_mutation,
 )
+from projline import reconstruct
 from projline.candidate import CandidateTable, check_axioms, from_model
 from projline.reconstruct import (
     FieldTable,
@@ -90,6 +91,22 @@ def test_phi_input_validation():
         phi(t, "0:1", "7")
     with pytest.raises(ReconstructionError):
         phi(t, "0:1", "2", b="0:1")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_build_field_calls_phi_once_per_scalar(monkeypatch, p):
+    calls = []
+
+    def counting(table, base, mu, *rest):
+        calls.append(mu)
+        return phi(table, base, mu, *rest)
+
+    monkeypatch.setattr(reconstruct, "phi", counting)
+    t = from_model(p)
+    for base in (t.objects[0], t.objects[-1], t.objects[0]):
+        calls.clear()
+        build_field(t, base)
+        assert calls == list(t.scalars[base])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
