@@ -44,8 +44,11 @@ calls.  ``parsed_load`` loads the saved table with its first two
 compose entries swapped (``swap_first_entries``), a valid file that is
 not canonical, so ``CandidateTable.load`` parses it; its ``seconds``
 are one wall time of that call.  The ``--src`` tree is byte-compiled
-before any child starts, so no child's peak holds the compile of a
-source whose bytecode is missing or stale.
+afresh before any child starts, so no child's peak holds the compile of
+a source whose bytecode is missing or stale, and every tree runs
+bytecode that this script wrote: bytecode that an import through
+another path had written was seen to move the p=11 ``peak_rss`` row by
+about 3 MB.
 
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; the file is canonical, so ``load`` reads it in place.
@@ -307,7 +310,7 @@ def main() -> None:
     args = parser.parse_args()
 
     src = os.path.abspath(args.src)
-    compileall.compile_dir(src, quiet=1)
+    compileall.compile_dir(src, quiet=1, force=True)
     sys.path.insert(0, src)
     import numpy
     import projline

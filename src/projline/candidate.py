@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -372,18 +372,18 @@ class CandidateTable:
         raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
 
     def _composite(self, I, J) -> np.ndarray:
-        """The composite of I then J, -1 where they do not compose.
+        """The composite of I then J, -1 where either is -1 or they do not compose.
 
         I and J are broadcasting index arrays, indices or slices.  This
         and _store are the only methods that know the store's layout: a
-        dense n_arrows x n_arrows int32 matrix.
+        dense int32 matrix, n_arrows + 1 square, its last row and column -1.
         """
         return self._comp[I, J]
 
     def _store(self, I, J, R) -> None:
         """Store R as the composite of each composable pair (I, J), find the
         inverses and drop the forced map kept from earlier composites."""
-        comp = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.int32)
+        comp = np.full((self.n_arrows + 1, self.n_arrows + 1), -1, dtype=np.int32)
         comp[I, J] = R
         self._comp = comp
         # The table's coordinatize._Forcing, built on its first use.
@@ -508,14 +508,20 @@ class CandidateTable:
         return {**self._header(self.objects, self.scalars, self.identities), "compose": entries}
 
     @classmethod
-    def from_doc(cls, doc: Union[dict, bytes]) -> "CandidateTable":
-        """The table of a format-1 document, given parsed or as its JSON bytes.
+    def from_doc(cls, doc: Union[dict, bytes, Callable[[], bytes]]) -> "CandidateTable":
+        """The table of a format-1 document, given parsed, as its JSON bytes
+        or as a function that returns them, such as a binary file's read.
 
         Bytes that ``to_json_bytes`` writes, with or without the final
         newline, are read in place by ``_from_canonical``.  Any other
         bytes are parsed with json.loads, with the cyclic collector
         paused, and give the table or the message of the parsed document.
+        A function is called here, so that this call alone holds the bytes
+        it returns, even on Python 3.10, which keeps a call's arguments
+        alive until the call returns.
         """
+        if callable(doc):
+            doc = doc()
         if not isinstance(doc, bytes):
             return cls._from_parsed(doc)
         table = cls._from_canonical(doc)
@@ -692,8 +698,7 @@ class CandidateTable:
     @classmethod
     def load(cls, path: str) -> "CandidateTable":
         with open(path, "rb") as fh:
-            # Unnamed, so from_doc can drop the bytes (on Python 3.11 and later).
-            return cls.from_doc(fh.read())
+            return cls.from_doc(fh.read)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CandidateTable):
@@ -801,33 +806,30 @@ def _scalar_i(table: CandidateTable, r: int, at: str, route: str) -> int:
 
 
 def _at(table: CandidateTable, r: np.ndarray, obj) -> np.ndarray:
-    """Where the arrows ``r`` are scalars at the objects ``obj``."""
-    return (table._src_i[r] == obj) & (table._dst_i[r] == obj)
+    """The arrows ``r`` where they are scalars at the objects ``obj``, else -1."""
+    return np.where((r >= 0) & (table._src_i[r] == obj) & (table._dst_i[r] == obj), r, -1)
 
 
 def _legs(table: CandidateTable, legs) -> np.ndarray:
     """The composite of the arrows a -> b named by c, one per leg (a, b, c)
     of object index arrays in order, as ``model._cr_legs`` and
-    ``model._tri_legs`` list them: -1 from the first pair that does not
-    compose."""
-    ne3 = table._ne3
+    ``model._tri_legs`` list them: -1 where a leg names no arrow or a
+    pair does not compose."""
     (a, b, c), *rest = legs
-    r = ne3[a, b, c]
+    r = table._ne3[a, b, c]
     for a, b, c in rest:
-        r = np.where(r < 0, -1, table._composite(r, ne3[a, b, c]))
+        r = table._composite(r, table._ne3[a, b, c])
     return r
 
 
 def _round_trips(table: CandidateTable, a, b, c, d) -> np.ndarray:
     """``cross_ratio_abs`` over object index arrays: -1 where it raises."""
-    r = _legs(table, _cr_legs(a, b, c, d))
-    return np.where(_at(table, r, a), r, -1)
+    return _at(table, _legs(table, _cr_legs(a, b, c, d)), a)
 
 
 def _cycles(table: CandidateTable, a, b, c, d, e, f) -> np.ndarray:
     """``tri_rapport_abs`` over object index arrays: -1 where it raises."""
-    r = _legs(table, _tri_legs(a, b, c, d, e, f))
-    return np.where(_at(table, r, a), r, -1)
+    return _at(table, _legs(table, _tri_legs(a, b, c, d, e, f)), a)
 
 
 def _toward(table: CandidateTable, x, y) -> np.ndarray:
@@ -841,11 +843,7 @@ def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
     """``conjugate`` of the scalars ``sigma`` along the arrows ``f`` out
     of their objects, by index: -1 where it raises or sigma is -1."""
     comp = table._composite
-    finv = table._inv[f]
-    x = comp(finv, sigma)
-    r = comp(x, f)
-    ok = (sigma >= 0) & (finv >= 0) & (x >= 0) & _at(table, r, table._dst_i[f])
-    return np.where(ok, r, -1)
+    return _at(table, comp(comp(table._inv[f], sigma), f), table._dst_i[f])
 
 
 def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> Endo:

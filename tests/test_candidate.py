@@ -10,7 +10,6 @@ import io
 import itertools
 import json
 import os
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 from helpers import (
     MUTATIONS,
     REFERENCE_CASES,
+    SWAPPED_NAMES,
     ObjectCalculus,
     _ends,
     cross_homset_mutation,
@@ -36,6 +36,7 @@ from helpers import (
     relabel,
     rewrite_entry,
     seeded_mutation,
+    swap_names,
 )
 from projline import candidate, cli
 from projline.candidate import (
@@ -212,9 +213,6 @@ def test_parsing_a_document_runs_no_garbage_collection(tmp_path):
     assert _collections_inside(lambda: CandidateTable.load(str(path))) == 0
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="Python 3.10 keeps a call's arguments on the caller's stack"
-)
 def test_load_drops_the_bytes_before_the_table_is_built(tmp_path, monkeypatch):
     """Memory traced as the parsed document reaches _from_parsed: through
     load, and through from_doc with the caller holding the bytes."""
@@ -640,13 +638,24 @@ def test_toward_is_the_arrow_canonical_scalar_conjugates_along(case, monkeypatch
     assert len(along) == x.size
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+def test_composite_is_minus_one_for_a_minus_one_operand(swapped):
+    doc = from_model(5).to_doc()
+    t = CandidateTable.from_doc(swap_names(doc, *SWAPPED_NAMES) if swapped else doc)
+    i = np.arange(t.n_arrows)
+    assert (t._composite(-1, i) == -1).all() and (t._composite(i, -1) == -1).all()
+    assert t._composite(-1, -1) == -1
+
+
 def test_legs_stay_minus_one_after_a_pair_that_does_not_compose():
     t = from_model(5)
     last = t.n_objects - 1
-    # The arrow 0 -> 0 named 1 does not exist; the last arrow, a scalar at
-    # the last object, does compose with an arrow out of that object.
-    assert t._ne3[0, 0, 1] == -1 and t._composite(-1, t._ne3[last, 0, 1]) >= 0
+    # Neither the arrow 0 -> 0 named 1 nor last -> last named 0 exists.
+    # Read as the last arrow, a scalar at the last object, each would
+    # compose: the first before the arrow last -> 0, the second after 0 -> last.
+    assert t._ne3[0, 0, 1] == -1 and t._ne3[last, last, 0] == -1
     assert _legs(t, [(0, 0, 1), (last, 0, 1)]) == -1
+    assert _legs(t, [(0, last, 1), (last, last, 0)]) == -1
     a, b = _distinct_pairs(t.n_objects)
     got = _legs(t, [(a, b, 0), (b, a, 0), (a, b, 0)])
     assert np.array_equal(got < 0, (a == 0) | (b == 0))
