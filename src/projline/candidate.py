@@ -13,17 +13,15 @@ capped witness samples; every sweep is exhaustive and runs in one process.
 
 from __future__ import annotations
 
-import gc
-import json
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from itertools import combinations
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import formats
 from .model import _cr_legs, _rapport_terms, _tri_legs, points
 from .reports import CheckReport, ReportGroup, make_check, sweep
 from .scalars import PrimeField
@@ -136,127 +134,6 @@ def _check_space(
     return tuple(objects), norm_scalars, dict(identities)
 
 
-def _pair_count(objects: Sequence[str], scalars: dict[str, Sequence[str]]) -> int:
-    """The composable pairs of a space, from its declared sizes alone.
-
-    Through object o pass ((n-1)(n-2) + k_o)^2 of them, k_o being its
-    scalar count.
-    """
-    n = len(objects)
-    return sum(((n - 1) * (n - 2) + len(scalars[o])) ** 2 for o in objects)
-
-
-def _check_count(
-    objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]], count: int
-) -> None:
-    """Reject a wrong entry count, so a table that declares many objects
-    but few entries is refused before its arrow space is built."""
-    expected = _pair_count(objects, scalars)
-    if count != expected:
-        raise CandidateFormatError(
-            f"compose table has {count} entries but {expected} composable pairs exist"
-        )
-
-
-def _resolve(entries: list, names: dict[str, int]) -> np.ndarray:
-    """Arrow indices of the leading compose entries, as an (m, 3) int32 array.
-
-    The lookup stops at the first entry that is not an [a, b, ab] list of
-    hashable names; a name missing from ``names`` resolves to -1.  Each
-    name costs one dict lookup, in one pass.  A name that cannot be
-    hashed is searched for on that error path only.
-    """
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
-        m = len(entries)
-    else:
-        m = next(k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 3)
-    try:
-        idx = np.fromiter(
-            map(names.get, chain.from_iterable(islice(entries, m)), repeat(-1)), np.int32, 3 * m
-        )
-    except TypeError:
-        # A name that cannot be hashed: stop at its entry.
-        k = next(k for k, e in enumerate(entries) if not all(map(_hashable, e)))
-        return _resolve(entries[:k], names)
-    return idx.reshape(-1, 3)
-
-
-@contextmanager
-def _collector_paused():
-    """Keep the cyclic garbage collector off for the block, then restore its state.
-
-    A table document is one list per compose entry and holds no cycle,
-    so a collection that starts while it is built or read frees nothing
-    and walks every list.  The block must drop the document before it
-    ends, or the first collection after it walks the lists anyway.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# Compose entries that to_json_bytes gathers, and from_doc matches, per
-# block.  Past the index arrays, their temporaries are a few times _BLOCK
-# times the longest entry, whatever the table's size.
-_BLOCK = 1 << 15
-
-_COMPOSE = b',"compose":['
-
-# The fewest bytes a compose entry and the comma after it can take in a
-# format-1 file: three names of at least 5 bytes, such as "a#b".
-_SHORTEST = 20
-
-# _LAST[k] keeps the last k bytes of a little-endian 8-byte word.
-_LAST = np.array([(2**64 - 1) << (8 * (8 - k)) & (2**64 - 1) for k in range(9)], np.uint64)
-
-
-def _words(buf: bytes, start: np.ndarray, length: np.ndarray, w: int) -> np.ndarray:
-    """The w little-endian 8-byte words of ``buf`` that cover each string
-    ``buf[start:start + length]``, as a (w, len(start)) array.
-
-    A string of k < 8 bytes is the last k bytes of one word, the others
-    masked off.  A longer one is read in words that end at its end and
-    then 8, 16, ... bytes earlier, none starting before its start.  So
-    two strings of one length, at most 8 * w bytes, are equal exactly
-    when their words are.  Every word read must lie inside ``buf``.
-    """
-    every = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    end, over = start + length - 8, np.maximum(length - 8, 0)
-    mask = _LAST[np.minimum(length, 8)]
-    return np.stack([every[end - np.minimum(8 * i, over)] & mask for i in range(w)])
-
-
-def _keys(words: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each string's ``_words`` and length."""
-    key = length.astype(np.uint64)
-    for word in words:
-        key = (key + word) * np.uint64(0x9E3779B97F4A7C15)
-    return key
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """For each query, the index of a key equal to it, or of some key if none is.
-
-    A direct-address table on the keys' top bits, at most a quarter
-    full, answers the queries whose key holds its slot; a binary search
-    answers the rest.
-    """
-    bits = (4 * keys.size).bit_length()
-    shift = np.uint64(64 - bits)
-    slots = np.zeros(1 << bits, np.intp)
-    slots[keys >> shift] = np.arange(keys.size)
-    found = slots[queries >> shift]
-    miss = np.flatnonzero(keys[found] != queries)
-    if miss.size:
-        by_key = np.argsort(keys)
-        found[miss] = by_key[np.searchsorted(keys[by_key], queries[miss]) % keys.size]
-    return found
-
-
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each k paired with each index start[k] .. start[k] + count[k] - 1, in order."""
     k = np.repeat(np.arange(start.size), count)
@@ -264,37 +141,23 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
 
 
-def _parse(data: bytes):
-    """The JSON value in ``data``."""
-    try:
-        return json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers undecodable bytes as well as bad JSON.
-        raise CandidateFormatError(f"not valid JSON: {exc}") from exc
-
-
 class CandidateTable:
     """A complete composition table over a finite labeled arrow space."""
 
     def __init__(
-        self,
-        objects: Sequence[str],
-        scalars: dict[str, Sequence[str]],
-        identities: dict[str, str],
+        self, objects: Sequence[str], scalars: dict[str, Sequence[str]], identities: dict[str, str],
         entries: Iterable[tuple[AbstractArrow, AbstractArrow, AbstractArrow]],
     ):
+        # The entries are read as a parsed document's compose list is.
         names = [list(map(str, e)) for e in entries]
-        objects, scalars, identities = _check_space(objects, scalars, identities)
-        _check_count(objects, scalars, len(names))
-        self._init_space(objects, scalars, identities)
-        self._fill(names, _resolve(names, self._name_i))
+        space = _check_space(objects, scalars, identities)
+        self._init_space(*formats._check_count(space, len(names)))
+        self._store(*formats._arrays(self, names))
 
     # -- construction helpers -------------------------------------------------
 
     def _init_space(
-        self,
-        objects: tuple[str, ...],
-        scalars: dict[str, tuple[str, ...]],
+        self, objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]],
         identities: dict[str, str],
     ) -> None:
         """Build the arrow space of a space that passed _check_space."""
@@ -335,42 +198,6 @@ class CandidateTable:
             dtype=np.int32,
         )
 
-    def _fill(self, entries: Sequence, idx: np.ndarray) -> None:
-        """Store the composites of entries whose count is already checked.
-
-        ``idx`` holds the (a, b, ab) arrow indices of the leading entries
-        that ``_resolve`` looked up, -1 for a name that is no arrow.  The
-        earliest entry with a defect is reported, naming the first of: not
-        an [a, b, ab] list, a name that is not a string in arrow syntax (in
-        entry order), an unknown arrow, a pair that is not composable, a
-        pair given before.  With none, every composable pair is filled once.
-        """
-        ia, ib, ir = idx.T
-        m = len(idx)
-        known = (ia >= 0) & (ib >= 0)
-        composable = self._dst_i[ia] == self._src_i[ib]
-        key = np.where(known, ia.astype(np.int64) * self.n_arrows + ib, -1 - np.arange(m))
-        order = np.argsort(key, kind="stable")
-        repeated = np.zeros(m, dtype=bool)
-        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = (idx < 0).any(axis=1) | ~composable | repeated
-        k = int(np.argmax(bad)) if bad.any() else m
-        if k == len(entries):
-            self._store(ia, ib, ir)
-            return
-        entry = entries[k]
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise CandidateFormatError(f"compose entries are [a, b, ab] triples, got {entry!r}")
-        for name in entry:
-            parse_arrow(name)
-        for name, i in zip(entry, idx[k]):
-            if i < 0:
-                raise CandidateFormatError(f"unknown arrow {name}")
-        a, b, _ = entry
-        if not composable[k]:
-            raise CandidateFormatError(f"entry ({a}, {b}) is not composable")
-        raise CandidateFormatError(f"duplicate entry for ({a}, {b})")
-
     def _composite(self, I, J) -> np.ndarray:
         """The composite of I then J, -1 where either is -1 or they do not compose.
 
@@ -399,12 +226,10 @@ class CandidateTable:
         self._inv[i] = g[ok][first]
 
     @classmethod
-    def _bare(
-        cls, objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]], identities: dict[str, str]
-    ) -> "CandidateTable":
+    def _bare(cls, *space) -> "CandidateTable":
         """The arrow space of a space that passed _check_space, with no composites."""
         t = object.__new__(cls)
-        t._init_space(objects, scalars, identities)
+        t._init_space(*space)
         return t
 
     # -- basic accessors -------------------------------------------------------
@@ -455,241 +280,16 @@ class CandidateTable:
             raise ValueError(f"{self.arrows[i]} has no two-sided inverse in this table")
         return self.arrows[self._inv[i]]
 
-    # -- serialization ---------------------------------------------------------
+    # -- format 1, read and written by formats -----------------------------------
 
-    FORMAT = 1
-
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every composable pair (I, J), by the names of I and then of J:
-        the order of the compose list in a format-1 file.
-
-        The arrows composable after i are those out of its target, so this
-        order is the arrows by name, each followed by the arrows out of its
-        target by name: no sort over the pairs is needed.
-        """
-        by_name = np.argsort(np.array(self._names, dtype=object))
-        rank = np.empty(self.n_arrows, dtype=np.intp)
-        rank[by_name] = np.arange(self.n_arrows)
-        # Arrows are numbered source-major, so sorting by (source, name)
-        # leaves the arrows out of each object in its out-range, by name.
-        out = np.lexsort((rank, self._src_i))
-        n, dst = self.n_objects, self._dst_i[by_name]
-        start = self._hom[dst * n]
-        k, at = _ranges(start, self._hom[dst * n + n] - start)
-        return by_name[k], out[at]
-
-    def _encodings(self) -> list[bytes]:
-        """Each arrow's name as a JSON string, in ASCII.
-
-        They are split out of the encoded list of names at its ", "
-        separators, as a name holds no comma.
-        """
-        return json.dumps(self._names).encode("ascii")[1:-1].split(b", ")
-
-    @classmethod
-    def _header(cls, objects: tuple[str, ...], scalars: dict, identities: dict) -> dict:
-        return {
-            "format": cls.FORMAT,
-            "objects": list(objects),
-            "scalars": {o: list(scalars[o]) for o in objects},
-            "identity": {o: identities[o] for o in objects},
-        }
-
-    @classmethod
-    def _head(cls, *space) -> bytes:
-        """The bytes of a format-1 file of ``space`` before its first compose entry."""
-        return json.dumps(cls._header(*space), separators=(",", ":"))[:-1].encode() + _COMPOSE
-
-    def to_doc(self) -> dict:
-        names = np.array(self._names, dtype=object)
-        I, J = self._entries()
-        R = self._composite(I, J)
-        entries = np.stack([names[I], names[J], names[R]], axis=1).tolist()
-        return {**self._header(self.objects, self.scalars, self.identities), "compose": entries}
+    FORMAT = formats.FORMAT
+    to_doc = formats.to_doc
+    to_json_bytes = formats.to_json_bytes
 
     @classmethod
     def from_doc(cls, doc: Union[dict, bytes, Callable[[], bytes]]) -> "CandidateTable":
-        """The table of a format-1 document, given parsed, as its JSON bytes
-        or as a function that returns them, such as a binary file's read.
-
-        Bytes that ``to_json_bytes`` writes, with or without the final
-        newline, are read in place by ``_from_canonical``.  Any other
-        bytes are parsed with json.loads, with the cyclic collector
-        paused, and give the table or the message of the parsed document.
-        A function is called here, so that this call alone holds the bytes
-        it returns, even on Python 3.10, which keeps a call's arguments
-        alive until the call returns.
-        """
-        if callable(doc):
-            doc = doc()
-        if not isinstance(doc, bytes):
-            return cls._from_parsed(doc)
-        table = cls._from_canonical(doc)
-        if table is None:
-            with _collector_paused():
-                # Drop the bytes while the table is built, the document before gc resumes.
-                doc = _parse(doc)
-                table = cls._from_parsed(doc)
-                del doc
-        return table
-
-    @classmethod
-    def _check_header(cls, doc: dict) -> tuple:
-        """The objects, scalar ids and identities of a format-1 document, checked."""
-        if not isinstance(doc, dict):
-            raise CandidateFormatError("candidate document must be a JSON object")
-        for key in ("format", "objects", "scalars", "identity", "compose"):
-            if key not in doc:
-                raise CandidateFormatError(f"missing key {key!r}")
-        # A JSON integer only: true and 1.0 equal 1 but are no format.
-        if type(doc["format"]) is not int or doc["format"] != cls.FORMAT:
-            raise CandidateFormatError(f"unsupported format {doc['format']!r}, want {cls.FORMAT}")
-        if not isinstance(doc["objects"], list) or not isinstance(doc["scalars"], dict):
-            raise CandidateFormatError("objects must be a list and scalars a mapping")
-        if not isinstance(doc["identity"], dict) or not isinstance(doc["compose"], list):
-            raise CandidateFormatError("identity must be a mapping and compose a list")
-        return _check_space(doc["objects"], doc["scalars"], doc["identity"])
-
-    @classmethod
-    def _from_parsed(cls, doc: dict) -> "CandidateTable":
-        objects, scalars, identities = cls._check_header(doc)
-        _check_count(objects, scalars, len(doc["compose"]))
-        t = cls._bare(objects, scalars, identities)
-        t._fill(doc["compose"], _resolve(doc["compose"], t._name_i))
-        return t
-
-    @classmethod
-    def _from_canonical(cls, data: bytes) -> Optional["CandidateTable"]:
-        """The table whose ``to_json_bytes()`` is ``data``, with or without
-        the final newline; None if there is no such table.
-
-        Only the header, up to the first ``,"compose":[``, is parsed with
-        json.loads, and ``_check_header`` checks it.  The header fixes the
-        arrows and ``_entries`` the first and second arrow of every compose
-        entry, so only each entry's third name is data.  The header's bytes,
-        and the pair count against the compose list's length at ``_SHORTEST``
-        bytes an entry, are checked before the arrow space is built.  Names
-        hold no comma, so the commas in the compose list are its separators;
-        ``_composites`` compares each entry's names between them in place.
-
-        Every byte of ``data`` is compared exactly: the header with the
-        space's, each entry's brackets, its three names (all of each name,
-        however long) and the commas between them, and the closing
-        ``]}``.  So a table is returned only when ``data`` is its
-        canonical bytes.  ``json.loads(data)`` is then its ``to_doc()``,
-        and ``from_doc`` of that builds an equal table: the fast path
-        accepts nothing that the parsed path would read differently.
-        """
-        at = data.find(_COMPOSE)
-        stop = len(data) - 2 - data.endswith(b"\n")
-        if at < 0 or not data.startswith(b"]}", stop):
-            return None
-        try:
-            space = cls._check_header({**json.loads(data[:at] + b"}"), "compose": []})
-        except (ValueError, RecursionError):  # CandidateFormatError among them
-            return None
-        body = at + len(_COMPOSE)
-        if data[:body] != cls._head(*space):
-            return None
-        if stop - body < _SHORTEST * _pair_count(*space[:2]) - 1:
-            return None
-        t = cls._bare(*space)
-        I, J = t._entries()
-        R = t._composites(data, body, stop, I, J)
-        if R is None:
-            return None
-        t._store(I, J, R)
-        return t
-
-    def _composites(
-        self, data: bytes, start: int, stop: int, I: np.ndarray, J: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """The third arrow of each compose entry in ``data[start:stop]``, if
-        the entries are exactly ``[A,B,C]``, comma-separated, with A and B
-        the encodings of the arrows I and J and C that of an arrow; else None.
-
-        The entries are read ``_BLOCK`` at a time.  Each name is compared
-        by its length and its ``_words``, as many as the longest encoding
-        needs; a third name is compared with an arrow that has its hash
-        (``_keys``), so two arrows with one hash can make this return None.
-        """
-        encoded = self._encodings()
-        length = np.array([len(e) for e in encoded])
-        w = -(-int(length.max()) // 8)
-        words = _words(b"\0" * 8 + b"".join(encoded), 8 + np.cumsum(length) - length, length, w)
-        keys = _keys(words, length)
-        raw = np.frombuffer(data, np.uint8)
-        widest = 3 * int(length.max()) + 5  # an entry and the comma after it
-        R = np.empty(I.size, np.int32)
-        for k in range(0, I.size, _BLOCK):
-            i, j = I[k : k + _BLOCK], J[k : k + _BLOCK]
-            last = k + _BLOCK >= I.size
-            window = raw[start : min(start + widest * i.size, stop)]
-            commas = start + np.flatnonzero(window == ord(","))[: 3 * i.size - last]
-            if commas.size < 3 * i.size - last:
-                return None
-            # Each entry's comma after its first name, after its second and after itself.
-            a, b, e = (np.append(commas, stop) if last else commas).reshape(-1, 3).T
-            begin = np.append(start, e[:-1] + 1)
-            start = int(e[-1]) + 1
-            la, lb, lr = a - begin - 1, b - a - 1, e - b - 2
-            if not (
-                (raw[begin] == ord("[")).all() and (raw[e - 1] == ord("]")).all()
-                and np.array_equal(la, length[i]) and np.array_equal(lb, length[j])
-                and np.array_equal(_words(data, begin + 1, la, w), words[:, i])
-                and np.array_equal(_words(data, a + 1, lb, w), words[:, j])
-            ):
-                return None
-            third = _words(data, b + 1, lr, w)
-            r = _lookup(keys, _keys(third, lr))
-            if not (np.array_equal(lr, length[r]) and np.array_equal(third, words[:, r])):
-                return None
-            R[k : k + _BLOCK] = r
-        return R
-
-    def _json_blocks(self) -> Iterator[bytes]:
-        """The bytes of ``to_json_bytes()``, in blocks.
-
-        That call writes the compose list as the comma-join of
-        ``"[" + A + "," + B + "," + C + "]"`` over its entries, A, B and C
-        being the JSON encodings of the entry's names, and a string's
-        encoding does not depend on where it stands.  So each arrow name
-        is encoded once, the same way, into one table per place in an
-        entry, and the entries are gathered from the three tables by arrow
-        index, ``_BLOCK`` at a time.  The encodings are ASCII with every
-        control character escaped, so they hold no NUL byte: NUL pads the
-        table rows to one width, and is deleted from each gathered block.
-        """
-        I, J = self._entries()
-        R = self._composite(I, J)
-        encoded = self._encodings()
-        w = max(map(len, encoded)) + 2
-        tables = [
-            np.frombuffer(b"".join((pre + e + post).ljust(w, b"\0") for e in encoded), f"V{w}")
-            for pre, post in ((b"[", b","), (b"", b","), (b"", b"],"))
-        ]
-        entry = np.dtype([(place, f"V{w}") for place in "IJR"])
-        yield self._head(self.objects, self.scalars, self.identities)
-        for at in range(0, I.size, _BLOCK):
-            block = np.empty(min(_BLOCK, I.size - at), entry)
-            for place, X, table in zip("IJR", (I, J, R), tables):
-                block[place] = table[X[at : at + _BLOCK]]
-            chunk = block.tobytes().translate(None, b"\0")
-            # No comma after the last entry.
-            yield chunk if at + _BLOCK < I.size else chunk[:-1]
-        yield b"]}\n"
-
-    def to_json_bytes(self, fh: Optional[BinaryIO] = None) -> Optional[bytes]:
-        """``json.dumps(self.to_doc(), separators=(",", ":"))`` as ASCII
-        bytes, plus a newline, built without the document (``_json_blocks``).
-
-        Given a binary file ``fh``, the bytes are written to it a block at
-        a time and not returned, so they are never held whole.
-        """
-        if fh is None:
-            return b"".join(self._json_blocks())
-        fh.writelines(self._json_blocks())
-        return None
+        """The table of a format-1 document: see ``formats.from_doc``."""
+        return formats.from_doc(doc)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

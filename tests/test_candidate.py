@@ -13,6 +13,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from helpers import (
     seeded_mutation,
     swap_names,
 )
-from projline import candidate, cli
+import projline
+from projline import candidate, cli, formats
 from projline.candidate import (
     AXIOM_NAMES,
     CandidateFormatError,
@@ -209,7 +211,7 @@ def test_parsing_a_document_runs_no_garbage_collection(tmp_path):
     table = from_model(7)
     path = tmp_path / "f7.json"
     path.write_text(json.dumps(table.to_doc(), indent=1))
-    assert CandidateTable._from_canonical(path.read_bytes()) is None
+    assert formats._from_canonical(path.read_bytes()) is None
     assert _collections_inside(lambda: CandidateTable.load(str(path))) == 0
 
 
@@ -219,13 +221,13 @@ def test_load_drops_the_bytes_before_the_table_is_built(tmp_path, monkeypatch):
     path = tmp_path / "f7.json"
     path.write_text(json.dumps(from_model(7).to_doc(), indent=1))
     traced = []
-    real = CandidateTable._from_parsed.__func__
+    real = formats._from_parsed
 
-    def recording(cls, doc):
+    def recording(doc):
         traced.append(tracemalloc.get_traced_memory()[0])
-        return real(cls, doc)
+        return real(doc)
 
-    monkeypatch.setattr(CandidateTable, "_from_parsed", classmethod(recording))
+    monkeypatch.setattr(formats, "_from_parsed", recording)
     tracemalloc.start()
     try:
         CandidateTable.load(str(path))
@@ -434,7 +436,7 @@ def _nodes_in(tree: ast.AST, names: tuple[str, ...]) -> set[int]:
 
 def test_only_composite_and_store_name_the_composition_store():
     # ... and only _store assigns the inverses, so they always match the store.
-    for name in ("candidate", "reconstruct", "coordinatize"):
+    for name in ("candidate", "formats", "reconstruct", "coordinatize"):
         module = importlib.import_module(f"projline.{name}")
         tree = ast.parse(inspect.getsource(module))
         owners = _nodes_in(tree, ("_composite", "_store"))
@@ -462,7 +464,7 @@ def test_only_composite_and_store_name_the_composition_store():
 def test_only_store_and_forced_name_the_kept_forced_map():
     # _store drops the forced map whenever it writes the composites, so
     # the map a table keeps cannot outlive the store it was built from.
-    for name in ("candidate", "reconstruct", "coordinatize"):
+    for name in ("candidate", "formats", "reconstruct", "coordinatize"):
         module = importlib.import_module(f"projline.{name}")
         tree = ast.parse(inspect.getsource(module))
         owners = _nodes_in(tree, ("_store", "_forced"))
@@ -472,6 +474,117 @@ def test_only_store_and_forced_name_the_kept_forced_map():
             if isinstance(node, ast.Attribute) and node.attr == "_forcing" and id(node) not in owners
         ]
         assert stray == [], f"projline.{name} names _forcing on lines {stray}"
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """The syntax tree of every module of the package, by module name."""
+    package = Path(inspect.getfile(projline)).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules that ``tree`` imports absolutely."""
+    return {
+        name.split(".")[0]
+        for node in ast.walk(tree)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+        )
+    }
+
+
+# The format-1 readers' and writer's helpers, which only formats may define or name.
+FORMAT_HELPERS = {
+    "_from_canonical", "_from_parsed", "_composites", "_json_blocks",
+    "_entries", "_encodings", "_fill", "_resolve",
+}
+
+
+def test_only_formats_knows_document_bytes():
+    # ... and cli imports json only to write its reports.
+    trees = _package_trees()
+    assert {m for m, tree in trees.items() if "gc" in _imported(tree)} == {"formats"}
+    assert {m for m, tree in trees.items() if "json" in _imported(tree)} == {"formats", "cli"}
+    uses = {
+        node.attr for node in ast.walk(trees["cli"])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    }
+    assert uses == {"dumps"}
+    for name, tree in trees.items():
+        if name == "formats":
+            continue
+        named = [
+            node.lineno for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in FORMAT_HELPERS)
+            or (isinstance(node, ast.Name) and node.id in FORMAT_HELPERS)
+            or (isinstance(node, ast.Attribute) and node.attr in FORMAT_HELPERS)
+            or (isinstance(node, ast.alias) and node.name in FORMAT_HELPERS)
+        ]
+        assert named == [], f"projline.{name} names a format-1 helper on lines {named}"
+
+
+def test_formats_reaches_the_table_through_bare_store_and_composite():
+    """The readers start a table with _bare and fill it with _store; the
+    writer reads composites with _composite.  No other private method of
+    the table is called from formats."""
+    methods = {m for m in dir(CandidateTable) if m.startswith("_") and not m.startswith("__")}
+    calls: dict[str, set[str]] = {}
+    for fn in ast.walk(ast.parse(inspect.getsource(formats))):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in methods:
+                    calls.setdefault(node.func.attr, set()).add(fn.name)
+    assert calls == {
+        "_bare": {"_from_parsed", "_from_canonical"},
+        "_store": {"_from_parsed", "_from_canonical"},
+        "_composite": {"to_doc", "_json_blocks"},
+    }
+
+
+# The module of every public function and class.  perfbench names its
+# spans and per-layer metrics after it, so no public name may move.
+PUBLIC_MODULES = {
+    "projline.scalars": [
+        "GF", "FieldElement", "FieldMismatchError", "PrimeField", "RationalField",
+    ],
+    "projline.model": [
+        "arrow_to_label", "cross_ratio", "harmonic_conjugate", "label_to_arrow", "minus_one",
+        "points", "tri_rapport", "verify_classical_tables", "DegenerateHarmonicError",
+        "ModelArrow", "Point",
+    ],
+    "projline.candidate": [
+        "canonical_scalar", "check_axioms", "conjugate", "cross_ratio_abs", "format_arrow",
+        "from_model", "parse_arrow", "tri_rapport_abs", "validate_structure",
+        "CandidateFormatError", "CandidateTable", "Endo", "NonEndo",
+    ],
+    "projline.reconstruct": [
+        "build_field", "classify_prime", "phi", "reconstruct_minus_one", "verify_field",
+        "Classification", "FieldTable", "ReconstructionError",
+    ],
+    "projline.coordinatize": [
+        "coordinatize", "verify_iso", "verify_uniqueness", "CandidateIso",
+        "CoordinatizationError", "Frame",
+    ],
+    "projline.reports": ["CheckReport", "ReportGroup"],
+}
+
+
+def test_public_names_keep_their_modules():
+    want = {name: module for module, names in PUBLIC_MODULES.items() for name in names}
+    # QQ is a field and AbstractArrow a Union: neither has a module of its own.
+    assert set(projline.__all__) == set(want) | {"QQ", "AbstractArrow"}
+    got = {
+        name: getattr(projline, name).__module__
+        for name in projline.__all__
+        if inspect.isfunction(getattr(projline, name)) or inspect.isclass(getattr(projline, name))
+    }
+    assert got == want
+    for name in ("from_doc", "load", "save", "to_json_bytes", "to_doc"):
+        assert callable(getattr(CandidateTable, name)), name
+    assert CandidateTable.FORMAT == formats.FORMAT == 1
 
 
 def test_every_reader_writes_the_store_once(monkeypatch, f5_doc, tmp_path):

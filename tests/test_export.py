@@ -28,7 +28,7 @@ from helpers import (
     swap_names,
     symmetric_group,
 )
-from projline import candidate, cli
+from projline import cli, formats
 from projline.candidate import CandidateFormatError, CandidateTable, Endo, from_model, parse_arrow
 
 
@@ -114,7 +114,7 @@ def test_writer_bytes_do_not_depend_on_the_block(monkeypatch, block):
     """F_3 has 256 entries, so the blocks divide them, leave a short last
     block or hold them all in one."""
     table = CandidateTable.from_doc(relabel(model_doc(3), 1))
-    monkeypatch.setattr(candidate, "_BLOCK", block)
+    monkeypatch.setattr(formats, "_BLOCK", block)
     assert table.to_json_bytes() == reference_json_bytes(table)
 
 
@@ -142,7 +142,7 @@ def test_load_reads_canonical_bytes_in_place(tmp_path, case):
     raw = table.to_json_bytes()
     want = parsed(raw)
     for data in (raw, raw[:-1]):
-        assert CandidateTable._from_canonical(data) == want
+        assert formats._from_canonical(data) == want
         assert loaded(tmp_path, data) == ("ok", want)
     assert want.to_json_bytes() == raw
 
@@ -153,10 +153,10 @@ def test_gen_files_take_the_fast_path(tmp_path, monkeypatch, p):
     path = str(tmp_path / f"f{p}.json")
     assert cli.main(["gen", "--p", str(p), "--out", path]) == 0
 
-    def refuse(cls, doc):
+    def refuse(doc):
         raise AssertionError("a gen file was parsed as a JSON document")
 
-    monkeypatch.setattr(CandidateTable, "_from_parsed", classmethod(refuse))
+    monkeypatch.setattr(formats, "_from_parsed", refuse)
     assert CandidateTable.load(path) == from_model(p)
 
 
@@ -224,7 +224,7 @@ VARIANTS = {
 def test_other_bytes_give_the_parsed_table_or_message(tmp_path, variant):
     make, canonical = VARIANTS[variant]
     data = make()
-    assert (CandidateTable._from_canonical(data) is not None) is canonical
+    assert (formats._from_canonical(data) is not None) is canonical
     assert loaded(tmp_path, data) == outcome(parsed, data)
 
 
@@ -257,7 +257,7 @@ def test_a_header_that_is_not_canonical_is_refused_before_its_space_is_built(
         real(self, *space)
 
     monkeypatch.setattr(CandidateTable, "_init_space", counted)
-    assert CandidateTable._from_canonical(data) is None
+    assert formats._from_canonical(data) is None
     assert built == []
     assert loaded(tmp_path, data) == outcome(parsed, data) == want
 
@@ -298,10 +298,10 @@ def test_single_byte_fuzz_gives_the_parsed_table_or_message(tmp_path):
 def test_fast_path_does_not_depend_on_the_block(monkeypatch, block):
     table = CandidateTable.from_doc(cross_homset_mutation(model_doc(3), 1))
     raw = table.to_json_bytes()
-    monkeypatch.setattr(candidate, "_BLOCK", block)
-    assert CandidateTable._from_canonical(raw) == table
-    assert CandidateTable._from_canonical(raw[:-1]) == table
-    assert CandidateTable._from_canonical(raw.replace(b"],[", b"], [", 1)) is None
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    assert formats._from_canonical(raw) == table
+    assert formats._from_canonical(raw[:-1]) == table
+    assert formats._from_canonical(raw.replace(b"],[", b"], [", 1)) is None
 
 
 def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
@@ -309,6 +309,6 @@ def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
     a wrong one sends the bytes down the parsed path."""
     table = CandidateTable.from_doc(relabel(model_doc(5), 2))
     raw = table.to_json_bytes()
-    monkeypatch.setattr(candidate, "_keys", lambda words, length: np.zeros(length.size, np.uint64))
-    assert CandidateTable._from_canonical(raw) is None
+    monkeypatch.setattr(formats, "_keys", lambda words, length: np.zeros(length.size, np.uint64))
+    assert formats._from_canonical(raw) is None
     assert CandidateTable.from_doc(raw) == table

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from projline import CandidateTable, from_model
+from projline import CandidateTable, formats, from_model
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = {
@@ -34,7 +34,7 @@ def test_child_rows(tmp_path, job):
     if job == "parsed_load":
         path = Path(_stage_times().swap_first_entries(str(path), str(tmp_path / "swapped.json")))
         # Valid but not canonical: the child takes the parsed path.
-        assert CandidateTable._from_canonical(path.read_bytes()) is None
+        assert formats._from_canonical(path.read_bytes()) is None
         assert CandidateTable.load(str(path)) == from_model(5)
     row = _stage_times().child_row(job, 5, str(ROOT / "src"), str(path))
     assert list(row) == KEYS[job]
