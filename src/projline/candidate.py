@@ -64,6 +64,9 @@ def _check_name(kind: str, name: str) -> None:
         raise CandidateFormatError(
             f"{kind} name {name!r} is invalid (nonempty, no '>', '#', ',' or whitespace)"
         )
+    # JSON can spell a lone surrogate, which no UTF-8 output can encode.
+    if not name.isascii() and re.search("[\ud800-\udfff]", name):
+        raise CandidateFormatError(f"{kind} name {name!r} holds a surrogate code point")
 
 
 def format_arrow(arrow: AbstractArrow) -> str:
@@ -183,8 +186,7 @@ class CandidateTable:
                         arrows.append(NonEndo(s, d, lab))
                 hom.append(len(arrows))
         # Arrows are numbered source-major, then by target: hom(a, b) is
-        # the index range _hom[a*n + b] .. _hom[a*n + b + 1], and the
-        # scalars at a, in declared order, start at _hom[a*(n + 1)].
+        # the index range _hom[a*n + b] .. _hom[a*n + b + 1] (_homset).
         self._hom = np.array(hom, dtype=np.intp)
         self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
         self._names: list[str] = [str(a) for a in arrows]
@@ -252,9 +254,14 @@ class CandidateTable:
     def identity_arrow(self, obj: str) -> Endo:
         return Endo(obj, self.identities[obj])
 
+    def _homset(self, a: int, b: int) -> slice:
+        """hom(a, b) by object index, as an arrow index range; hom(a, a)
+        is the scalars at a in declared order."""
+        k = a * self.n_objects + b
+        return slice(int(self._hom[k]), int(self._hom[k + 1]))
+
     def hom(self, a: str, b: str) -> tuple[AbstractArrow, ...]:
-        k = self._obj_i[a] * self.n_objects + self._obj_i[b]
-        return self.arrows[self._hom[k] : self._hom[k + 1]]
+        return self.arrows[self._homset(self._obj_i[a], self._obj_i[b])]
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every composable pair (I, J), in row-major order.
@@ -399,8 +406,7 @@ def _compose_i(table: CandidateTable, i: int, j: int) -> int:
 
 def _scalar_i(table: CandidateTable, r: int, at: str, route: str) -> int:
     """``r``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
-    o = table._obj_i[at]
-    if table._src_i[r] != o or table._dst_i[r] != o:
+    if _at(table, r, table._obj_i[at]) < 0:
         raise ValueError(f"{route} gives {table.arrows[r]}, not a scalar at {at}")
     return r
 
@@ -450,7 +456,7 @@ def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> En
     """The scalar at ``a`` of the round trip a -> b via c, b -> a via d."""
     if len({a, b, c}) != 3 or len({a, b, d}) != 3:
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
-    r = _compose_i(table, table.arrow_index(NonEndo(a, b, c)), table.arrow_index(NonEndo(b, a, d)))
+    r = _compose_i(table, *(table.arrow_index(NonEndo(*leg)) for leg in _cr_legs(a, b, c, d)))
     return table.arrows[_scalar_i(table, r, a, f"round trip ({a},{b};{c},{d})")]
 
 
@@ -462,8 +468,8 @@ def tri_rapport_abs(
         raise ValueError(f"base objects must be pairwise distinct: {a},{b},{c}")
     if d in (a, b) or e in (b, c) or f in (c, a):
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
-    x = _compose_i(table, table.arrow_index(NonEndo(a, b, d)), table.arrow_index(NonEndo(b, c, e)))
-    r = _compose_i(table, x, table.arrow_index(NonEndo(c, a, f)))
+    x, y, z = (table.arrow_index(NonEndo(*leg)) for leg in _tri_legs(a, b, c, d, e, f))
+    r = _compose_i(table, _compose_i(table, x, y), z)
     return table.arrows[_scalar_i(table, r, a, f"cycle ({a},{b},{c};{d},{e},{f})")]
 
 
@@ -531,30 +537,29 @@ def _generated_associativity(table: CandidateTable) -> Optional[int]:
     set G of arrows generates the table and every g in G is associative,
     every arrow is, which is associativity on every composable triple.
 
-    G is the scalars at object 0, the least arrow 0 -> X and the least
-    arrow X -> 0 for each other X.  It generates when the products
-    (g_a.s).f_b reach every arrow, for s a scalar at 0, g_a the chosen
-    arrow a -> 0 and f_b the chosen arrow 0 -> b, the unit at 0 (one of
-    the scalars) standing in for both at object 0.
+    G is the scalars at object 0 and, for each other X, the transport
+    arrows 0 -> X and X -> 0 (``_toward``).  It generates when the
+    products (g_a.s).f_b reach every arrow, for s a scalar at 0, g_a the
+    transport arrow a -> 0 and f_b the transport arrow 0 -> b, the unit
+    at 0 (one of the scalars) standing in for both at object 0.
     """
     comp, hom, n = table._composite, table._hom, table.n_objects
-    scalars = np.arange(hom[0], hom[1])
-    into = np.append(table._id_idx[0], hom[n : n * n : n])
-    out = np.append(table._id_idx[0], hom[1:n])
+    scalars, others = table._homset(0, 0), np.arange(1, n)
+    into = np.append(table._id_idx[0], _toward(table, others, 0))
+    out = np.append(table._id_idx[0], _toward(table, 0, others))
     reached = np.zeros(table.n_arrows, dtype=bool)
-    reached[comp(comp(into[:, None], scalars)[:, :, None], out)] = True
+    reached[comp(comp(into, scalars)[:, :, None], out)] = True
     if not reached.all():
         return None
     checked = 0
     for mid in range(n):
         # The generators out of mid, as index ranges, with their targets.
-        start = hom[mid * n]
         if mid == 0:
-            gens = [(slice(hom[0], hom[1]), 0)]
-            gens += [(slice(hom[x], hom[x] + 1), x) for x in range(1, n)]
+            gens = [(scalars, 0)] + [(slice(out[x], out[x] + 1), x) for x in range(1, n)]
         else:
-            gens = [(slice(start, start + 1), 0)]
+            gens = [(slice(into[mid], into[mid] + 1), 0)]
         # Every g and every g.h lies among the arrows out of mid.
+        start = hom[mid * n]
         rows = comp(np.flatnonzero(table._dst_i == mid), slice(start, hom[mid * n + n]))
         for g, far in gens:
             bad = _regroupings(table, rows, start, g, far)
@@ -729,9 +734,9 @@ def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
 
 def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     """Commutativity of every vertex group."""
-    n, hom = table.n_objects, table._hom
+    arrows = np.arange(table.n_arrows)
     # Every ordered pair of scalars at each object, object by object.
-    endos = [np.arange(hom[o * (n + 1)], hom[o * (n + 1) + 1]) for o in range(n)]
+    endos = [arrows[table._homset(o, o)] for o in range(table.n_objects)]
     i = np.concatenate([np.repeat(e, e.size) for e in endos])
     j = np.concatenate([np.tile(e, e.size) for e in endos])
     comp = table._composite

@@ -107,9 +107,8 @@ class _Forcing:
     Arrows between distinct objects go to the arrow with the image
     label, all in one gather.  Each scalar s at X is forced by
     functoriality through an arrow f out of X: the image of s must be
-    (image of s.f) then the inverse image of f.  The least outgoing
-    non-endo arrow f_X is used: the first of hom(X, Y), Y the first
-    other object.
+    (image of s.f) then the inverse image of f.  The f used is f_X, the
+    transport arrow (``_toward``) from X to Y, the first other object.
 
     Precondition: every composite s.f_X is an arrow X -> Y, as it is on
     every groupoid table; otherwise the constructor raises
@@ -129,14 +128,15 @@ class _Forcing:
     """
 
     def __init__(self, table: CandidateTable):
-        ne3, n = table._ne3, table.n_objects
+        ne3 = table._ne3
         src, dst = table._src_i, table._dst_i
         self.src, self.dst, self.lab = np.nonzero(ne3 >= 0)
         self.non_endo = ne3[self.src, self.dst, self.lab]
         # Every scalar s, f_X for its object X, and the composite s.f_X.
         self.scal = np.flatnonzero(src == dst)
         x = src[self.scal]
-        self.f = table._hom[x * n + (x == 0)]
+        # intp: F[self.f] runs at every search node, and int32 gathers are slower.
+        self.f = _toward(table, x, (x == 0).astype(np.intp)).astype(np.intp)
         self.comp_f = table._composite(self.scal, self.f)
         off = np.flatnonzero((src[self.comp_f] != x) | (dst[self.comp_f] != dst[self.f]))
         if off.size:
@@ -201,8 +201,7 @@ def verify_iso(
     checks: list[CheckReport] = []
     base_i = table._obj_i[iso.base_object]
     img = o[base_i]
-    lo = table._hom[base_i * (table.n_objects + 1)]
-    got = F[lo : lo + len(base_scalars)]
+    got = F[table._homset(base_i, base_i)]
     want = np.array([line.scalar_ids.index(iso.scalar_map[sid]) + 1 for sid in base_scalars])
     checks.append(sweep(
         "scalar-map", len(base_scalars), got != want,
@@ -274,11 +273,10 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
             canonical_scalar(table, cross_ratio_abs(table, f1, f0, f2, x), f0)
         except ValueError as exc:
             raise CoordinatizationError(str(exc)) from exc
-    ids = table.scalars[f0]
     coords = {f0: "0:1", f1: "1:0"}
-    lo = table._hom[i0 * (n + 1)]
     coords.update(
-        (table.objects[x], f"{res[ids[r - lo]]}:1") for x, r in zip(xs.tolist(), moved.tolist())
+        (table.objects[x], f"{res[table.arrows[r].scalar]}:1")
+        for x, r in zip(xs.tolist(), moved.tolist())
     )
     omap = {x: coords[x] for x in table.objects}
     if sorted(omap.values()) != sorted(line.points):
@@ -306,8 +304,8 @@ def verify_uniqueness(
     covered; its induced arrow map is accepted when fully functorial.
     Returns the check plus the unique passing object map, if unique.
     The forced map requires every scalar s at X, composed with f_X, the
-    least arrow from X to another object Y, to give an arrow X -> Y; a
-    table where one does not raises CoordinatizationError.
+    transport arrow from X to the first other object Y, to give an arrow
+    X -> Y; a table where one does not raises CoordinatizationError.
 
     The search is depth first over the non-frame objects ``others``,
     assigning ``others[k]`` at depth k+1 and trying the targets in

@@ -380,7 +380,7 @@ def _json_blocks(t: candidate.CandidateTable) -> Iterator[bytes]:
     for at in range(0, I.size, _BLOCK):
         block = np.empty(min(_BLOCK, I.size - at), entry)
         for place, X, table in zip("IJR", (I, J, R), tables):
-            block[place] = table[X[at : at + _BLOCK]]
+            block[place] = table.take(X[at : at + _BLOCK])
         chunk = block.tobytes().translate(None, b"\0")
         # No comma after the last entry.
         yield chunk if at + _BLOCK < I.size else chunk[:-1]

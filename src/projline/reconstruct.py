@@ -146,11 +146,11 @@ def phi(
     # An unknown helper names no arrow; arrow_index says which.
     table.arrow_index(NonEndo(base, b, c))
     a, bi, ci = table._obj_i[base], table._obj_i[b], table._obj_i[c]
-    lo = int(table._hom[a * (table.n_objects + 1)])
+    block = table._homset(a, a)
     d = np.array([i for i in range(table.n_objects) if i not in (a, bi)])
     vals = _round_trips(table, a, bi, ci, d)
     # The first d that either realizes mu or has no scalar round trip.
-    stop = np.flatnonzero((vals < 0) | (vals == lo + ids.index(mu)))
+    stop = np.flatnonzero((vals < 0) | (vals == block.start + ids.index(mu)))
     if not stop.size:
         raise ReconstructionError(
             f"no fourth object realizes cross ratio {mu} over ({base},{b};{c},...)"
@@ -158,11 +158,10 @@ def phi(
     dk = d[stop[0]]
     if vals[stop[0]] < 0:
         cross_ratio_abs(table, base, b, c, table.objects[dk])
-    # The scalars at the base are the arrows lo .. lo+k-1, in order.
     swapped = int(_legs(table, _cr_legs(a, ci, bi, dk)))
-    if not lo <= swapped < lo + len(ids):
+    if not block.start <= swapped < block.stop:
         cross_ratio_abs(table, base, c, b, table.objects[dk])
-    return ids[swapped - lo]
+    return ids[swapped - block.start]
 
 
 def _zero_name(taken: tuple[str, ...]) -> str:
@@ -268,16 +267,14 @@ def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable
     # phi on carrier indices; the zero is carrier index 0.
     phi_c = np.array([pos[one]] + [0 if v is None else pos[v] for v in phis])
 
-    # The scalars at the base are the arrows lo .. lo+k-1 in declared
-    # order; scalar position s is carrier index s + 1.
-    lo = int(table._hom[table._obj_i[base] * (table.n_objects + 1)])
-    inv = table._inv[lo : lo + k] - lo
+    # Scalar position s in the block is carrier index s + 1.
+    block = table._homset(table._obj_i[base], table._obj_i[base])
+    inv = table._inv[block] - block.start
     if (inv < 0).any():
         table.inverse_arrow(Endo(base, ids[int(np.argmax(inv < 0))]))
-    block = slice(lo, lo + k)
     M = table._composite(block, block)
-    scalar = (M >= lo) & (M < lo + k)
-    mul = np.where(scalar, M - lo, 0)
+    scalar = (M >= block.start) & (M < block.stop)
+    mul = np.where(scalar, M - block.start, 0)
     # x + y = x * phi(-1 * (x^-1 * y)) for scalars x, y: four products,
     # each of which must be a scalar, taken in this order.
     x, y = np.indices((k, k))

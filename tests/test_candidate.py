@@ -476,6 +476,18 @@ def test_only_store_and_forced_name_the_kept_forced_map():
         assert stray == [], f"projline.{name} names _forcing on lines {stray}"
 
 
+def test_reconstruct_and_coordinatize_read_homsets_through_homset():
+    # The arrow numbering is candidate's: these modules read a homset as a
+    # CandidateTable._homset range and never index the offsets behind it.
+    for name in ("reconstruct", "coordinatize"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"projline.{name}")))
+        stray = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_hom"
+        ]
+        assert stray == [], f"projline.{name} names _hom on lines {stray}"
+
+
 def _package_trees() -> dict[str, ast.Module]:
     """The syntax tree of every module of the package, by module name."""
     package = Path(inspect.getfile(projline)).parent

@@ -186,6 +186,37 @@ def test_undecodable_or_deeply_nested_input_exits_2(tmp_path, f5_path, command):
         assert r.stderr.startswith(f"{path}: not valid JSON: ")
 
 
+def _with_surrogate(kind: str, swapped: bool) -> str:
+    """The F_3 document as JSON with object 0:1, or scalar 2 at 0:1, renamed
+    to a lone surrogate; ``swapped`` exchanges the composites of entries 0 and 5."""
+    text = json.dumps(from_model(3).to_doc())
+    if kind == "object":
+        text = text.replace("0:1", "\\ud800")
+    else:
+        text = text.replace('"0:1": ["1", "2"]', '"0:1": ["1", "\\udc80"]')
+        text = text.replace('0:1#2"', '0:1#\\udc80"')
+    doc = json.loads(text)
+    if swapped:
+        compose = doc["compose"]
+        compose[0][2], compose[5][2] = compose[5][2], compose[0][2]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", ["object", "scalar"])
+@pytest.mark.parametrize("command", ["check", "reconstruct", "classify"])
+def test_a_name_holding_a_surrogate_exits_2(tmp_path, command, kind, fmt):
+    """JSON spells a lone surrogate, which no UTF-8 stdout can print: the
+    loader refuses it before any report names it.  check reads a failing
+    table, whose witnesses name arrows; the others print the field at 0:1."""
+    path = tmp_path / "surrogate.json"
+    path.write_text(_with_surrogate(kind, swapped=command == "check"))
+    r = run_cli(command, "--in", str(path), "--format", fmt, binary=True)
+    name = "\ud800" if kind == "object" else "\udc80"
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == f"{path}: {kind} name {name!r} holds a surrogate code point\n".encode()
+
+
 def test_gen_to_an_unwritable_path_exits_2(tmp_path):
     for out in (tmp_path, tmp_path / "missing" / "f.json"):
         r = run_cli("gen", "--p", "5", "--out", str(out))
