@@ -31,9 +31,6 @@ _COMPOSE = b',"compose":['
 # format-1 file: three names of at least 5 bytes, such as "a#b".
 _SHORTEST = 20
 
-# _LAST[k] keeps the last k bytes of a little-endian 8-byte word.
-_LAST = np.array([(2**64 - 1) << (8 * (8 - k)) & (2**64 - 1) for k in range(9)], np.uint64)
-
 
 def _pair_count(objects: Sequence[str], scalars: dict[str, Sequence[str]]) -> int:
     """The composable pairs of a space, from its declared sizes alone:
@@ -114,24 +111,9 @@ def _arrays(t: candidate.CandidateTable, entries: Sequence) -> tuple:
     raise candidate.CandidateFormatError(f"duplicate entry for ({a}, {b})")
 
 
-def _words(buf: bytes, start: np.ndarray, length: np.ndarray, w: int) -> np.ndarray:
-    """The w little-endian 8-byte words of ``buf`` that cover each string
-    ``buf[start:start + length]``, as a (w, len(start)) array.
-
-    A string of k < 8 bytes is the last k bytes of one word, the others
-    masked off.  A longer one is read in words that end at its end and
-    then 8, 16, ... bytes earlier, none starting before its start.  So
-    two strings of one length, at most 8 * w bytes, are equal exactly
-    when their words are.  Every word read must lie inside ``buf``.
-    """
-    every = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    end, over = start + length - 8, np.maximum(length - 8, 0)
-    mask = _LAST[np.minimum(length, 8)]
-    return np.stack([every[end - np.minimum(8 * i, over)] & mask for i in range(w)])
-
-
 def _keys(words: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each string's ``_words`` and length."""
+    """A 64-bit hash of each string's length and its masked window
+    lanes, given one row per lane."""
     key = length.astype(np.uint64)
     for word in words:
         key = (key + word) * np.uint64(0x9E3779B97F4A7C15)
@@ -228,7 +210,8 @@ def _from_canonical(data: bytes) -> Optional[candidate.CandidateTable]:
     and the pair count against the compose list's length at ``_SHORTEST``
     bytes an entry, are checked before the arrow space is built.  Names
     hold no comma, so the commas in the compose list are its separators;
-    ``_composites`` compares each entry's names between them in place.
+    from them ``_composites`` reads each column of names in place, as
+    one gather of fixed-width windows, without copying ``data``.
 
     Every byte of ``data`` is compared exactly: the header with the
     space's, each entry's brackets, its three names (all of each name,
@@ -263,17 +246,20 @@ def _composites(t: candidate.CandidateTable, data: bytes, start: int, stop: int)
     comma-separated, with (I, J) the pairs of ``_entries(t)``, A and B
     their encodings and C that of an arrow; else None.
 
-    The entries are read ``_BLOCK`` at a time.  Each name is compared
-    by its length and its ``_words``, as many as the longest encoding
-    needs; a third name is compared with an arrow that has its hash
-    (``_keys``), so two arrows with one hash can make this return None.
+    The entries are read ``_BLOCK`` at a time.  An entry's ``[A,``,
+    ``B,`` and ``C]`` spans start at its first byte and one byte past
+    its first and second comma, and each column of them is read as one
+    gather of ``_windows``.  Under each span's byte mask, the windows
+    of the first two columns must equal the spans of I and J
+    (``_spans``).  The third window, masked to the length its commas
+    give, is hashed (``_keys``) and must equal the span of the arrow
+    with its hash, so two arrows with one hash can make this return
+    None.
     """
     I, J = _entries(t)
-    encoded = _encodings(t)
-    length = np.array([len(e) for e in encoded])
-    w = -(-int(length.max()) // 8)
-    words = _words(b"\0" * 8 + b"".join(encoded), 8 + np.cumsum(length) - length, length, w)
-    keys = _keys(words, length)
+    length, spans, masks, fill = _spans(_encodings(t))
+    keys = _keys(spans[2].T, length)
+    windows = _windows(data, 8 * fill.shape[1])
     raw = np.frombuffer(data, np.uint8)
     widest = 3 * int(length.max()) + 5  # an entry and the comma after it
     R = np.empty(I.size, np.int32)
@@ -288,20 +274,65 @@ def _composites(t: candidate.CandidateTable, data: bytes, start: int, stop: int)
         a, b, e = (np.append(commas, stop) if last else commas).reshape(-1, 3).T
         begin = np.append(start, e[:-1] + 1)
         start = int(e[-1]) + 1
-        la, lb, lr = a - begin - 1, b - a - 1, e - b - 2
         if not (
-            (raw[begin] == ord("[")).all() and (raw[e - 1] == ord("]")).all()
-            and np.array_equal(la, length[i]) and np.array_equal(lb, length[j])
-            and np.array_equal(_words(data, begin + 1, la, w), words[:, i])
-            and np.array_equal(_words(data, a + 1, lb, w), words[:, j])
+            np.array_equal(windows(begin) & masks[0].take(i, axis=0), spans[0].take(i, axis=0))
+            and np.array_equal(windows(a + 1) & masks[1].take(j, axis=0), spans[1].take(j, axis=0))
         ):
             return None
-        third = _words(data, b + 1, lr, w)
-        r = _lookup(keys, _keys(third, lr))
-        if not (np.array_equal(lr, length[r]) and np.array_equal(third, words[:, r])):
+        lr = e - b - 2
+        third = windows(b + 1) & fill.take(np.minimum(lr + 1, len(fill) - 1), axis=0)
+        r = _lookup(keys, _keys(third.T, lr))
+        if not (np.array_equal(lr, length[r]) and np.array_equal(third, spans[2].take(r, axis=0))):
             return None
         R[k : k + _BLOCK] = r
     return I, J, R
+
+
+def _spans(encoded: list[bytes]) -> tuple[np.ndarray, ...]:
+    """The encodings' lengths, and each arrow's ``[A,``, ``B,`` and
+    ``C]`` span with its byte mask, in 8-byte lanes.
+
+    ``spans[place, x]`` is arrow x's span at that place of an entry,
+    NUL-padded to W bytes, the longest encoding plus 2 rounded up to 8,
+    and ``masks[place, x]`` keeps its bytes; ``fill[k]`` keeps the
+    first k bytes of W.
+    """
+    length = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    n, w = length.size, (int(length.max()) + 9) // 8 * 8
+    flat = np.frombuffer(b"".join(encoded), np.uint8)
+    # Byte k of the join, arrow x's from start[x] on, goes to row x at k - start[x].
+    shift = np.repeat(w * np.arange(n) - (np.cumsum(length) - length), length)
+    names = np.zeros((n, w), np.uint8)
+    names.ravel()[np.arange(flat.size) + shift] = flat
+    spans = np.zeros((3, n, w), np.uint8)
+    spans[0, :, 0] = ord("[")
+    spans[0, :, 1:] = names[:, :-1]
+    spans[1:] = names
+    # Per place, as rows: the bytes before the name, and the byte after it.
+    before, after = np.array([[1], [0], [0]]), np.c_[list(b",,]")]
+    spans[np.arange(3)[:, None], np.arange(n), length + before] = after
+    fill = (np.arange(w) < np.arange(w + 1)[:, None]) * np.uint8(255)
+    masks = fill[length + before + 1]
+    return length, *(x.view(np.uint64) for x in (spans, masks, fill))
+
+
+def _windows(data: bytes, w: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from increasing positions in ``data`` to the ``w``
+    bytes of ``data`` from each, NUL past its end, in 8-byte lanes.
+
+    A window that runs past the end is read from a NUL-padded copy of
+    the bytes it covers, so ``data`` itself is not copied.
+    """
+    cut = max(len(data) - w + 1, 0)
+    inside = np.ndarray((cut,), f"V{w}", data, strides=(1,))
+    tail = np.ndarray((len(data) - cut + 1,), f"V{w}", data[cut:] + bytes(w), strides=(1,))
+
+    def read(at: np.ndarray) -> np.ndarray:
+        k = int(np.searchsorted(at, cut))
+        found = inside[at] if k == at.size else np.concatenate((inside[at[:k]], tail[at[k:] - cut]))
+        return found.view(np.uint64).reshape(at.size, -1)
+
+    return read
 
 
 def _entries(t: candidate.CandidateTable) -> tuple[np.ndarray, np.ndarray]:

@@ -149,7 +149,7 @@ def test_load_reads_canonical_bytes_in_place(tmp_path, case):
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_gen_files_take_the_fast_path(tmp_path, monkeypatch, p):
-    """p=13 has names of 16 bytes, two words each."""
+    """p=13's longest encodings take 16 bytes, so its windows take 24."""
     path = str(tmp_path / f"f{p}.json")
     assert cli.main(["gen", "--p", str(p), "--out", path]) == 0
 
@@ -269,8 +269,9 @@ def test_a_declared_size_bomb_is_refused_before_its_space_is_built(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def _fuzzed(raw: bytes, rng: random.Random) -> bytes:
-    at = rng.randrange(len(raw) + 1)
+def _fuzzed(raw: bytes, rng: random.Random, lo: int = 0) -> bytes:
+    """``raw`` with one byte edited, inserted or deleted at ``lo`` or later."""
+    at = rng.randrange(lo, len(raw) + 1)
     byte = bytes([rng.choice(b'[]{},:"#>\\ 0123456789x\n' + bytes([rng.randrange(256)]))])
     kind = rng.choice(["edit", "insert", "delete"])
     if kind == "insert":
@@ -281,20 +282,36 @@ def _fuzzed(raw: bytes, rng: random.Random) -> bytes:
     return raw[:at] + byte + raw[at + 1:]
 
 
+def window_width(table: CandidateTable) -> int:
+    """The bytes of each window that ``formats._composites`` reads."""
+    return 8 * formats._spans(formats._encodings(table))[1].shape[-1]
+
+
+def _long_last_table() -> CandidateTable:
+    """F_5 with object 1:0 renamed so that the last entry's third name,
+    zzzzz>0:1>4:1, is the longest encoding."""
+    return CandidateTable.from_doc(renamed(model_doc(5), {"1:0": "zzzzz"}, {}))
+
+
 def test_single_byte_fuzz_gives_the_parsed_table_or_message(tmp_path):
+    """400 edits anywhere, then 200 in the last two window widths, where
+    the last entry's windows run into the file's end."""
     raw = _model_bytes()
-    rng = random.Random(16)
-    accepted = 0
-    for _ in range(400):
-        data = _fuzzed(raw, rng)
-        want = outcome(parsed, data)
-        assert loaded(tmp_path, data) == want, data
-        accepted += want[0] == "ok"
-        # The in-place reader accepts only the bytes the writer writes.
-        table = formats._from_canonical(data)
-        assert table is None or table.to_json_bytes() in (data, data + b"\n"), data
+    tail = len(raw) - 2 * window_width(from_model(5))
+    edits = [(random.Random(16), 0, 400), (random.Random(17), tail, 200)]
+    accepted = []
+    for rng, lo, count in edits:
+        accepted.append(0)
+        for _ in range(count):
+            data = _fuzzed(raw, rng, lo)
+            want = outcome(parsed, data)
+            assert loaded(tmp_path, data) == want, data
+            accepted[-1] += want[0] == "ok"
+            # The in-place reader accepts only the bytes the writer writes.
+            table = formats._from_canonical(data)
+            assert table is None or table.to_json_bytes() in (data, data + b"\n"), data
     # Some edits rename a composite and still give a table.
-    assert accepted
+    assert all(accepted)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 255, 256, 257])
@@ -315,3 +332,75 @@ def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
     monkeypatch.setattr(formats, "_keys", lambda words, length: np.zeros(length.size, np.uint64))
     assert formats._from_canonical(raw) is None
     assert CandidateTable.from_doc(raw) == table
+
+
+def test_a_last_window_that_runs_past_the_end_is_read_in_place(tmp_path):
+    table = _long_last_table()
+    raw = table.to_json_bytes()
+    longest = max(map(len, formats._encodings(table)))
+    third = raw.rindex(b',"') + 1
+    assert raw[third:] == b'"zzzzz>0:1>4:1"]]}\n' and len(raw) - third - 4 == longest
+    assert third + window_width(table) > len(raw)
+    for data in (raw, raw[:-1]):
+        assert formats._from_canonical(data) == table
+        assert loaded(tmp_path, data) == outcome(parsed, data) == ("ok", table)
+
+
+def test_long_names_are_read_in_place_across_lanes(tmp_path):
+    """Names of 30 and 31 bytes give windows of several 8-byte lanes;
+    a byte changed 40 bytes into any name of the last entry, in its
+    sixth lane, is still seen."""
+    table = CandidateTable.from_doc(renamed(model_doc(5), {"0:1": "o" * 30, "2:1": "t" * 31}, {}))
+    raw = table.to_json_bytes()
+    assert window_width(table) == 72
+    assert formats._from_canonical(raw) == parsed(raw) == table
+    entry = raw.rindex(b"[") + 1
+    for name in (entry, raw.index(b",", entry) + 1, raw.rindex(b",") + 1):
+        at = name + 40
+        assert raw[at] == ord("o")
+        data = raw[:at] + b"x" + raw[at + 1:]
+        assert formats._from_canonical(data) is None
+        want = outcome(parsed, data)
+        assert want[0] is CandidateFormatError and want[1].startswith("unknown arrow")
+        assert loaded(tmp_path, data) == want
+
+
+def test_a_nul_in_the_last_entry_goes_to_the_parsed_path(tmp_path):
+    """A raw NUL byte, which equals the windows' padding, in place of
+    each byte of the last entry's three names, or inserted before any
+    of its bytes past its opening bracket or after its closing one."""
+    table = _long_last_table()
+    raw = table.to_json_bytes()
+    entry, close = raw.rindex(b"[") + 1, len(raw) - 4
+    names = [at for at in range(entry, close) if raw[at] != ord(",")]
+    assert len(names) == 3 * 15
+    edits = [raw[:at] + b"\0" + raw[at + 1:] for at in names]
+    edits += [raw[:at] + b"\0" + raw[at:] for at in range(entry, close + 2)]
+    for data in edits:
+        assert formats._from_canonical(data) is None, data
+        want = outcome(parsed, data)
+        assert want[0] is CandidateFormatError and want[1].startswith("not valid JSON"), data
+        assert loaded(tmp_path, data) == want, data
+
+
+def test_a_third_name_is_checked_by_length_as_well_as_hash(monkeypatch, tmp_path):
+    """With a hash blind to length, a NUL after the last entry's closing
+    bracket still masks to that arrow's span; its length refuses it."""
+    keys = formats._keys
+    monkeypatch.setattr(formats, "_keys", lambda words, length: keys(words, 0 * length))
+    raw = _long_last_table().to_json_bytes()
+    data = raw[:-3] + b"\0" + raw[-3:]
+    assert formats._from_canonical(raw) is not None
+    assert formats._from_canonical(data) is None
+    assert loaded(tmp_path, data) == outcome(parsed, data)
+
+
+def test_a_file_cut_short_goes_to_the_parsed_path(tmp_path):
+    """Cut 1 to W bytes before its end; cutting the newline alone leaves
+    canonical bytes."""
+    table = _long_last_table()
+    raw = table.to_json_bytes()
+    for cut in range(1, window_width(table) + 1):
+        data = raw[:-cut]
+        assert formats._from_canonical(data) == (table if cut == 1 else None), cut
+        assert loaded(tmp_path, data) == outcome(parsed, data), cut
