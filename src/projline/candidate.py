@@ -13,6 +13,7 @@ capped witness samples; every sweep is exhaustive and runs in one process.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ class NonEndo:
     label: str
 
     def __str__(self) -> str:
-        return f"{self.src}>{self.label}>{self.dst}"
+        return _non_endo_name(self.src, self.label, self.dst)
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,15 @@ class Endo:
     scalar: str
 
     def __str__(self) -> str:
-        return f"{self.obj}#{self.scalar}"
+        return _endo_name(self.obj, self.scalar)
 
 
 AbstractArrow = Union[NonEndo, Endo]
 
 _BAD_NAME = re.compile(r"[>#,\s]")
+# The arrow name syntaxes, which parse_arrow reads: src>label>dst and obj#scalar.
+_non_endo_name = lambda src, label, dst: f"{src}>{label}>{dst}"  # noqa: E731
+_endo_name = lambda obj, scalar: f"{obj}#{scalar}"  # noqa: E731
 
 
 def _check_name(kind: str, name: str) -> None:
@@ -144,6 +148,11 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k, np.arange(k.size) - np.repeat(np.cumsum(count) - count - start, count)
 
 
+def _other(x, k):
+    """The k-th object other than x, counting from 0, over object index arrays."""
+    return k + (k >= x)
+
+
 class CandidateTable:
     """A complete composition table over a finite labeled arrow space."""
 
@@ -168,37 +177,28 @@ class CandidateTable:
         self.scalars: dict[str, tuple[str, ...]] = scalars
         self.identities: dict[str, str] = identities
         self._obj_i: dict[str, int] = {o: i for i, o in enumerate(self.objects)}
-        arrows: list[AbstractArrow] = []
         n = len(self.objects)
-        # Index of the arrow src -> dst named by label, -1 unless the
-        # three objects are pairwise distinct.
-        self._ne3 = np.full((n, n, n), -1, dtype=np.int32)
-        hom = [0]
-        for si, s in enumerate(self.objects):
-            for di, d in enumerate(self.objects):
-                if si == di:
-                    arrows.extend(Endo(s, sid) for sid in self.scalars[s])
-                else:
-                    for li, lab in enumerate(self.objects):
-                        if li in (si, di):
-                            continue
-                        self._ne3[si, di, li] = len(arrows)
-                        arrows.append(NonEndo(s, d, lab))
-                hom.append(len(arrows))
         # Arrows are numbered source-major, then by target: hom(a, b) is
-        # the index range _hom[a*n + b] .. _hom[a*n + b + 1] (_homset).
-        self._hom = np.array(hom, dtype=np.intp)
-        self.arrows: tuple[AbstractArrow, ...] = tuple(arrows)
-        self._names: list[str] = [str(a) for a in arrows]
+        # the index range _hom[a*n + b] .. _hom[a*n + b + 1] (_homset), the
+        # scalars at a in declared order when a = b, else the n - 2 arrows
+        # named by the other objects in object order.  So the arrow s -> d
+        # named l has rank l - [l > s] - [l > d] in hom(s, d); _ne3 gives
+        # its index, -1 unless the three objects are pairwise distinct.
+        size = np.full((n, n), n - 2, dtype=np.intp)
+        size[np.diag_indices(n)] = [len(scalars[o]) for o in objects]
+        self._hom = np.concatenate([[0], np.cumsum(size)])
+        s, d, l = np.ogrid[:n, :n, :n]
+        rank = self._hom[s * n + d] + l - (l > s) - (l > d)
+        self._ne3 = np.where((s != d) & (l != s) & (l != d), rank, -1).astype(np.int32)
+        self._names: list[str] = [name for s in objects for d in objects for name in (
+            [_endo_name(s, x) for x in scalars[s]] if s == d
+            else [_non_endo_name(s, l, d) for l in objects if l != s and l != d])]
         self._name_i: dict[str, int] = {s: i for i, s in enumerate(self._names)}
-        self._hom_i = np.repeat(np.arange(n * n, dtype=np.int32), np.diff(self._hom))
+        self._hom_i = np.repeat(np.arange(n * n, dtype=np.int32), size.ravel())
         self._src_i = self._hom_i // n
         self._dst_i = self._hom_i % n
-        self._id_idx = np.array(
-            [hom[oi * (n + 1)] + self.scalars[o].index(self.identities[o])
-             for oi, o in enumerate(self.objects)],
-            dtype=np.int32,
-        )
+        unit = [scalars[o].index(identities[o]) for o in objects]
+        self._id_idx = (self._hom[np.arange(n) * (n + 1)] + unit).astype(np.int32)
 
     def _composite(self, I, J) -> np.ndarray:
         """The composite of I then J, -1 where either is -1 or they do not compose.
@@ -242,17 +242,30 @@ class CandidateTable:
 
     @property
     def n_arrows(self) -> int:
-        return len(self.arrows)
+        return len(self._names)
+
+    @functools.cached_property
+    def arrows(self) -> tuple[AbstractArrow, ...]:
+        """Every arrow as an object, in index order, parsed from its name on first read."""
+        return tuple(map(parse_arrow, self._names))
+
+    def _arrow(self, i: int) -> AbstractArrow:
+        return parse_arrow(self._names[i])
 
     def arrow_index(self, arrow: AbstractArrow) -> int:
         """The index of the arrow named ``str(arrow)``, if that arrow is ``arrow``."""
         i = self._name_i.get(str(arrow))
-        if i is None or self.arrows[i] != arrow:
+        if i is None or self._arrow(i) != arrow:
             raise CandidateFormatError(f"unknown arrow {arrow}")
         return i
 
+    def _object_i(self, obj: str) -> int:
+        if not _hashable(obj) or obj not in self._obj_i:
+            raise CandidateFormatError(f"unknown object {obj!r}")
+        return self._obj_i[obj]
+
     def identity_arrow(self, obj: str) -> Endo:
-        return Endo(obj, self.identities[obj])
+        return self._arrow(self._id_idx[self._object_i(obj)])
 
     def _homset(self, a: int, b: int) -> slice:
         """hom(a, b) by object index, as an arrow index range; hom(a, a)
@@ -261,7 +274,7 @@ class CandidateTable:
         return slice(int(self._hom[k]), int(self._hom[k + 1]))
 
     def hom(self, a: str, b: str) -> tuple[AbstractArrow, ...]:
-        return self.arrows[self._homset(self._obj_i[a], self._obj_i[b])]
+        return self.arrows[self._homset(self._object_i(a), self._object_i(b))]
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every composable pair (I, J), in row-major order.
@@ -279,13 +292,13 @@ class CandidateTable:
 
     def compose(self, f: AbstractArrow, g: AbstractArrow) -> AbstractArrow:
         """Left-to-right composite: ``f`` then ``g``."""
-        return self.arrows[_compose_i(self, self.arrow_index(f), self.arrow_index(g))]
+        return self._arrow(_compose_i(self, self.arrow_index(f), self.arrow_index(g)))
 
     def inverse_arrow(self, f: AbstractArrow) -> AbstractArrow:
         i = self.arrow_index(f)
         if self._inv[i] < 0:
-            raise ValueError(f"{self.arrows[i]} has no two-sided inverse in this table")
-        return self.arrows[self._inv[i]]
+            raise ValueError(f"{self._names[i]} has no two-sided inverse in this table")
+        return self._arrow(self._inv[i])
 
     # -- format 1, read and written by formats -----------------------------------
 
@@ -349,8 +362,8 @@ class ModelLine:
         """The name of the arrow x -> y with factor v."""
         pts = self.points
         if x == y:
-            return str(Endo(pts[x], self.scalar_ids[v - 1]))
-        return str(NonEndo(pts[x], pts[y], pts[int(np.argmax(self.factor[x, y] == v))]))
+            return _endo_name(pts[x], self.scalar_ids[v - 1])
+        return _non_endo_name(pts[x], pts[int(np.argmax(self.factor[x, y] == v))], pts[y])
 
 
 def from_model(p: int) -> CandidateTable:
@@ -400,14 +413,14 @@ def from_model(p: int) -> CandidateTable:
 def _compose_i(table: CandidateTable, i: int, j: int) -> int:
     r = int(table._composite(i, j))
     if r < 0:
-        raise ValueError(f"cannot compose {table.arrows[i]} then {table.arrows[j]}")
+        raise ValueError(f"cannot compose {table._names[i]} then {table._names[j]}")
     return r
 
 
 def _scalar_i(table: CandidateTable, r: int, at: str, route: str) -> int:
     """``r``, which a groupoid table makes a scalar at ``at``; ValueError if it is not."""
     if _at(table, r, table._obj_i[at]) < 0:
-        raise ValueError(f"{route} gives {table.arrows[r]}, not a scalar at {at}")
+        raise ValueError(f"{route} gives {table._names[r]}, not a scalar at {at}")
     return r
 
 
@@ -439,10 +452,9 @@ def _cycles(table: CandidateTable, a, b, c, d, e, f) -> np.ndarray:
 
 
 def _toward(table: CandidateTable, x, y) -> np.ndarray:
-    """The arrow x -> y named by the least object other than x and y, over
-    object index arrays: the arrow that carries a scalar at x to y."""
-    lab = np.where((x != 0) & (y != 0), 0, np.where((x != 1) & (y != 1), 1, 2))
-    return table._ne3[x, y, lab]
+    """The first arrow of hom(x, y), for x != y, over object index arrays:
+    the arrow named by the least other object, which carries a scalar at x to y."""
+    return table._hom[x * table.n_objects + y]
 
 
 def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
@@ -457,7 +469,7 @@ def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> En
     if len({a, b, c}) != 3 or len({a, b, d}) != 3:
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
     r = _compose_i(table, *(table.arrow_index(NonEndo(*leg)) for leg in _cr_legs(a, b, c, d)))
-    return table.arrows[_scalar_i(table, r, a, f"round trip ({a},{b};{c},{d})")]
+    return table._arrow(_scalar_i(table, r, a, f"round trip ({a},{b};{c},{d})"))
 
 
 def tri_rapport_abs(
@@ -470,17 +482,21 @@ def tri_rapport_abs(
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
     x, y, z = (table.arrow_index(NonEndo(*leg)) for leg in _tri_legs(a, b, c, d, e, f))
     r = _compose_i(table, _compose_i(table, x, y), z)
-    return table.arrows[_scalar_i(table, r, a, f"cycle ({a},{b},{c};{d},{e},{f})")]
+    return table._arrow(_scalar_i(table, r, a, f"cycle ({a},{b},{c};{d},{e},{f})"))
 
 
 def conjugate(table: CandidateTable, sigma: Endo, f: NonEndo) -> Endo:
     """Transport a scalar along an arrow: the composite f^-1, sigma, f."""
+    if not isinstance(sigma, Endo):
+        raise ValueError(f"{sigma} is not a scalar")
+    if not isinstance(f, NonEndo):
+        raise ValueError(f"{f} is not an arrow between distinct objects")
     if sigma.obj != f.src:
         raise ValueError(f"{sigma} does not live at the source of {f}")
     fi = table.arrow_index(f)
     x = _compose_i(table, table.arrow_index(table.inverse_arrow(f)), table.arrow_index(sigma))
     r = _compose_i(table, x, fi)
-    return table.arrows[_scalar_i(table, r, f.dst, f"transport of {sigma} along {f}")]
+    return table._arrow(_scalar_i(table, r, f.dst, f"transport of {sigma} along {f}"))
 
 
 def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
@@ -490,12 +506,13 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
     of the chosen path, so this is a canonical form for cross-object
     scalar comparison.
     """
-    table.arrow_index(sigma)
-    if base not in table._obj_i:
+    i = table.arrow_index(sigma)
+    if not _hashable(base) or base not in table._obj_i:
         raise CandidateFormatError(f"unknown base object {base!r}")
-    if sigma.obj == base:
+    if isinstance(sigma, Endo) and sigma.obj == base:
         return sigma
-    f = table.arrows[_toward(table, table._obj_i[sigma.obj], table._obj_i[base])]
+    # conjugate refuses a sigma that is not a scalar.
+    f = table._arrow(_toward(table, table._src_i[i], table._obj_i[base]))
     return conjugate(table, sigma, f)
 
 
@@ -607,7 +624,7 @@ def _associativity(table: CandidateTable, cap: int, endpoints: bool) -> CheckRep
                 if len(least) > cap:
                     least = least[np.lexsort(least.T[::-1])][:cap]
     least = least[np.lexsort(least.T[::-1])]
-    arrows = table.arrows
+    arrows = table._names
     witnesses = [
         f"assoc({arrows[f]}, {arrows[g]}, {arrows[h]}): grouping changes the composite"
         for f, g, h in least.tolist()
@@ -635,8 +652,8 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     src, dst = table._src_i, table._dst_i
     endpoints = sweep(
         "endpoints", int(I.size), ~table._ends(I, J, R),
-        lambda k: f"endpoints({table.arrows[I[k]]}, {table.arrows[J[k]]}): "
-        f"composite {table.arrows[R[k]]} has wrong endpoints",
+        lambda k: f"endpoints({table._names[I[k]]}, {table._names[J[k]]}): "
+        f"composite {table._names[R[k]]} has wrong endpoints",
         cap,
     )
     checks.append(endpoints)
@@ -647,12 +664,12 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     )
     checks.append(sweep(
         "identity", 2 * n_arr, unfixed,
-        lambda i: f"identity({table.arrows[i]}): declared unit does not fix it", cap,
+        lambda i: f"identity({table._names[i]}): declared unit does not fix it", cap,
     ))
 
     checks.append(sweep(
         "inverses", n_arr, table._inv < 0,
-        lambda i: f"inverses({table.arrows[i]}): no two-sided inverse", cap,
+        lambda i: f"inverses({table._names[i]}): no two-sided inverse", cap,
     ))
 
     checks.append(_associativity(table, cap, endpoints.passed))
@@ -702,7 +719,7 @@ def _distinct(n: int, k: int) -> np.ndarray:
 def _name(table: CandidateTable, i: int) -> str:
     """The name of arrow ``i``; -1, where the legs do not compose or name
     no scalar, is "undefined"."""
-    return str(table.arrows[i]) if i >= 0 else "undefined"
+    return table._names[i] if i >= 0 else "undefined"
 
 
 def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
@@ -742,7 +759,7 @@ def _axiom_pappus(table: CandidateTable, cap: int) -> CheckReport:
     comp = table._composite
     return sweep(
         "pappus", i.size, comp(i, j) != comp(j, i),
-        lambda k: f"pappus({table.arrows[i[k]]}, {table.arrows[j[k]]}): "
+        lambda k: f"pappus({table._names[i[k]]}, {table._names[j[k]]}): "
         f"products differ by order",
         cap,
     )

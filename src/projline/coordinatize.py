@@ -25,9 +25,8 @@ import numpy as np
 
 from .candidate import (
     CandidateTable,
-    Endo,
     ModelLine,
-    NonEndo,
+    _other,
     _round_trips,
     _toward,
     _transports,
@@ -135,14 +134,15 @@ class _Forcing:
         # Every scalar s, f_X for its object X, and the composite s.f_X.
         self.scal = np.flatnonzero(src == dst)
         x = src[self.scal]
-        # intp: F[self.f] runs at every search node, and int32 gathers are slower.
-        self.f = _toward(table, x, (x == 0).astype(np.intp)).astype(np.intp)
+        y = _other(x, 0)
+        self.f = _toward(table, x, y)
         self.comp_f = table._composite(self.scal, self.f)
-        off = np.flatnonzero((src[self.comp_f] != x) | (dst[self.comp_f] != dst[self.f]))
+        off = np.flatnonzero((src[self.comp_f] != x) | (dst[self.comp_f] != y))
         if off.size:
-            k = off[0]
-            s, f, r = (table.arrows[a[k]] for a in (self.scal, self.f, self.comp_f))
-            want = "between distinct objects" if isinstance(r, Endo) else f"from {f.src} to {f.dst}"
+            k, obj = off[0], table.objects
+            s, f, r = (table._names[a[k]] for a in (self.scal, self.f, self.comp_f))
+            endo = src[self.comp_f[k]] == dst[self.comp_f[k]]
+            want = "between distinct objects" if endo else f"from {obj[x[k]]} to {obj[y[k]]}"
             raise CoordinatizationError(f"{s} then {f} gives {r}, not an arrow {want}")
         self.I, self.J = table._pairs()
         self.R = table._composite(self.I, self.J)
@@ -229,9 +229,9 @@ def verify_iso(
     rhs = F.take(R)
 
     def functorial(k: int) -> str:
-        kind = "label-compatibility" if isinstance(table.arrows[R[k]], NonEndo) else "functoriality"
+        kind = "label-compatibility" if src[R[k]] != dst[R[k]] else "functoriality"
         return (
-            f"{kind}({table.arrows[I[k]]}; {table.arrows[J[k]]}): composite maps to "
+            f"{kind}({table._names[I[k]]}; {table._names[J[k]]}): composite maps to "
             f"{line.name(o[src[R[k]]], o[dst[R[k]]], rhs[k])} but images compose to "
             f"{line.name(o[src[I[k]]], o[dst[J[k]]], lhs[k])}"
         )
@@ -275,7 +275,7 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
             raise CoordinatizationError(str(exc)) from exc
     coords = {f0: "0:1", f1: "1:0"}
     coords.update(
-        (table.objects[x], f"{res[table.arrows[r].scalar]}:1")
+        (table.objects[x], f"{res[table._arrow(r).scalar]}:1")
         for x, r in zip(xs.tolist(), moved.tolist())
     )
     omap = {x: coords[x] for x in table.objects}

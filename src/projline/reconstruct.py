@@ -24,6 +24,7 @@ from .candidate import (
     _cycles,
     _distinct,
     _legs,
+    _other,
     _round_trips,
     _scalar_i,
     _toward,
@@ -56,11 +57,6 @@ def _reconstruction(fn):
     return wrapper
 
 
-def _default_helpers(table: CandidateTable, base: str) -> tuple[str, str]:
-    rest = [o for o in table.objects if o != base]
-    return rest[0], rest[1]
-
-
 @_reconstruction
 def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> Endo:
     """The scalar -1 at the base object, with its defining laws verified.
@@ -81,8 +77,7 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
     a = table._obj_i[base]
 
     # Helper pairs (b, c) in order; the first is the default pair.
-    pairs = _distinct(n, 2)
-    b, c = pairs[(pairs != a).all(axis=1)].T
+    b, c = _other(a, _distinct(n - 1, 2)).T
     vals = _cycles(table, a, b, c, c, a, b)
     m = int(vals[0])
     bad = np.flatnonzero((vals < 0) | (vals != m))
@@ -91,15 +86,15 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
         got = tri_rapport_abs(table, base, obj[b[k]], obj[c[k]], obj[c[k]], base, obj[b[k]])
         raise ReconstructionError(
             f"-1 is not well defined at {base}: helpers ({obj[b[k]]},{obj[c[k]]}) give {got}, "
-            f"({obj[b[0]]},{obj[c[0]]}) give {table.arrows[m]}"
+            f"({obj[b[0]]},{obj[c[0]]}) give {table._names[m]}"
         )
     if table._composite(m, m) != table._id_idx[a]:
         raise ReconstructionError(
-            f"candidate -1 at {base} does not square to the identity: {table.arrows[m]}"
+            f"candidate -1 at {base} does not square to the identity: {table._names[m]}"
         )
     # Each other object x: its value with its default helpers, moved to the base.
-    x = np.array([i for i in range(n) if i != a])
-    bx, cx = (x == 0).astype(np.intp), np.where(x <= 1, 2, 1)
+    x = _other(a, np.arange(n - 1))
+    bx, cx = _other(x, 0), _other(x, 1)
     moved = _transports(table, _cycles(table, x, bx, cx, cx, x, bx), _toward(table, x, a))
     bad = np.flatnonzero(moved != m)
     if bad.size:
@@ -108,9 +103,9 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
         got = canonical_scalar(table, tri_rapport_abs(table, other, hb, hc, hc, other, hb), base)
         raise ReconstructionError(
             f"-1 differs between objects: at {other} it transports to {got}, "
-            f"not {table.arrows[m]}"
+            f"not {table._names[m]}"
         )
-    return table.arrows[m]
+    return table._arrow(m)
 
 
 @_reconstruction
@@ -130,9 +125,9 @@ def phi(
     """
     if base not in table.identities:
         raise ReconstructionError(f"unknown base object {base!r}")
-    db, dc = _default_helpers(table, base)
-    b = db if b is None else b
-    c = dc if c is None else c
+    a = table._obj_i[base]
+    b = table.objects[_other(a, 0)] if b is None else b
+    c = table.objects[_other(a, 1)] if c is None else c
     if len({base, b, c}) != 3:
         raise ReconstructionError(f"helpers must be distinct from the base: {base},{b},{c}")
     one = table.identities[base]
@@ -145,7 +140,7 @@ def phi(
         return None
     # An unknown helper names no arrow; arrow_index says which.
     table.arrow_index(NonEndo(base, b, c))
-    a, bi, ci = table._obj_i[base], table._obj_i[b], table._obj_i[c]
+    bi, ci = table._obj_i[b], table._obj_i[c]
     block = table._homset(a, a)
     d = np.array([i for i in range(table.n_objects) if i not in (a, bi)])
     vals = _round_trips(table, a, bi, ci, d)

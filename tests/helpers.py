@@ -603,6 +603,10 @@ class ObjectCalculus:
         return self.scalar(out, a, f"cycle ({a},{b},{c};{d},{e},{f})")
 
     def conjugate(self, sigma: Endo, f: NonEndo) -> Endo:
+        if not isinstance(sigma, Endo):
+            raise ValueError(f"{sigma} is not a scalar")
+        if not isinstance(f, NonEndo):
+            raise ValueError(f"{f} is not an arrow between distinct objects")
         if sigma.obj != f.src:
             raise ValueError(f"{sigma} does not live at the source of {f}")
         finv = self.inverse_arrow(f)
@@ -614,6 +618,8 @@ class ObjectCalculus:
         self.arrow_index(sigma)
         if base not in table._obj_i:
             raise CandidateFormatError(f"unknown base object {base!r}")
+        if not isinstance(sigma, Endo):
+            raise ValueError(f"{sigma} is not a scalar")
         if sigma.obj == base:
             return sigma
         ai = table._obj_i[sigma.obj]

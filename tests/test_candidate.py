@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     MUTATIONS,
+    NON_GROUPOID,
     REFERENCE_CASES,
     SWAPPED_NAMES,
     ObjectCalculus,
@@ -50,6 +51,7 @@ from projline.candidate import (
     NonEndo,
     _check_space,
     _legs,
+    _other,
     _toward,
     _transports,
     canonical_scalar,
@@ -62,7 +64,9 @@ from projline.candidate import (
     tri_rapport_abs,
     validate_structure,
 )
+from projline.coordinatize import coordinatize, verify_uniqueness
 from projline.model import cross_ratio, label_to_arrow, points, tri_rapport
+from projline.reconstruct import ReconstructionError, build_field, classify_prime, verify_field
 from projline.scalars import GF
 
 
@@ -120,6 +124,36 @@ def test_identity_and_inverse_arrows():
     g = t.inverse_arrow(f)
     assert t.compose(f, g) == t.identity_arrow("0:1")
     assert t.compose(g, f) == t.identity_arrow("1:1")
+
+
+def test_an_unknown_object_is_named():
+    t = from_model(3)
+    for name in ("zz", ["zz"]):
+        for call in (lambda: t.hom(name, "0:1"), lambda: t.hom("0:1", name),
+                     lambda: t.identity_arrow(name)):
+            assert outcome(call) == (CandidateFormatError, f"unknown object {name!r}")
+    assert outcome(canonical_scalar, t, Endo("0:1", "1"), ["zz"]) == (
+        CandidateFormatError, "unknown base object ['zz']"
+    )
+    assert t.hom("0:1", "0:1") == (Endo("0:1", "1"), Endo("0:1", "2"))
+
+
+def test_transport_names_an_arrow_of_the_wrong_kind():
+    t = from_model(5)
+    sigma, f = Endo("0:1", "2"), NonEndo("0:1", "1:0", "1:1")
+    assert outcome(conjugate, t, f, f) == (ValueError, "0:1>1:1>1:0 is not a scalar")
+    assert outcome(conjugate, t, sigma, sigma) == (
+        ValueError, "0:1#2 is not an arrow between distinct objects"
+    )
+    for base in ("0:1", "1:0", "2:1"):
+        assert outcome(canonical_scalar, t, f, base) == (ValueError, "0:1>1:1>1:0 is not a scalar")
+    # Unknown arrows and objects are named as before.
+    assert outcome(canonical_scalar, t, NonEndo("0:1", "1:0", "9:9"), "1:0") == (
+        CandidateFormatError, "unknown arrow 0:1>9:9>1:0"
+    )
+    assert outcome(canonical_scalar, t, f, "9:9") == (
+        CandidateFormatError, "unknown base object '9:9'"
+    )
 
 
 def test_arrow_text_round_trip():
@@ -742,6 +776,106 @@ def test_toward_is_the_arrow_named_by_the_least_other_object(n):
         least = min(set(range(n)) - {xi, yi})
         assert t.arrows[arrow] == NonEndo(objs[xi], objs[yi], objs[least])
         assert _toward(t, xi, yi) == arrow
+
+
+# Object names out of index order, and 1 to 4 scalars per object.
+UNEVEN = (["c", "a", "d", "b"], {"c": ["1"], "a": ["x", "1"], "d": ["1", "2", "3"],
+                                 "b": ["4", "3", "2", "1"]})
+
+
+def _uneven_space():
+    objs, scalars = UNEVEN
+    return _check_space(objs, scalars, {o: "1" for o in objs})
+
+
+def test_arrow_numbering_is_the_rank_rule():
+    t = CandidateTable._bare(*_uneven_space())
+    O, n = t.objects, t.n_objects
+    seen = []
+    for s, d, l in itertools.product(range(n), repeat=3):
+        i = int(t._ne3[s, d, l])
+        if len({s, d, l}) == 3:
+            assert t._names[i] == f"{O[s]}>{O[l]}>{O[d]}"
+            seen.append(i)
+        else:
+            assert i == -1
+    for o in range(n):
+        block = t._homset(o, o)
+        assert t._names[block] == [f"{O[o]}#{x}" for x in t.scalars[O[o]]]
+        seen += range(block.start, block.stop)
+    assert sorted(seen) == list(range(t.n_arrows)) == list(range(len(t._names)))
+    assert [t._names[i] for i in t._id_idx] == [f"{o}#1" for o in O]
+    x, y = _distinct_pairs(n)
+    assert np.array_equal(_toward(t, x, y), [_toward(t, xi, yi) for xi, yi in zip(x, y)])
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        least = min(set(range(n)) - {xi, yi})
+        assert t._names[_toward(t, xi, yi)] == f"{O[xi]}>{O[least]}>{O[yi]}"
+    for xi in range(n):
+        rest = [o for o in range(n) if o != xi]
+        assert [_other(xi, k) for k in range(n - 1)] == rest
+        assert _other(np.full(n - 1, xi), np.arange(n - 1)).tolist() == rest
+        assert _other(np.arange(n), 0).tolist() == [int(o == 0) for o in range(n)]
+
+
+def _arrows_one_by_one(t):
+    """The arrows of ``t`` in index order, built as objects one homset at a time."""
+    arrows = []
+    for s in t.objects:
+        for d in t.objects:
+            if s == d:
+                arrows.extend(Endo(s, x) for x in t.scalars[s])
+            else:
+                arrows.extend(NonEndo(s, d, lab) for lab in t.objects if lab not in (s, d))
+    return tuple(arrows)
+
+
+@pytest.mark.parametrize("case", ["uneven", "model-3", "relabel-f7-0"])
+def test_arrows_are_parsed_from_the_names_on_first_read(case):
+    if case == "uneven":
+        t = CandidateTable._bare(*_uneven_space())
+    else:
+        t = CandidateTable.from_doc(REFERENCE_CASES[case]())
+    assert "arrows" not in vars(t)
+    assert t.n_arrows == len(t._names)
+    want = _arrows_one_by_one(t)
+    assert t.arrows == want and t.arrows is t.arrows
+    assert [str(a) for a in want] == t._names
+    assert all(type(a) is type(b) for a, b in zip(t.arrows, want))
+
+
+def test_no_pipeline_stage_builds_arrow_objects(tmp_path):
+    def unbuilt(t):
+        assert "arrows" not in vars(t)
+        return t
+
+    path = tmp_path / "f5.json"
+    from_model(5).save(path)
+    t = unbuilt(CandidateTable.load(path))
+    assert validate_structure(unbuilt(t)).passed and check_axioms(unbuilt(t)).passed
+    ft = build_field(unbuilt(t))
+    assert classify_prime(ft, verify_field(ft)).is_prime_field
+    assert coordinatize(unbuilt(t)).verified
+    assert verify_uniqueness(unbuilt(t))[0].passed
+    assert unbuilt(t).to_json_bytes() == path.read_bytes()
+    assert unbuilt(t).to_doc()["compose"]
+    unbuilt(t)
+
+    # A composite with the wrong endpoints fails several layers and axioms,
+    # each with witnesses that name arrows.
+    doc = rewrite_entry(from_model(5).to_doc(), "1:1>3:1>4:1", "4:1>1:0>1:1", "1:1>4:1>3:1")
+    path.write_text(json.dumps(doc))
+    t = unbuilt(CandidateTable.load(path))
+    groups = [validate_structure(unbuilt(t)), check_axioms(unbuilt(t))]
+    unbuilt(t)
+    for group in groups:
+        failing = [c for c in group.checks if c.status == "fail"]
+        assert failing and all(c.witnesses for c in failing)
+    # Tables that are no groupoid fail reconstruction with messages that name arrows.
+    for entry, text in NON_GROUPOID.values():
+        t = unbuilt(CandidateTable.from_doc(rewrite_entry(from_model(7).to_doc(), *entry)))
+        kind, message = outcome(build_field, t)
+        assert kind is ReconstructionError and text in message
+        unbuilt(t)
 
 
 @pytest.mark.parametrize("case", ["model-2", "model-3", "model-5", "model-7", "relabel-f7-0"])
