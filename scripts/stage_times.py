@@ -64,7 +64,11 @@ saved, "--format", "json"])`` in this process with its stdout captured,
 after one untimed call: parsing the arguments, loading the saved file,
 both checkers and the report, as a caller that runs the CLI in process
 sees them.  It runs after the other stages, so their rows are taken in
-the same process state as in files without it.  No parsed
+the same process state as in files without it.  ``structure_failing``
+runs last: ``validate_structure`` of a fresh table read from the saved
+document with one compose entry rewritten within its homset
+(``failing_doc``, which is ``tests/helpers.seeded_mutation`` with seed
+0), so the associativity check runs its full sweep.  No parsed
 document outlives the call it is made for, so no stage's garbage
 collections walk another stage's document.  The rows go into the file
 under ``--label`` next to the rows of other labels, so one file holds
@@ -91,7 +95,7 @@ import time
 STAGES = (
     "from_model", "to_json_bytes", "json.loads", "from_doc", "load", "validate_structure",
     "check_axioms", "build_field", "coordinatize_first_call", "coordinatize",
-    "verify_uniqueness", "cli_check",
+    "verify_uniqueness", "cli_check", "structure_failing",
 )
 PRIMES = (5, 7, 11, 13, 17)
 REPEAT = 7
@@ -132,6 +136,17 @@ def _quartile_seconds(setup, stage, repeat: int) -> list[float]:
     return statistics.quantiles(times, n=4)
 
 
+def failing_doc(table) -> dict:
+    """The document of ``table`` with one compose entry rewritten to another
+    arrow of its homset: ``tests/helpers.seeded_mutation``, seed 0."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+    try:
+        from helpers import seeded_mutation
+    finally:
+        del sys.path[0]
+    return seeded_mutation(table.to_doc(), 0)
+
+
 def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     import projline
 
@@ -140,6 +155,7 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
     table = projline.from_model(p)
     table.save(path)
     data = table.to_json_bytes()
+    failing = failing_doc(table)
 
     def fresh():
         return projline.from_model(p)
@@ -170,6 +186,9 @@ def stage_rows(p: int, repeat: int, path: str) -> list[dict]:
         "coordinatize": (fresh, projline.coordinatize),
         "verify_uniqueness": (fresh, projline.verify_uniqueness),
         "cli_check": (nothing, cli_check),
+        "structure_failing": (
+            lambda: projline.CandidateTable.from_doc(failing), projline.validate_structure
+        ),
     }
     projline.coordinatize(fresh())
     rows = []

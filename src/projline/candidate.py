@@ -24,7 +24,7 @@ import numpy as np
 
 from . import formats
 from .model import _cr_legs, _rapport_terms, _tri_legs, points
-from .reports import CheckReport, ReportGroup, make_check, sweep
+from .reports import CheckReport, ReportGroup, make_check, sweep, witness_cap
 from .scalars import PrimeField
 
 
@@ -153,6 +153,52 @@ def _other(x, k):
     return k + (k >= x)
 
 
+@functools.lru_cache(maxsize=1)
+def _arrow_space(
+    objects: tuple[str, ...], scalars: tuple[tuple[str, ...], ...], identities: tuple[str, ...]
+) -> dict:
+    """The arrow space of a space that passed _check_space, its scalar
+    ids and identities given per object in object order, as a table's
+    attributes: the index arrays, read-only, and the names.
+
+    The last space is kept, so the tables read from files with one
+    header share one arrow space, built once.  No table changes it.
+    """
+    n = len(objects)
+    # Arrows are numbered source-major, then by target: hom(a, b) is
+    # the index range _hom[a*n + b] .. _hom[a*n + b + 1] (_homset), the
+    # scalars at a in declared order when a = b, else the n - 2 arrows
+    # named by the other objects in object order.  So the arrow s -> d
+    # named l has rank l - [l > s] - [l > d] in hom(s, d); _ne3 gives
+    # its index, -1 unless the three objects are pairwise distinct.
+    size = np.full((n, n), n - 2, dtype=np.intp)
+    size[np.diag_indices(n)] = list(map(len, scalars))
+    hom = np.concatenate([[0], np.cumsum(size)])
+    s, d, l = np.ogrid[:n, :n, :n]
+    rank = hom[s * n + d] + l - (l > s) - (l > d)
+    ne3 = np.where((s != d) & (l != s) & (l != d), rank, -1).astype(np.int32)
+    hom_i = np.repeat(np.arange(n * n, dtype=np.int32), size.ravel())
+    unit = [ids.index(u) for ids, u in zip(scalars, identities)]
+    names = [name for s, ids in zip(objects, scalars) for d in objects for name in (
+        [_endo_name(s, x) for x in ids] if s == d
+        else [_non_endo_name(s, l, d) for l in objects if l != s and l != d])]
+    space = {
+        "_obj_i": {o: i for i, o in enumerate(objects)},
+        "_hom": hom,
+        "_ne3": ne3,
+        "_names": names,
+        "_name_i": {s: i for i, s in enumerate(names)},
+        "_hom_i": hom_i,
+        "_src_i": hom_i // n,
+        "_dst_i": hom_i % n,
+        "_id_idx": (hom[np.arange(n) * (n + 1)] + unit).astype(np.int32),
+    }
+    for x in space.values():
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return space
+
+
 class CandidateTable:
     """A complete composition table over a finite labeled arrow space."""
 
@@ -172,33 +218,15 @@ class CandidateTable:
         self, objects: tuple[str, ...], scalars: dict[str, tuple[str, ...]],
         identities: dict[str, str],
     ) -> None:
-        """Build the arrow space of a space that passed _check_space."""
+        """Start a table over a space that passed _check_space: the table
+        keeps these objects, scalars and identities, and shares the arrow
+        space of ``_arrow_space``."""
         self.objects: tuple[str, ...] = objects
         self.scalars: dict[str, tuple[str, ...]] = scalars
         self.identities: dict[str, str] = identities
-        self._obj_i: dict[str, int] = {o: i for i, o in enumerate(self.objects)}
-        n = len(self.objects)
-        # Arrows are numbered source-major, then by target: hom(a, b) is
-        # the index range _hom[a*n + b] .. _hom[a*n + b + 1] (_homset), the
-        # scalars at a in declared order when a = b, else the n - 2 arrows
-        # named by the other objects in object order.  So the arrow s -> d
-        # named l has rank l - [l > s] - [l > d] in hom(s, d); _ne3 gives
-        # its index, -1 unless the three objects are pairwise distinct.
-        size = np.full((n, n), n - 2, dtype=np.intp)
-        size[np.diag_indices(n)] = [len(scalars[o]) for o in objects]
-        self._hom = np.concatenate([[0], np.cumsum(size)])
-        s, d, l = np.ogrid[:n, :n, :n]
-        rank = self._hom[s * n + d] + l - (l > s) - (l > d)
-        self._ne3 = np.where((s != d) & (l != s) & (l != d), rank, -1).astype(np.int32)
-        self._names: list[str] = [name for s in objects for d in objects for name in (
-            [_endo_name(s, x) for x in scalars[s]] if s == d
-            else [_non_endo_name(s, l, d) for l in objects if l != s and l != d])]
-        self._name_i: dict[str, int] = {s: i for i, s in enumerate(self._names)}
-        self._hom_i = np.repeat(np.arange(n * n, dtype=np.int32), size.ravel())
-        self._src_i = self._hom_i // n
-        self._dst_i = self._hom_i % n
-        unit = [scalars[o].index(identities[o]) for o in objects]
-        self._id_idx = (self._hom[np.arange(n) * (n + 1)] + unit).astype(np.int32)
+        vars(self).update(_arrow_space(
+            objects, tuple(scalars[o] for o in objects), tuple(identities[o] for o in objects)
+        ))
 
     def _composite(self, I, J) -> np.ndarray:
         """The composite of I then J, -1 where either is -1 or they do not compose.
@@ -519,25 +547,69 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
 # -- structure validation ------------------------------------------------------
 
 
-def _regroupings(
-    table: CandidateTable, rows: np.ndarray, start: int, g: slice, far: int
-) -> np.ndarray:
-    """Where (f.g).h and f.(g.h) differ, as an (f, g, h) mask over the g
-    in ``g`` from the f's object to ``far`` and every h out of ``far``.
+class _Blocks:
+    """The composites "an arrow into o, then an arrow out of o", one
+    block per object o, in the narrowest signed dtype that holds every
+    arrow index.  Together the blocks hold each composable pair twice.
 
-    ``rows[i, j]`` is the composite of the i-th f with arrow start + j;
-    its columns must cover ``g`` and every composite g.h.  Arrows are
-    numbered source-major and then by target, so g and h are index ranges.
+    ``into[o]`` is the arrows into o in index order; the arrows out of
+    o are the index range from ``out[o]``.  ``block[o][i, j]`` is the
+    composite of into[o][i] then out arrow j, and ``tblock[o][j, i]``
+    is the same composite; each has a last row of -1.  ``row[o, a]`` is
+    arrow a's row in block[o], and ``col[o, a]`` its row in tblock[o]:
+    the -1 row when a does not end at o (start at o), and at a = -1,
+    the last entry.  So a gather through them reads -1 exactly where
+    the store does.
     """
-    hom, n = table._hom, table.n_objects
-    h = slice(hom[far * n], hom[far * n + n])
-    # Slices: an element-wise gather takes about four times as long.
-    left = table._composite(slice(None), h)[rows[:, g.start - start : g.stop - start]]
-    right = rows[:, table._composite(g, h) - start]
-    return left != right
+
+    def __init__(self, table: CandidateTable):
+        n, m, hom, dst = table.n_objects, table.n_arrows, table._hom, table._dst_i
+        dtype = np.min_scalar_type(-(m + 1))
+        out, stop = hom[: n * n : n], hom[n :: n]
+        count = np.bincount(dst, minlength=n)
+        start = np.cumsum(count) - count
+        by_dst = np.argsort(dst, kind="stable")
+        arrows = np.arange(m)
+        self.row = np.repeat(count.astype(dtype)[:, None], m + 1, axis=1)
+        self.row[dst[by_dst], by_dst] = arrows - np.repeat(start, count)
+        self.col = np.repeat((stop - out).astype(dtype)[:, None], m + 1, axis=1)
+        self.col[table._src_i, arrows] = arrows - out[table._src_i]
+        # The arrows into each object, each group followed by -1, the store's -1 row.
+        ext = np.full(m + n, -1)
+        ext[arrows + np.repeat(np.arange(n), count)] = by_dst
+        self.out, self.into, self.block, self.tblock = out.tolist(), [], [], []
+        for o, (a, k, b, e) in enumerate(zip(start.tolist(), count.tolist(), self.out, stop.tolist())):
+            self.into.append(by_dst[a : a + k])
+            block = table._composite(ext[a + o : a + o + k + 1], slice(b, e)).astype(dtype)
+            tblock = np.empty((e - b + 1, k), dtype)
+            tblock[:-1] = block[:-1].T
+            tblock[-1] = -1
+            self.block.append(block)
+            self.tblock.append(tblock)
 
 
-def _generated_associativity(table: CandidateTable) -> Optional[int]:
+def _regroupings(blocks: _Blocks, mid: int, far: int, g: slice) -> np.ndarray:
+    """Where (f.g).h and f.(g.h) differ, as an (f, g, h) mask over every
+    f into mid, the g in ``g``, an index range in hom(mid, far), and
+    every h out of far.
+
+    Both groupings are row gathers: f.g is a slice of mid's block and
+    (f.g).h its rows of far's block; g.h is a slice of far's block, and
+    f.(g.h) its rows of mid's transposed block.
+    """
+    b = blocks
+    gf = b.block[mid][:-1, g.start - b.out[mid] : g.stop - b.out[mid]].T
+    left = b.block[far].take(b.row[far].take(gf), axis=0)
+    at = b.row[far, g.start]
+    gh = b.block[far][at : at + g.stop - g.start]
+    right = b.tblock[mid].take(b.col[mid].take(gh), axis=0)
+    # Both are by g, (g, f, h) and (g, h, f), so the compare transposes
+    # one g's matrix at a time, which stays in cache at p=17 (twice as
+    # fast there as one transpose of the whole).  The mask is a view.
+    return (left != right.transpose(0, 2, 1)).transpose(1, 0, 2)
+
+
+def _generated_associativity(table: CandidateTable, blocks: _Blocks) -> Optional[int]:
     """Light's associativity test on a table that passed ``endpoints``:
     the number of instances examined when the table is shown associative
     from generators, None when it is not shown so.
@@ -558,9 +630,10 @@ def _generated_associativity(table: CandidateTable) -> Optional[int]:
     arrows 0 -> X and X -> 0 (``_toward``).  It generates when the
     products (g_a.s).f_b reach every arrow, for s a scalar at 0, g_a the
     transport arrow a -> 0 and f_b the transport arrow 0 -> b, the unit
-    at 0 (one of the scalars) standing in for both at object 0.
+    at 0 (one of the scalars) standing in for both at object 0.  Each
+    generator is checked on the table's ``blocks`` by ``_regroupings``.
     """
-    comp, hom, n = table._composite, table._hom, table.n_objects
+    comp, n = table._composite, table.n_objects
     scalars, others = table._homset(0, 0), np.arange(1, n)
     into = np.append(table._id_idx[0], _toward(table, others, 0))
     out = np.append(table._id_idx[0], _toward(table, 0, others))
@@ -568,21 +641,15 @@ def _generated_associativity(table: CandidateTable) -> Optional[int]:
     reached[comp(comp(into, scalars)[:, :, None], out)] = True
     if not reached.all():
         return None
+    # The generators, each an index range in hom(mid, far), with mid and far.
+    gens = [(scalars, 0, 0)] + [(slice(out[x], out[x] + 1), 0, x) for x in range(1, n)]
+    gens += [(slice(into[x], into[x] + 1), x, 0) for x in range(1, n)]
     checked = 0
-    for mid in range(n):
-        # The generators out of mid, as index ranges, with their targets.
-        if mid == 0:
-            gens = [(scalars, 0)] + [(slice(out[x], out[x] + 1), x) for x in range(1, n)]
-        else:
-            gens = [(slice(into[mid], into[mid] + 1), 0)]
-        # Every g and every g.h lies among the arrows out of mid.
-        start = hom[mid * n]
-        rows = comp(np.flatnonzero(table._dst_i == mid), slice(start, hom[mid * n + n]))
-        for g, far in gens:
-            bad = _regroupings(table, rows, start, g, far)
-            if bad.any():
-                return None
-            checked += int(bad.size)
+    for g, mid, far in gens:
+        bad = _regroupings(blocks, mid, far, g)
+        if np.count_nonzero(bad):
+            return None
+        checked += int(bad.size)
     return checked
 
 
@@ -592,26 +659,24 @@ def _associativity(table: CandidateTable, cap: int, endpoints: bool) -> CheckRep
 
     ``checked`` counts the instances examined by whichever ran: the
     generators' when they show it, else every composable triple.  The
-    full sweep is the only one that reports failures.  Its blocks are
-    indexed by (mid, far) object pairs; a block covers every f into mid,
-    g from mid to far, h out of far.
+    full sweep is the only one that reports failures.  It reads one
+    ``_regroupings`` mask per (mid, far) object pair, which covers every
+    f into mid, g from mid to far and h out of far.
     """
+    blocks = _Blocks(table)
     if endpoints:
-        checked = _generated_associativity(table)
+        checked = _generated_associativity(table, blocks)
         if checked is not None:
             return make_check("associativity", checked, 0, [])
-    comp, hom = table._composite, table._hom
-    n = table.n_objects
+    hom, n = table._hom, table.n_objects
     checked = 0
     failures = 0
     # The least failing (f, g, h) keys so far, at most 2 * cap of them.
     least = np.empty((0, 3), dtype=np.intp)
     for mid in range(n):
-        f_idx = np.flatnonzero(table._dst_i == mid)
-        rows = comp(f_idx, slice(None))
         for far in range(n):
             g = slice(hom[mid * n + far], hom[mid * n + far + 1])
-            bad = _regroupings(table, rows, 0, g, far)
+            bad = _regroupings(blocks, mid, far, g)
             checked += int(bad.size)
             nbad = int(np.count_nonzero(bad))
             if nbad:
@@ -619,7 +684,7 @@ def _associativity(table: CandidateTable, cap: int, endpoints: bool) -> CheckRep
                 # A block's failures come in key order, so only its first
                 # cap can be among the reported ones.
                 fi, gi, hi = np.unravel_index(np.flatnonzero(bad)[:cap], bad.shape)
-                keys = np.stack([f_idx[fi], g.start + gi, hom[far * n] + hi], axis=1)
+                keys = np.stack([blocks.into[mid][fi], g.start + gi, hom[far * n] + hi], axis=1)
                 least = np.concatenate([least, keys])
                 if len(least) > cap:
                     least = least[np.lexsort(least.T[::-1])][:cap]
@@ -639,7 +704,7 @@ def validate_structure(table: CandidateTable, max_witnesses: int = 5) -> ReportG
     hold, and axiom checks presuppose all of them): objects, endpoints,
     identity, inverses, associativity, transitivity, homsets.
     """
-    cap = max_witnesses
+    cap = witness_cap(max_witnesses)
     comp = table._composite
     n_arr = table.n_arrows
     checks: list[CheckReport] = []
@@ -865,4 +930,5 @@ def check_axioms(
     Checks quantifying over more objects than the table has are
     reported as vacuous.
     """
-    return ReportGroup("axioms", [_AXIOMS[n](table, max_witnesses) for n in axiom_names(which)])
+    cap = witness_cap(max_witnesses)
+    return ReportGroup("axioms", [_AXIOMS[n](table, cap) for n in axiom_names(which)])

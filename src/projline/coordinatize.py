@@ -34,7 +34,7 @@ from .candidate import (
     cross_ratio_abs,
 )
 from .reconstruct import ReconstructionError, build_field, classify_prime
-from .reports import CheckReport, ReportGroup, make_check, sweep
+from .reports import CheckReport, ReportGroup, make_check, sweep, witness_cap
 from .scalars import is_prime
 
 
@@ -177,7 +177,7 @@ def verify_iso(
     failures of a well-formed map are reported as check failures.  A
     table without a forced arrow map (see ``_Forcing``) raises too.
     """
-    cap = max_witnesses
+    cap = witness_cap(max_witnesses)
     line = _line(table.n_objects - 1)
     for kind, names in (("object", iso.object_map), ("scalar", iso.scalar_map)):
         if not isinstance(names, dict) or not all(isinstance(v, str) for v in names.values()):
@@ -328,6 +328,7 @@ def verify_uniqueness(
     checked, and the passing maps and witnesses are those of trying
     every bijection in turn.
     """
+    witness_cap(max_witnesses)
     f0, f1, f2 = _frame(table, frame).members()
     line = _line(table.n_objects - 1)
     fixed = {f0: "0:1", f1: "1:0", f2: "1:1"}

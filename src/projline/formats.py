@@ -8,6 +8,7 @@ its arrow names, its space and ``_composite``.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 from itertools import chain, islice, repeat
@@ -256,9 +257,10 @@ def _composites(t: candidate.CandidateTable, data: bytes, start: int, stop: int)
     with its hash, so two arrows with one hash can make this return
     None.
     """
+    # The kept spans first: built after the pairs, they would sit above
+    # the pairs' freed memory and raise a parsed load's peak.
+    length, spans, masks, fill, keys = _layout(t).spans
     I, J = _entries(t)
-    length, spans, masks, fill = _spans(_encodings(t))
-    keys = _keys(spans[2].T, length)
     windows = _windows(data, 8 * fill.shape[1])
     raw = np.frombuffer(data, np.uint8)
     widest = 3 * int(length.max()) + 5  # an entry and the comma after it
@@ -335,6 +337,51 @@ def _windows(data: bytes, w: int) -> Callable[[np.ndarray], np.ndarray]:
     return read
 
 
+class _Layout:
+    """What the reader and the writer derive from an arrow space's names.
+
+    ``by_name`` is the arrows by name, ``out`` the arrows by source and
+    then by name, and ``start`` and ``count`` the out-range of each
+    arrow's target, in ``by_name`` order: ``_entries`` pairs them.  The
+    first two are int32, so the pairs are too: at p=17 that takes 12 MB
+    off the peak of a load, which holds them beside the store.
+    ``encoded`` is ``_encodings``' bytes, and ``spans`` the reader's
+    ``_spans`` of them with the ``_keys`` of the third spans, built on
+    first read.  All of it is O(n_arrows).
+    """
+
+    def __init__(self, t: candidate.CandidateTable):
+        self.names = t._names
+        self.by_name = np.argsort(np.array(t._names, dtype=object)).astype(np.int32)
+        rank = np.empty(t.n_arrows, dtype=np.intp)
+        rank[self.by_name] = np.arange(t.n_arrows)
+        # Arrows are numbered source-major, so sorting by (source, name)
+        # leaves the arrows out of each object in its out-range, by name.
+        self.out = np.lexsort((rank, t._src_i)).astype(np.int32)
+        n, dst = t.n_objects, t._dst_i[self.by_name]
+        self.start = t._hom[dst * n]
+        self.count = t._hom[dst * n + n] - self.start
+        # Names hold no comma, so they split at the ", " separators.
+        self.encoded = json.dumps(t._names).encode("ascii")[1:-1].split(b", ")
+
+    @functools.cached_property
+    def spans(self) -> tuple[np.ndarray, ...]:
+        length, spans, masks, fill = _spans(self.encoded)
+        return length, spans, masks, fill, _keys(spans[2].T, length)
+
+
+# The layout of the last arrow space read or written, by the identity of its
+# names, which every table over that space shares (``candidate._arrow_space``).
+_kept: Optional[_Layout] = None
+
+
+def _layout(t: candidate.CandidateTable) -> _Layout:
+    global _kept
+    if _kept is None or _kept.names is not t._names:
+        _kept = _Layout(t)
+    return _kept
+
+
 def _entries(t: candidate.CandidateTable) -> tuple[np.ndarray, np.ndarray]:
     """Every composable pair (I, J), by the names of I and then of J:
     the order of the compose list in a format-1 file.
@@ -343,25 +390,14 @@ def _entries(t: candidate.CandidateTable) -> tuple[np.ndarray, np.ndarray]:
     order is the arrows by name, each followed by the arrows out of its
     target by name: no sort over the pairs is needed.
     """
-    by_name = np.argsort(np.array(t._names, dtype=object))
-    rank = np.empty(t.n_arrows, dtype=np.intp)
-    rank[by_name] = np.arange(t.n_arrows)
-    # Arrows are numbered source-major, so sorting by (source, name)
-    # leaves the arrows out of each object in its out-range, by name.
-    out = np.lexsort((rank, t._src_i))
-    n, dst = t.n_objects, t._dst_i[by_name]
-    start = t._hom[dst * n]
-    k, at = candidate._ranges(start, t._hom[dst * n + n] - start)
-    return by_name[k], out[at]
+    layout = _layout(t)
+    k, at = candidate._ranges(layout.start, layout.count)
+    return layout.by_name[k], layout.out[at]
 
 
 def _encodings(t: candidate.CandidateTable) -> list[bytes]:
-    """Each arrow's name as a JSON string, in ASCII.
-
-    They are split out of the encoded list of names at its ", "
-    separators, as a name holds no comma.
-    """
-    return json.dumps(t._names).encode("ascii")[1:-1].split(b", ")
+    """Each arrow's name as a JSON string, in ASCII."""
+    return _layout(t).encoded
 
 
 def _header(objects: tuple[str, ...], scalars: dict, identities: dict) -> dict:

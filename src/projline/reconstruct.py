@@ -34,7 +34,7 @@ from .candidate import (
     tri_rapport_abs,
 )
 from .model import _cr_legs
-from .reports import ReportGroup, make_check, sweep
+from .reports import ReportGroup, make_check, sweep, witness_cap
 from .scalars import is_prime
 
 
@@ -303,7 +303,7 @@ def build_field(table: CandidateTable, base: Optional[str] = None) -> FieldTable
 
 def verify_field(ft: FieldTable, max_witnesses: int = 5) -> ReportGroup:
     """Check every field law on the finished tables, with witnesses."""
-    cap = max_witnesses
+    cap = witness_cap(max_witnesses)
     n = ft.order
     A = np.array(ft.add, dtype=np.int32)
     M = np.array(ft.mul, dtype=np.int32)

@@ -67,6 +67,14 @@ def make_check(name: str, checked: int, failures: int, witnesses: list[Any]) -> 
     return CheckReport(name, status, checked, failures, witnesses)
 
 
+def witness_cap(max_witnesses: int) -> int:
+    """``max_witnesses``, refused with ValueError when negative: a
+    negative cap would keep all but the last witnesses."""
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be at least 0, got {max_witnesses}")
+    return max_witnesses
+
+
 def sweep(
     name: str, checked: int, bad: np.ndarray, describe: Callable[..., Any], cap: int
 ) -> CheckReport:

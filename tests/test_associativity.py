@@ -26,7 +26,9 @@ from helpers import (
 from projline.candidate import (
     CandidateTable,
     ModelLine,
+    _Blocks,
     _associativity,
+    _check_space,
     _distinct,
     _generated_associativity,
     _name,
@@ -65,14 +67,34 @@ NOT_ASSOCIATIVE = (
 )
 
 
+def uneven_table(seed: int) -> CandidateTable:
+    """A table over objects with 1 to 4 scalars, so blocks of several
+    shapes: each composite is the least arrow between the pair's outer
+    ends, which is associative, except three seeded entries rewritten to
+    any arrow, whose composites mostly end elsewhere."""
+    objs = ["c", "a", "d", "b"]
+    scalars = {"c": ["1"], "a": ["x", "1"], "d": ["1", "2", "3"], "b": ["4", "3", "2", "1"]}
+    t = CandidateTable._bare(*_check_space(objs, scalars, dict.fromkeys(objs, "1")))
+    I, J = t._pairs()
+    R = t._hom[t._src_i[I] * t.n_objects + t._dst_i[J]]
+    rng = np.random.default_rng(seed)
+    R[rng.choice(I.size, 3, replace=False)] = rng.integers(t.n_arrows, size=3)
+    t._store(I, J, R)
+    return t
+
+
 def oracle_table(case: str) -> CandidateTable:
     kind, *args = case.split("-", 1)
     arg = args[0] if args else ""
     if kind == "model":
         return from_model(int(arg))
-    if kind == "four":
+    if kind == "four" and arg == "objects":
         return four_object_table()
-    if kind == "doc":
+    if kind == "uneven":
+        return uneven_table(int(arg))
+    if kind == "four":
+        doc = seeded_mutation(four_object_table().to_doc(), int(arg.removeprefix("same-")))
+    elif kind == "doc":
         doc = mutate_doc(model_doc(5), arg)
     elif kind == "nongroupoid":
         doc = rewrite_entry(model_doc(7), *NON_GROUPOID[arg][0])
@@ -94,7 +116,7 @@ def test_generators_pass_only_where_the_full_sweep_does(case):
     t = oracle_table(case)
     report = validate_structure(t, max_witnesses=50)
     full = _associativity(t, 50, endpoints=False)
-    short = _generated_associativity(t) if report.check("endpoints").passed else None
+    short = _generated_associativity(t, _Blocks(t)) if report.check("endpoints").passed else None
     if short is not None:
         assert full.failures == 0
         assert report.check("associativity") == make_check("associativity", short, 0, [])
@@ -114,23 +136,33 @@ def test_inverses_found_in_the_reverse_homset_match_the_full_scan(case):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_generators_examine_k_plus_2n_minus_2_instances_of_nk_squared(p):
     n, k = p + 1, p - 1
-    assert _generated_associativity(from_model(p)) == (k + 2 * (n - 1)) * (n * k) ** 2
+    t = from_model(p)
+    assert _generated_associativity(t, _Blocks(t)) == (k + 2 * (n - 1)) * (n * k) ** 2
 
 
 def _failing_triples(t: CandidateTable) -> list[tuple[int, int, int]]:
-    """Every composable (f, g, h) that regroups to another composite, in key order."""
-    comp = t._comp.tolist()
-    out = [np.flatnonzero(t._src_i == o).tolist() for o in range(t.n_objects)]
-    return [
-        (f, g, h)
-        for f in range(t.n_arrows)
-        for g in out[t._dst_i[f]]
-        for h in out[t._dst_i[g]]
-        if comp[comp[f][g]][h] != comp[f][comp[g][h]]
-    ]
+    """Every composable (f, g, h) that regroups to another composite, in
+    key order, read from the dense store one (f, g) at a time."""
+    comp = t._comp
+    out = [np.flatnonzero(t._src_i == o) for o in range(t.n_objects)]
+    triples = []
+    for f in range(t.n_arrows):
+        for g in out[t._dst_i[f]].tolist():
+            h = out[t._dst_i[g]]
+            bad = comp[comp[f, g], h] != comp[f, comp[g, h]]
+            triples += [(f, g, x) for x in h[bad].tolist()]
+    return triples
 
 
-@pytest.mark.parametrize("case", ["same-5-0", "same-5-1", "cross-5-4", "doc-as"])
+# Ragged blocks (uneven, four), composites that end elsewhere and so read
+# the -1 rows (cross, uneven), tables that are no groupoid, and a vertex
+# group that is not commutative (s3).
+@pytest.mark.parametrize("case", (
+    ["same-5-0", "same-5-1", "cross-5-4", "doc-as", "four-same-2", "s3-same-0"]
+    + [f"cross-7-{seed}" for seed in range(4)]
+    + [f"uneven-{seed}" for seed in range(4)]
+    + [f"nongroupoid-{name}" for name in NON_GROUPOID]
+))
 def test_full_sweep_reports_the_least_failing_triples(case):
     t = oracle_table(case)
     triples = _failing_triples(t)
@@ -138,10 +170,28 @@ def test_full_sweep_reports_the_least_failing_triples(case):
         f"assoc({t.arrows[f]}, {t.arrows[g]}, {t.arrows[h]}): grouping changes the composite"
         for f, g, h in triples
     ]
+    out = [np.flatnonzero(t._src_i == o) for o in range(t.n_objects)]
+    composable = sum(out[d].size for f in range(t.n_arrows) for d in t._dst_i[out[t._dst_i[f]]])
     for cap in (0, 1, 3, 50, len(want) + 1):
         report = _associativity(t, cap, endpoints=False)
-        assert report.failures == len(triples) > 0
+        assert report.failures == len(triples) > 0 and report.checked == composable
         assert report.witnesses == want[:cap]
+
+
+@pytest.mark.parametrize("case", ["uneven-0", "cross-7-0", "four-objects", "model-7"])
+def test_blocks_read_what_the_store_reads(case):
+    """Through ``row`` and ``col``, every arrow and -1 reads its composites
+    with the arrows out of o, and with those into o, as ``_composite``
+    does: a -1 row where it does not end, or start, at o."""
+    t = oracle_table(case)
+    b = _Blocks(t)
+    arrows = np.arange(-1, t.n_arrows)
+    for o in range(t.n_objects):
+        out = np.flatnonzero(t._src_i == o)
+        assert np.array_equal(b.into[o], np.flatnonzero(t._dst_i == o))
+        assert b.block[o].dtype == b.tblock[o].dtype == np.min_scalar_type(-(t.n_arrows + 1))
+        assert np.array_equal(b.block[o][b.row[o, arrows]], t._composite(arrows[:, None], out))
+        assert np.array_equal(b.tblock[o][b.col[o, arrows]], t._composite(b.into[o], arrows[:, None]))
 
 
 @pytest.mark.parametrize("seed", range(3))

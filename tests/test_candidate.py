@@ -64,7 +64,7 @@ from projline.candidate import (
     tri_rapport_abs,
     validate_structure,
 )
-from projline.coordinatize import coordinatize, verify_uniqueness
+from projline.coordinatize import coordinatize, verify_iso, verify_uniqueness
 from projline.model import cross_ratio, label_to_arrow, points, tri_rapport
 from projline.reconstruct import ReconstructionError, build_field, classify_prime, verify_field
 from projline.scalars import GF
@@ -295,7 +295,29 @@ def test_loading_and_exporting_restore_the_collector(tmp_path, enabled):
         gc.enable()
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_every_checker_refuses_a_negative_witness_cap(f5_doc, cap):
+    # A negative cap would keep all but the last witnesses of a failing check.
+    mutant = CandidateTable.from_doc(seeded_mutation(f5_doc, 0))
+    model = from_model(5)
+    iso = coordinatize(model)
+    calls = {
+        "validate_structure": lambda: validate_structure(mutant, max_witnesses=cap),
+        "check_axioms": lambda: check_axioms(mutant, max_witnesses=cap),
+        "verify_field": lambda: verify_field(build_field(model), max_witnesses=cap),
+        "verify_iso": lambda: verify_iso(model, iso, max_witnesses=cap),
+        "verify_uniqueness": lambda: verify_uniqueness(model, max_witnesses=cap),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^max_witnesses must be at least 0, got {cap}$"):
+            call()
+    report = validate_structure(mutant, max_witnesses=0).check("associativity")
+    assert report.failures > 0 and report.witnesses == []
+
+
 def test_declared_size_bomb_is_rejected_before_the_table_is_built():
+    # The kept arrow space is warm, and the entry count is still compared first.
+    from_model(5)
     names = [f"o{i}" for i in range(200)]
     doc = {
         "format": 1,
@@ -543,7 +565,7 @@ def _imported(tree: ast.Module) -> set[str]:
 # The format-1 readers' and writer's helpers, which only formats may define or name.
 FORMAT_HELPERS = {
     "_from_canonical", "_from_parsed", "_composites", "_json_blocks",
-    "_entries", "_encodings", "_fill", "_resolve",
+    "_entries", "_encodings", "_fill", "_resolve", "_Layout", "_layout",
 }
 
 
@@ -631,6 +653,39 @@ def test_public_names_keep_their_modules():
     for name in ("from_doc", "load", "save", "to_json_bytes", "to_doc"):
         assert callable(getattr(CandidateTable, name)), name
     assert CandidateTable.FORMAT == formats.FORMAT == 1
+
+
+# What every table over one space shares: candidate._arrow_space's keys.
+SHARED = ("_obj_i", "_hom", "_ne3", "_names", "_name_i", "_hom_i", "_src_i", "_dst_i", "_id_idx")
+
+
+def test_tables_over_one_space_share_its_arrays_and_own_the_rest(f5_doc, tmp_path):
+    path = tmp_path / "f5.json"
+    from_model(5).save(str(path))
+    tables = [
+        from_model(5), CandidateTable.from_doc(f5_doc), CandidateTable.load(str(path)),
+        CandidateTable.from_doc(seeded_mutation(f5_doc, 0)),
+    ]
+    first, *rest = tables
+    for name in SHARED:
+        value = getattr(first, name)
+        assert all(getattr(t, name) is value for t in rest), name
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[..., 0] = 0
+    for name in ("_comp", "_inv", "scalars", "identities"):
+        assert len({id(getattr(t, name)) for t in tables}) == len(tables), name
+    # What one table builds or changes stays its own.
+    coordinatize(first)
+    assert first._forcing is not None and all(t._forcing is None for t in rest)
+    assert first.arrows == rest[0].arrows and first.arrows is not rest[0].arrows
+    first.scalars["0:1"] = ("9",)
+    first.identities["0:1"] = "9"
+    first._comp[0, 0] = first._comp[0, 1]
+    assert [t.scalars["0:1"] for t in rest] == [("1", "2", "3", "4")] * 3
+    assert [t.identities["0:1"] for t in rest] == ["1"] * 3
+    assert rest[0] == rest[1] != rest[2] and validate_structure(rest[0]).passed
+    assert CandidateTable.from_doc(f5_doc) == rest[0]
 
 
 def test_every_reader_writes_the_store_once(monkeypatch, f5_doc, tmp_path):

@@ -263,6 +263,8 @@ def test_a_header_that_is_not_canonical_is_refused_before_its_space_is_built(
 
 
 def test_a_declared_size_bomb_is_refused_before_its_space_is_built(tmp_path):
+    # The kept arrow space and name layout are warm, and the size is still checked first.
+    CandidateTable.from_doc(_model_bytes())
     data = _bomb(400)
     start = time.perf_counter()
     assert loaded(tmp_path, data)[0] is CandidateFormatError
@@ -324,12 +326,19 @@ def test_fast_path_does_not_depend_on_the_block(monkeypatch, block):
     assert formats._from_canonical(raw.replace(b"],[", b"], [", 1)) is None
 
 
+def patch_keys(monkeypatch, keys) -> None:
+    """Hash the reader's spans with ``keys``.  The kept layout, whose span
+    hashes the old ``_keys`` made, is dropped; monkeypatch puts both back."""
+    monkeypatch.setattr(formats, "_keys", keys)
+    monkeypatch.setattr(formats, "_kept", None)
+
+
 def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
     """With every key equal, each third name is compared with one arrow;
     a wrong one sends the bytes down the parsed path."""
     table = CandidateTable.from_doc(relabel(model_doc(5), 2))
     raw = table.to_json_bytes()
-    monkeypatch.setattr(formats, "_keys", lambda words, length: np.zeros(length.size, np.uint64))
+    patch_keys(monkeypatch, lambda words, length: np.zeros(length.size, np.uint64))
     assert formats._from_canonical(raw) is None
     assert CandidateTable.from_doc(raw) == table
 
@@ -387,7 +396,7 @@ def test_a_third_name_is_checked_by_length_as_well_as_hash(monkeypatch, tmp_path
     """With a hash blind to length, a NUL after the last entry's closing
     bracket still masks to that arrow's span; its length refuses it."""
     keys = formats._keys
-    monkeypatch.setattr(formats, "_keys", lambda words, length: keys(words, 0 * length))
+    patch_keys(monkeypatch, lambda words, length: keys(words, 0 * length))
     raw = _long_last_table().to_json_bytes()
     data = raw[:-3] + b"\0" + raw[-3:]
     assert formats._from_canonical(raw) is not None

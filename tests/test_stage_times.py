@@ -1,13 +1,15 @@
-"""The fresh-process rows of ``scripts/stage_times.py``: each job of its
-one child script, run at p=5, gives its row's keys in order, with
-integer peaks and float seconds, and does its job's work."""
+"""The rows of ``scripts/stage_times.py``: each job of its one child
+script, run at p=5, gives its row's keys in order, with integer peaks
+and float seconds, and does its job's work; the in-process stages end
+with a table that fails associativity."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from projline import CandidateTable, formats, from_model
+from helpers import seeded_mutation
+from projline import CandidateTable, formats, from_model, validate_structure
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = {
@@ -45,3 +47,17 @@ def test_child_rows(tmp_path, job):
         assert CandidateTable.load(str(path)) == from_model(5)
     if job == "coord":
         assert row["kib"] >= row["table_kib"]
+
+
+def test_stage_rows_end_with_a_failing_table(tmp_path):
+    module = _stage_times()
+    rows = module.stage_rows(5, 2, str(tmp_path / "f5.json"))
+    assert [row["stage"] for row in rows] == list(module.STAGES)
+    assert rows[-1]["stage"] == "structure_failing" and rows[-1]["seconds"] > 0
+    # Its table keeps every endpoint, so the associativity check sweeps in full.
+    doc = module.failing_doc(from_model(5))
+    assert doc == seeded_mutation(from_model(5).to_doc(), 0)
+    table = CandidateTable.from_doc(doc)
+    report = validate_structure(table)
+    assert report.check("endpoints").passed and not report.check("associativity").passed
+    assert report.check("associativity").checked == table.n_arrows**3 // table.n_objects**2
