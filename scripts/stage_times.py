@@ -50,6 +50,12 @@ bytecode that this script wrote: bytecode that an import through
 another path had written was seen to move the p=11 ``peak_rss`` row by
 about 3 MB.
 
+After the stages, ``kept_row`` loads, checks, reconstructs and writes
+that p's table in this process and records in ``bytes`` what the kept
+slot (``candidate._arrow_space``) then holds for its header: the
+nbytes of the arrays of its arrow space and memo, plus the name
+encodings.
+
 ``load`` is ``CandidateTable.load`` of the saved file, the path the
 CLI takes; the file is canonical, so ``load`` reads it in place.
 ``json.loads`` and ``from_doc`` time the two halves of the parsed path,
@@ -252,6 +258,37 @@ def child_row(job: str, p: int, src: str, path: str) -> dict:
     return {"p": p, "stage": job, **json.loads(out)}
 
 
+def _held(x) -> int:
+    """The nbytes of the arrays in ``x`` plus the length of its bytes, at any depth."""
+    import numpy
+
+    if isinstance(x, numpy.ndarray):
+        return x.nbytes
+    if isinstance(x, bytes):
+        return len(x)
+    items = x.values() if isinstance(x, dict) else x if isinstance(x, (tuple, list)) else ()
+    return sum(map(_held, items))
+
+
+def kept_row(p: int, path: str) -> dict:
+    """The bytes that the kept slot (``candidate._arrow_space``) holds
+    once the table saved at ``path`` is loaded, checked, reconstructed and
+    written: its arrays' nbytes plus its name encodings."""
+    import projline
+    from projline import candidate
+
+    table = projline.CandidateTable.load(path)
+    projline.validate_structure(table)
+    projline.check_axioms(table)
+    projline.build_field(table)
+    table.to_json_bytes()
+    objects = table.objects
+    space = candidate._arrow_space(
+        objects, *(tuple(x[o] for o in objects) for x in (table.scalars, table.identities))
+    )
+    return {"p": p, "stage": "kept", "bytes": _held(space)}
+
+
 def swap_first_entries(path: str, out: str) -> str:
     """Write the table document at ``path`` to ``out``, compact, with its
     first two compose entries swapped; return ``out``."""
@@ -341,6 +378,7 @@ def main() -> None:
         for p in PRIMES:
             path = os.path.join(tmp, f"f{p}.json")
             rows += stage_rows(p, REPEAT, path)
+            rows.append(kept_row(p, path))
             rows.append(child_row("peak_rss", p, src, path))
             rows.append(child_row("gen", p, src, os.path.join(tmp, f"gen{p}.json")))
             rows.append(child_row("coord", p, src, path))

@@ -100,6 +100,11 @@ def _hashable(x) -> bool:
     return True
 
 
+def _apart(*names) -> bool:
+    """Whether no two of ``names`` are equal, compared without hashing them."""
+    return all(x != y for x, y in combinations(names, 2))
+
+
 def _check_names(kind: str, names: Sequence, repeated: str) -> None:
     # A name that cannot be hashed cannot go into a set; the name check
     # reports it instead of the uniqueness check.
@@ -153,16 +158,24 @@ def _other(x, k):
     return k + (k >= x)
 
 
+def _read_only(x):
+    """``x``, an array or a tuple, with every array in it made read-only."""
+    for a in x if isinstance(x, tuple) else (x,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return x
+
+
 @functools.lru_cache(maxsize=1)
 def _arrow_space(
     objects: tuple[str, ...], scalars: tuple[tuple[str, ...], ...], identities: tuple[str, ...]
 ) -> dict:
     """The arrow space of a space that passed _check_space, its scalar
     ids and identities given per object in object order, as a table's
-    attributes: the index arrays, read-only, and the names.
+    attributes: the index arrays, read-only, the names and ``_memo``.
 
-    The last space is kept, so the tables read from files with one
-    header share one arrow space, built once.  No table changes it.
+    The last header's space is kept, so the tables read from files with
+    one header share one arrow space and memo.  No table changes them.
     """
     n = len(objects)
     # Arrows are numbered source-major, then by target: hom(a, b) is
@@ -192,11 +205,29 @@ def _arrow_space(
         "_src_i": hom_i // n,
         "_dst_i": hom_i % n,
         "_id_idx": (hom[np.arange(n) * (n + 1)] + unit).astype(np.int32),
+        "_memo": {},
     }
-    for x in space.values():
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
+    _read_only(tuple(space.values()))
     return space
+
+
+def _derived(table: "CandidateTable", build: Callable, *args):
+    """``build(table, *args)``, which reads only the header, built once and
+    kept, read-only, in the ``_memo`` that every table over the header
+    shares, also after it has left the slot.  No composite goes in."""
+    key = (build, *args)
+    if key not in table._memo:
+        table._memo[key] = _read_only(build(table, *args))
+    return table._memo[key]
+
+
+def _inverse_candidates(table: "CandidateTable") -> tuple[np.ndarray, ...]:
+    """Each arrow f: a -> b with each g in hom(b, a), where its inverse
+    lies, and the units at a and b that f.g and g.f must give."""
+    n, src, dst = table.n_objects, table._src_i, table._dst_i
+    start = table._hom[dst * n + src]
+    f, g = _ranges(start, table._hom[dst * n + src + 1] - start)
+    return f, g, table._id_idx[src[f]], table._id_idx[dst[f]]
 
 
 class CandidateTable:
@@ -245,15 +276,16 @@ class CandidateTable:
         self._comp = comp
         # The table's coordinatize._Forcing, built on its first use.
         self._forcing = None
-        # The inverse of an arrow a -> b lies in hom(b, a): keep the least
-        # arrow there whose composites both ways are the units, -1 if none.
-        n, src, dst = self.n_objects, self._src_i, self._dst_i
-        start = self._hom[dst * n + src]
-        f, g = _ranges(start, self._hom[dst * n + src + 1] - start)
-        ok = (comp[f, g] == self._id_idx[src[f]]) & (comp[g, f] == self._id_idx[dst[f]])
+        # Keep the least inverse candidate whose composites both ways are the units, -1 if none.
+        f, g, unit_f, unit_g = _derived(self, _inverse_candidates)
+        ok = (comp[f, g] == unit_f) & (comp[g, f] == unit_g)
         i, first = np.unique(f[ok], return_index=True)
         self._inv = np.full(self.n_arrows, -1, dtype=np.int32)
         self._inv[i] = g[ok][first]
+
+    def _has(self, obj) -> bool:
+        """Whether ``obj`` is an object of the table; a name that cannot be hashed is not."""
+        return _hashable(obj) and obj in self._obj_i
 
     @classmethod
     def _bare(cls, *space) -> "CandidateTable":
@@ -288,7 +320,7 @@ class CandidateTable:
         return i
 
     def _object_i(self, obj: str) -> int:
-        if not _hashable(obj) or obj not in self._obj_i:
+        if not self._has(obj):
             raise CandidateFormatError(f"unknown object {obj!r}")
         return self._obj_i[obj]
 
@@ -305,11 +337,8 @@ class CandidateTable:
         return self.arrows[self._homset(self._object_i(a), self._object_i(b))]
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every composable pair (I, J), in row-major order.
-
-        The arrows composable after arrow i are those out of its target,
-        one index range, so no n_arrows x n_arrows scan is needed.
-        """
+        """Every composable pair (I, J), in row-major order: the arrows composable
+        after arrow i are one index range, those out of its target."""
         n = self.n_objects
         start = self._hom[self._dst_i * n]
         return _ranges(start, self._hom[self._dst_i * n + n] - start)
@@ -494,7 +523,7 @@ def _transports(table: CandidateTable, sigma: np.ndarray, f) -> np.ndarray:
 
 def cross_ratio_abs(table: CandidateTable, a: str, b: str, c: str, d: str) -> Endo:
     """The scalar at ``a`` of the round trip a -> b via c, b -> a via d."""
-    if len({a, b, c}) != 3 or len({a, b, d}) != 3:
+    if not (_apart(a, b, c) and _apart(a, b, d)):
         raise ValueError(f"cross ratio needs a,b,c and a,b,d distinct: {a},{b};{c},{d}")
     r = _compose_i(table, *(table.arrow_index(NonEndo(*leg)) for leg in _cr_legs(a, b, c, d)))
     return table._arrow(_scalar_i(table, r, a, f"round trip ({a},{b};{c},{d})"))
@@ -504,7 +533,7 @@ def tri_rapport_abs(
     table: CandidateTable, a: str, b: str, c: str, d: str, e: str, f: str
 ) -> Endo:
     """The scalar at ``a`` of the cycle a -> b via d, b -> c via e, c -> a via f."""
-    if len({a, b, c}) != 3:
+    if not _apart(a, b, c):
         raise ValueError(f"base objects must be pairwise distinct: {a},{b},{c}")
     if d in (a, b) or e in (b, c) or f in (c, a):
         raise ValueError(f"labels must avoid their endpoints: ({a},{b},{c};{d},{e},{f})")
@@ -535,7 +564,7 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
     scalar comparison.
     """
     i = table.arrow_index(sigma)
-    if not _hashable(base) or base not in table._obj_i:
+    if not table._has(base):
         raise CandidateFormatError(f"unknown base object {base!r}")
     if isinstance(sigma, Endo) and sigma.obj == base:
         return sigma
@@ -545,6 +574,21 @@ def canonical_scalar(table: CandidateTable, sigma: Endo, base: str) -> Endo:
 
 
 # -- structure validation ------------------------------------------------------
+
+
+def _block_maps(table: CandidateTable) -> tuple:
+    """``_Blocks``' ``row`` and ``col``, each object's out-range, and
+    then each block's rows: the arrows into its object, then -1."""
+    n, m, hom = table.n_objects, table.n_arrows, table._hom
+    dtype = np.min_scalar_type(-(m + 1))
+    out, stop, arrows = hom[: n * n : n], hom[n :: n], np.arange(m)
+    rows = [np.append(np.flatnonzero(table._dst_i == o), -1) for o in range(n)]
+    row = np.repeat(np.array([r.size - 1 for r in rows], dtype)[:, None], m + 1, axis=1)
+    for o, r in enumerate(rows):
+        row[o, r[:-1]] = np.arange(r.size - 1)
+    col = np.repeat((stop - out).astype(dtype)[:, None], m + 1, axis=1)
+    col[table._src_i, arrows] = arrows - out[table._src_i]
+    return row, col, out.tolist(), stop.tolist(), *rows
 
 
 class _Blocks:
@@ -559,31 +603,16 @@ class _Blocks:
     arrow a's row in block[o], and ``col[o, a]`` its row in tblock[o]:
     the -1 row when a does not end at o (start at o), and at a = -1,
     the last entry.  So a gather through them reads -1 exactly where
-    the store does.
+    the store does.  All but the blocks are the header's (``_block_maps``).
     """
 
     def __init__(self, table: CandidateTable):
-        n, m, hom, dst = table.n_objects, table.n_arrows, table._hom, table._dst_i
-        dtype = np.min_scalar_type(-(m + 1))
-        out, stop = hom[: n * n : n], hom[n :: n]
-        count = np.bincount(dst, minlength=n)
-        start = np.cumsum(count) - count
-        by_dst = np.argsort(dst, kind="stable")
-        arrows = np.arange(m)
-        self.row = np.repeat(count.astype(dtype)[:, None], m + 1, axis=1)
-        self.row[dst[by_dst], by_dst] = arrows - np.repeat(start, count)
-        self.col = np.repeat((stop - out).astype(dtype)[:, None], m + 1, axis=1)
-        self.col[table._src_i, arrows] = arrows - out[table._src_i]
-        # The arrows into each object, each group followed by -1, the store's -1 row.
-        ext = np.full(m + n, -1)
-        ext[arrows + np.repeat(np.arange(n), count)] = by_dst
-        self.out, self.into, self.block, self.tblock = out.tolist(), [], [], []
-        for o, (a, k, b, e) in enumerate(zip(start.tolist(), count.tolist(), self.out, stop.tolist())):
-            self.into.append(by_dst[a : a + k])
-            block = table._composite(ext[a + o : a + o + k + 1], slice(b, e)).astype(dtype)
-            tblock = np.empty((e - b + 1, k), dtype)
+        self.row, self.col, self.out, stop, *rows = _derived(table, _block_maps)
+        self.into, self.block, self.tblock = [r[:-1] for r in rows], [], []
+        for r, b, e in zip(rows, self.out, stop):
+            block = table._composite(r, slice(b, e)).astype(self.row.dtype)
+            tblock = np.full((e - b + 1, r.size - 1), -1, block.dtype)
             tblock[:-1] = block[:-1].T
-            tblock[-1] = -1
             self.block.append(block)
             self.tblock.append(tblock)
 
@@ -772,9 +801,9 @@ def axiom_names(which: Optional[Sequence[str]] = None) -> list[str]:
     return [n for n in AXIOM_NAMES if which is None or n in which]
 
 
-def _distinct(n: int, k: int) -> np.ndarray:
-    """The k-tuples of distinct indices below n, one per row, in lexicographic order."""
-    rows = np.indices((n,) * k, dtype=np.intp).reshape(k, -1)
+def _distinct(table: CandidateTable, k: int) -> np.ndarray:
+    """The k-tuples of distinct object indices, one per row, in lexicographic order."""
+    rows = np.indices((table.n_objects,) * k, dtype=np.intp).reshape(k, -1)
     keep = np.ones(rows.shape[1], dtype=bool)
     for i, j in combinations(range(k), 2):
         keep &= rows[i] != rows[j]
@@ -790,7 +819,7 @@ def _name(table: CandidateTable, i: int) -> str:
 def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
     """Round trip through one label: a -> b via c then b -> a via c is the unit."""
     obj = table.objects
-    a, b, c = _distinct(table.n_objects, 3).T
+    a, b, c = _derived(table, _distinct, 3).T
     got = _legs(table, _cr_legs(a, b, c, c))
     return sweep(
         "one", got.size, got != table._id_idx[a],
@@ -803,7 +832,7 @@ def _axiom_one(table: CandidateTable, cap: int) -> CheckReport:
 def _axiom_two(table: CandidateTable, cap: int) -> CheckReport:
     """Chaining through one label skips the midpoint: (a->b via c)(b->d via c) = a->d via c."""
     ne3, obj = table._ne3, table.objects
-    a, b, d, c = _distinct(table.n_objects, 4).T
+    a, b, d, c = _derived(table, _distinct, 4).T
     got = table._composite(ne3[a, b, c], ne3[b, d, c])
     want = ne3[a, d, c]
     return sweep(
@@ -836,7 +865,7 @@ def _axiom_hex1(table: CandidateTable, cap: int) -> CheckReport:
     The scalar of (a,b;c,d) at a, pushed through the arrow a -> c named
     b, must match the scalar of (c,d;a,b) at c pulled the same way.
     """
-    quads = _distinct(table.n_objects, 4)
+    quads = _derived(table, _distinct, 4)
     a, b, c, d = quads.T
     bridge = (a, c, b)
     left = _legs(table, (*_cr_legs(a, b, c, d), bridge))
@@ -856,7 +885,7 @@ def _axiom_hex2(table: CandidateTable, cap: int) -> CheckReport:
     objects; all helper pairs are compared against the least one.
     """
     obj, n = table.objects, table.n_objects
-    a, b, c = _distinct(n, 3).T
+    a, b, c = _derived(table, _distinct, 3).T
     val = _legs(table, _tri_legs(a, b, c, c, a, b))
     # The triples with base a start at row a * (n-1)(n-2).
     first = a * ((n - 1) * (n - 2))
@@ -876,7 +905,7 @@ def _axiom_as(table: CandidateTable, cap: int) -> CheckReport:
     group every canonical (a,c;b,d) must agree.  A failing group is
     witnessed by its two least quadruples with different swaps.
     """
-    quads = _distinct(table.n_objects, 4)
+    quads = _derived(table, _distinct, 4)
     a, b, c, d = quads.T
     # Scalars are compared at object 0.  The quadruples at 0 come first
     # and keep theirs; the others are transported there.

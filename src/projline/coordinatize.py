@@ -26,7 +26,9 @@ import numpy as np
 from .candidate import (
     CandidateTable,
     ModelLine,
+    _apart,
     _other,
+    _read_only,
     _round_trips,
     _toward,
     _transports,
@@ -51,7 +53,7 @@ class Frame:
     one: str
 
     def __post_init__(self):
-        if len({self.zero, self.infinity, self.one}) != 3:
+        if not _apart(*self.members()):
             raise CoordinatizationError("frame objects must be pairwise distinct")
 
     def members(self) -> tuple[str, str, str]:
@@ -82,7 +84,7 @@ def _frame(table: CandidateTable, frame: Optional[Frame]) -> Frame:
     if frame is None:
         frame = Frame(*table.objects[:3])
     for o in frame.members():
-        if o not in table.identities:
+        if not table._has(o):
             raise CoordinatizationError(f"frame object {o!r} is not in the table")
     return frame
 
@@ -148,9 +150,7 @@ class _Forcing:
         self.R = table._composite(self.I, self.J)
         self.ends = table._ends(self.I, self.J, self.R)
         self.n_arrows = table.n_arrows
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        _read_only(tuple(vars(self).values()))
 
     def __call__(self, obj_to, line: ModelLine) -> np.ndarray:
         o = np.asarray(obj_to, dtype=np.intp)
@@ -186,7 +186,7 @@ def verify_iso(
         raise CoordinatizationError("object map must be defined on exactly the objects")
     if sorted(iso.object_map.values()) != sorted(line.points):
         raise CoordinatizationError("object map must be a bijection onto the model points")
-    if not isinstance(iso.base_object, str) or iso.base_object not in table.identities:
+    if not table._has(iso.base_object):
         raise CoordinatizationError(f"unknown base object {iso.base_object!r}")
     base_scalars = table.scalars[iso.base_object]
     if set(iso.scalar_map) != set(base_scalars):
@@ -273,10 +273,10 @@ def coordinatize(table: CandidateTable, frame: Optional[Frame] = None) -> Candid
             canonical_scalar(table, cross_ratio_abs(table, f1, f0, f2, x), f0)
         except ValueError as exc:
             raise CoordinatizationError(str(exc)) from exc
+    ids, at = table.scalars[f0], table._homset(i0, i0).start
     coords = {f0: "0:1", f1: "1:0"}
     coords.update(
-        (table.objects[x], f"{res[table._arrow(r).scalar]}:1")
-        for x, r in zip(xs.tolist(), moved.tolist())
+        (table.objects[x], f"{res[ids[r - at]]}:1") for x, r in zip(xs.tolist(), moved.tolist())
     )
     omap = {x: coords[x] for x in table.objects}
     if sorted(omap.values()) != sorted(line.points):

@@ -8,7 +8,6 @@ its arrow names, its space and ``_composite``.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 from itertools import chain, islice, repeat
@@ -27,6 +26,11 @@ FORMAT = 1
 _BLOCK = 1 << 15
 
 _COMPOSE = b',"compose":['
+
+# A compose entry, [A,B,C]: the bytes before and after each of its names, by
+# place.  Entries are joined by _SEP.  The writer and the reader read these.
+_PLACES = ((b"[", b","), (b"", b","), (b"", b"]"))
+_SEP = b","
 
 # The fewest bytes a compose entry and the comma after it can take in a
 # format-1 file: three names of at least 5 bytes, such as "a#b".
@@ -259,11 +263,11 @@ def _composites(t: candidate.CandidateTable, data: bytes, start: int, stop: int)
     """
     # The kept spans first: built after the pairs, they would sit above
     # the pairs' freed memory and raise a parsed load's peak.
-    length, spans, masks, fill, keys = _layout(t).spans
+    length, spans, masks, fill, keys = candidate._derived(t, _spans)
     I, J = _entries(t)
     windows = _windows(data, 8 * fill.shape[1])
     raw = np.frombuffer(data, np.uint8)
-    widest = 3 * int(length.max()) + 5  # an entry and the comma after it
+    widest = 3 * int(length.max()) + len(b"".join(chain(*_PLACES, [_SEP])))  # and a separator
     R = np.empty(I.size, np.int32)
     for k in range(0, I.size, _BLOCK):
         i, j = I[k : k + _BLOCK], J[k : k + _BLOCK]
@@ -290,32 +294,29 @@ def _composites(t: candidate.CandidateTable, data: bytes, start: int, stop: int)
     return I, J, R
 
 
-def _spans(encoded: list[bytes]) -> tuple[np.ndarray, ...]:
-    """The encodings' lengths, and each arrow's ``[A,``, ``B,`` and
-    ``C]`` span with its byte mask, in 8-byte lanes.
+def _placed(t: candidate.CandidateTable, sep: bytes, align: int) -> np.ndarray:
+    """A (place, arrow, byte) uint8 array: each arrow's JSON name placed as
+    ``_PLACES`` says, ``sep`` after the third, NUL-padded to the longest
+    rounded up to a multiple of ``align``."""
+    encoded = candidate._derived(t, _layout)[-1]
+    places = (*_PLACES[:2], (_PLACES[2][0], _PLACES[2][1] + sep))
+    w = max(map(len, encoded)) + max(len(pre + post) for pre, post in places)
+    w = -(-w // align) * align
+    joined = b"".join((pre + e + post).ljust(w, b"\0") for pre, post in places for e in encoded)
+    return np.frombuffer(joined, np.uint8).reshape(len(places), len(encoded), w)
 
-    ``spans[place, x]`` is arrow x's span at that place of an entry,
-    NUL-padded to W bytes, the longest encoding plus 2 rounded up to 8,
-    and ``masks[place, x]`` keeps its bytes; ``fill[k]`` keeps the
-    first k bytes of W.
-    """
+
+def _spans(t: candidate.CandidateTable) -> tuple[np.ndarray, ...]:
+    """The encodings' lengths; in 8-byte lanes, ``spans``, the ``_placed``
+    bytes with no separator, ``masks``, which keep them (none is NUL), and
+    ``fill[k]``, which keeps the first k bytes; and the third spans' ``_keys``."""
+    encoded = candidate._derived(t, _layout)[-1]
     length = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    n, w = length.size, (int(length.max()) + 9) // 8 * 8
-    flat = np.frombuffer(b"".join(encoded), np.uint8)
-    # Byte k of the join, arrow x's from start[x] on, goes to row x at k - start[x].
-    shift = np.repeat(w * np.arange(n) - (np.cumsum(length) - length), length)
-    names = np.zeros((n, w), np.uint8)
-    names.ravel()[np.arange(flat.size) + shift] = flat
-    spans = np.zeros((3, n, w), np.uint8)
-    spans[0, :, 0] = ord("[")
-    spans[0, :, 1:] = names[:, :-1]
-    spans[1:] = names
-    # Per place, as rows: the bytes before the name, and the byte after it.
-    before, after = np.array([[1], [0], [0]]), np.c_[list(b",,]")]
-    spans[np.arange(3)[:, None], np.arange(n), length + before] = after
+    spans = _placed(t, b"", 8)
+    w = spans.shape[-1]
     fill = (np.arange(w) < np.arange(w + 1)[:, None]) * np.uint8(255)
-    masks = fill[length + before + 1]
-    return length, *(x.view(np.uint64) for x in (spans, masks, fill))
+    spans, masks, fill = (x.view(np.uint64) for x in (spans, (spans > 0) * np.uint8(255), fill))
+    return length, spans, masks, fill, _keys(spans[2].T, length)
 
 
 def _windows(data: bytes, w: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -337,49 +338,26 @@ def _windows(data: bytes, w: int) -> Callable[[np.ndarray], np.ndarray]:
     return read
 
 
-class _Layout:
+def _layout(t: candidate.CandidateTable) -> tuple:
     """What the reader and the writer derive from an arrow space's names.
 
     ``by_name`` is the arrows by name, ``out`` the arrows by source and
     then by name, and ``start`` and ``count`` the out-range of each
     arrow's target, in ``by_name`` order: ``_entries`` pairs them.  The
     first two are int32, so the pairs are too: at p=17 that takes 12 MB
-    off the peak of a load, which holds them beside the store.
-    ``encoded`` is ``_encodings``' bytes, and ``spans`` the reader's
-    ``_spans`` of them with the ``_keys`` of the third spans, built on
-    first read.  All of it is O(n_arrows).
-    """
-
-    def __init__(self, t: candidate.CandidateTable):
-        self.names = t._names
-        self.by_name = np.argsort(np.array(t._names, dtype=object)).astype(np.int32)
-        rank = np.empty(t.n_arrows, dtype=np.intp)
-        rank[self.by_name] = np.arange(t.n_arrows)
-        # Arrows are numbered source-major, so sorting by (source, name)
-        # leaves the arrows out of each object in its out-range, by name.
-        self.out = np.lexsort((rank, t._src_i)).astype(np.int32)
-        n, dst = t.n_objects, t._dst_i[self.by_name]
-        self.start = t._hom[dst * n]
-        self.count = t._hom[dst * n + n] - self.start
-        # Names hold no comma, so they split at the ", " separators.
-        self.encoded = json.dumps(t._names).encode("ascii")[1:-1].split(b", ")
-
-    @functools.cached_property
-    def spans(self) -> tuple[np.ndarray, ...]:
-        length, spans, masks, fill = _spans(self.encoded)
-        return length, spans, masks, fill, _keys(spans[2].T, length)
-
-
-# The layout of the last arrow space read or written, by the identity of its
-# names, which every table over that space shares (``candidate._arrow_space``).
-_kept: Optional[_Layout] = None
-
-
-def _layout(t: candidate.CandidateTable) -> _Layout:
-    global _kept
-    if _kept is None or _kept.names is not t._names:
-        _kept = _Layout(t)
-    return _kept
+    off the peak of a load, which holds them beside the store.  Last
+    comes each name as a JSON string, in ASCII."""
+    by_name = np.argsort(np.array(t._names, dtype=object)).astype(np.int32)
+    rank = np.empty(t.n_arrows, dtype=np.intp)
+    rank[by_name] = np.arange(t.n_arrows)
+    # Arrows are numbered source-major, so sorting by (source, name)
+    # leaves the arrows out of each object in its out-range, by name.
+    out = np.lexsort((rank, t._src_i)).astype(np.int32)
+    n, dst = t.n_objects, t._dst_i[by_name]
+    start = t._hom[dst * n]
+    # Names hold no comma, so they split at the ", " separators.
+    encoded = tuple(json.dumps(t._names).encode("ascii")[1:-1].split(b", "))
+    return by_name, out, start, t._hom[dst * n + n] - start, encoded
 
 
 def _entries(t: candidate.CandidateTable) -> tuple[np.ndarray, np.ndarray]:
@@ -390,14 +368,9 @@ def _entries(t: candidate.CandidateTable) -> tuple[np.ndarray, np.ndarray]:
     order is the arrows by name, each followed by the arrows out of its
     target by name: no sort over the pairs is needed.
     """
-    layout = _layout(t)
-    k, at = candidate._ranges(layout.start, layout.count)
-    return layout.by_name[k], layout.out[at]
-
-
-def _encodings(t: candidate.CandidateTable) -> list[bytes]:
-    """Each arrow's name as a JSON string, in ASCII."""
-    return _layout(t).encoded
+    by_name, out, start, count, _ = candidate._derived(t, _layout)
+    k, at = candidate._ranges(start, count)
+    return by_name[k], out[at]
 
 
 def _header(objects: tuple[str, ...], scalars: dict, identities: dict) -> dict:
@@ -424,33 +397,27 @@ def to_doc(t: candidate.CandidateTable) -> dict:
 def _json_blocks(t: candidate.CandidateTable) -> Iterator[bytes]:
     """The bytes of ``to_json_bytes(t)``, in blocks.
 
-    That call writes the compose list as the comma-join of
-    ``"[" + A + "," + B + "," + C + "]"`` over its entries, A, B and C
-    being the JSON encodings of the entry's names, and a string's
-    encoding does not depend on where it stands.  So each arrow name
-    is encoded once, the same way, into one table per place in an
-    entry, and the entries are gathered from the three tables by arrow
-    index, ``_BLOCK`` at a time.  The encodings are ASCII with every
-    control character escaped, so they hold no NUL byte: NUL pads the
-    table rows to one width, and is deleted from each gathered block.
-    """
+    That call writes the compose list as the ``_SEP``-join of its
+    entries, each its three names' JSON encodings placed as ``_PLACES``
+    says, and a string's encoding does not depend on where it stands.
+    So each arrow name is encoded once into one table per place in an
+    entry (``_placed``), and the entries are gathered from the three
+    tables by arrow index, ``_BLOCK`` at a time.  The encodings are ASCII
+    with every control character escaped, so they hold no NUL byte: NUL
+    pads the table rows to one width, and is deleted from each block."""
     I, J = _entries(t)
     R = t._composite(I, J)
-    encoded = _encodings(t)
-    w = max(map(len, encoded)) + 2
-    tables = [
-        np.frombuffer(b"".join((pre + e + post).ljust(w, b"\0") for e in encoded), f"V{w}")
-        for pre, post in ((b"[", b","), (b"", b","), (b"", b"],"))
-    ]
-    entry = np.dtype([(place, f"V{w}") for place in "IJR"])
+    tables = candidate._derived(t, _placed, _SEP, 1)
+    tables = tables.view(f"V{tables.shape[-1]}")[..., 0]
+    entry = np.dtype([(place, tables.dtype) for place in "IJR"])
     yield _head(t.objects, t.scalars, t.identities)
     for at in range(0, I.size, _BLOCK):
         block = np.empty(min(_BLOCK, I.size - at), entry)
         for place, X, table in zip("IJR", (I, J, R), tables):
             block[place] = table.take(X[at : at + _BLOCK])
         chunk = block.tobytes().translate(None, b"\0")
-        # No comma after the last entry.
-        yield chunk if at + _BLOCK < I.size else chunk[:-1]
+        # No separator after the last entry.
+        yield chunk if at + _BLOCK < I.size else chunk[: -len(_SEP)]
     yield b"]}\n"
 
 

@@ -21,7 +21,9 @@ from .candidate import (
     CandidateTable,
     Endo,
     NonEndo,
+    _apart,
     _cycles,
+    _derived,
     _distinct,
     _legs,
     _other,
@@ -71,13 +73,14 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
     """
     if base is None:
         base = table.objects[0]
-    if base not in table.identities:
+    if not table._has(base):
         raise ReconstructionError(f"unknown base object {base!r}")
     obj, n = table.objects, table.n_objects
     a = table._obj_i[base]
 
-    # Helper pairs (b, c) in order; the first is the default pair.
-    b, c = _other(a, _distinct(n - 1, 2)).T
+    # Helper pairs (b, c) in order, from the triples (a, b, c); the first is the default.
+    triples = _derived(table, _distinct, 3)
+    b, c = triples[triples[:, 0] == a, 1:].T
     vals = _cycles(table, a, b, c, c, a, b)
     m = int(vals[0])
     bad = np.flatnonzero((vals < 0) | (vals != m))
@@ -105,7 +108,7 @@ def reconstruct_minus_one(table: CandidateTable, base: Optional[str] = None) -> 
             f"-1 differs between objects: at {other} it transports to {got}, "
             f"not {table._names[m]}"
         )
-    return table._arrow(m)
+    return Endo(base, table.scalars[base][m - table._homset(a, a).start])
 
 
 @_reconstruction
@@ -123,12 +126,12 @@ def phi(
     Classically this is mu -> 1 - mu: phi(1) is the zero (returned as
     None) and phi(None) is 1.
     """
-    if base not in table.identities:
+    if not table._has(base):
         raise ReconstructionError(f"unknown base object {base!r}")
     a = table._obj_i[base]
     b = table.objects[_other(a, 0)] if b is None else b
     c = table.objects[_other(a, 1)] if c is None else c
-    if len({base, b, c}) != 3:
+    if not _apart(base, b, c):
         raise ReconstructionError(f"helpers must be distinct from the base: {base},{b},{c}")
     one = table.identities[base]
     if mu is None:
@@ -138,8 +141,8 @@ def phi(
         raise ReconstructionError(f"{mu!r} is not a scalar id at {base!r}")
     if mu == one:
         return None
-    # An unknown helper names no arrow; arrow_index says which.
-    table.arrow_index(NonEndo(base, b, c))
+    if not (table._has(b) and table._has(c)):
+        raise ReconstructionError(f"unknown arrow {NonEndo(base, b, c)}")
     bi, ci = table._obj_i[b], table._obj_i[c]
     block = table._homset(a, a)
     d = np.array([i for i in range(table.n_objects) if i not in (a, bi)])

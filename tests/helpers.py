@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from projline import candidate
 from projline.candidate import (
     CandidateFormatError,
     CandidateTable,
@@ -1034,6 +1035,14 @@ def reference_table_records(quad) -> list[dict]:
             "pass": all(v == expected for v in got),
         })
     return records
+
+
+def empty_slot(monkeypatch) -> None:
+    """Empty the slot that keeps the last header's arrow space and memo
+    (``candidate._arrow_space``): the tables built next get a new space
+    and memo.  Monkeypatch puts the old slot back."""
+    space = candidate._arrow_space
+    monkeypatch.setattr(candidate, "_arrow_space", functools.lru_cache(maxsize=1)(space.__wrapped__))
 
 
 def outcome(fn, *args, **kwargs):

@@ -4,6 +4,7 @@ undefined composite."""
 
 import functools
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_group_groupoid_of_the_model_factors_is_the_line():
     p = 7
     log = {pow(3, h, p): h for h in range(p - 1)}
     cyclic = [[(x + y) % (p - 1) for y in range(p - 1)] for x in range(p - 1)]
-    a, b, c = _distinct(p + 1, 3).T
+    a, b, c = _distinct(SimpleNamespace(n_objects=p + 1), 3).T
     factors = ModelLine(p).factor[a, b, c]
     labels = {(x, y, z): log[f] for x, y, z, f in zip(*(v.tolist() for v in (a, b, c, factors)))}
     t = CandidateTable.from_doc(group_groupoid(cyclic, labels))
@@ -227,7 +228,7 @@ def test_group_groupoid_of_the_model_factors_is_the_line():
 def test_distinct_lists_the_permutations_in_order(k):
     for n in range(10):
         want = np.array(list(itertools.permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
-        got = _distinct(n, k)
+        got = _distinct(SimpleNamespace(n_objects=n), k)
         assert got.dtype == np.intp
         assert got.shape == want.shape and np.array_equal(got, want), (n, k)
 

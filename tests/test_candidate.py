@@ -28,6 +28,7 @@ from helpers import (
     ObjectCalculus,
     _ends,
     cross_homset_mutation,
+    empty_slot,
     four_object_table,
     mutate_doc,
     outcome,
@@ -64,9 +65,13 @@ from projline.candidate import (
     tri_rapport_abs,
     validate_structure,
 )
-from projline.coordinatize import coordinatize, verify_iso, verify_uniqueness
+from projline.coordinatize import (
+    CoordinatizationError, Frame, coordinatize, verify_iso, verify_uniqueness,
+)
 from projline.model import cross_ratio, label_to_arrow, points, tri_rapport
-from projline.reconstruct import ReconstructionError, build_field, classify_prime, verify_field
+from projline.reconstruct import (
+    ReconstructionError, build_field, classify_prime, phi, reconstruct_minus_one, verify_field,
+)
 from projline.scalars import GF
 
 
@@ -656,7 +661,17 @@ def test_public_names_keep_their_modules():
 
 
 # What every table over one space shares: candidate._arrow_space's keys.
-SHARED = ("_obj_i", "_hom", "_ne3", "_names", "_name_i", "_hom_i", "_src_i", "_dst_i", "_id_idx")
+SHARED = (
+    "_obj_i", "_hom", "_ne3", "_names", "_name_i", "_hom_i", "_src_i", "_dst_i", "_id_idx", "_memo",
+)
+
+
+def _arrays(x) -> list[np.ndarray]:
+    """The arrays in ``x``, a memo or a value in one, at any depth."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    items = x.values() if isinstance(x, dict) else x if isinstance(x, (tuple, list)) else []
+    return [a for item in items for a in _arrays(item)]
 
 
 def test_tables_over_one_space_share_its_arrays_and_own_the_rest(f5_doc, tmp_path):
@@ -667,12 +682,16 @@ def test_tables_over_one_space_share_its_arrays_and_own_the_rest(f5_doc, tmp_pat
         CandidateTable.from_doc(seeded_mutation(f5_doc, 0)),
     ]
     first, *rest = tables
+    # Fill the memo: a write, a check and a reconstruction.
+    CandidateTable.from_doc(first.to_json_bytes())
+    validate_structure(first), check_axioms(first), build_field(first)
     for name in SHARED:
         value = getattr(first, name)
         assert all(getattr(t, name) is value for t in rest), name
-        if isinstance(value, np.ndarray):
+        for array in _arrays(value):
             with pytest.raises(ValueError, match="read-only"):
-                value[..., 0] = 0
+                array[..., 0] = 0
+    assert len(_arrays(first._memo)) > 20
     for name in ("_comp", "_inv", "scalars", "identities"):
         assert len({id(getattr(t, name)) for t in tables}) == len(tables), name
     # What one table builds or changes stays its own.
@@ -686,6 +705,70 @@ def test_tables_over_one_space_share_its_arrays_and_own_the_rest(f5_doc, tmp_pat
     assert [t.identities["0:1"] for t in rest] == ["1"] * 3
     assert rest[0] == rest[1] != rest[2] and validate_structure(rest[0]).passed
     assert CandidateTable.from_doc(f5_doc) == rest[0]
+
+
+# The memo entries of a header: the key of each, its build function and arguments.
+MEMO_KEYS = {
+    (formats._layout,), (formats._spans,), (formats._placed, b",", 1), (candidate._block_maps,),
+    (candidate._inverse_candidates,), (candidate._distinct, 3), (candidate._distinct, 4),
+}
+
+
+def _fill_memo(t: CandidateTable) -> None:
+    """Write, check and reconstruct ``t``: every reader of the memo but the in-place loader."""
+    t.to_json_bytes()
+    validate_structure(t), check_axioms(t), build_field(t)
+
+
+def test_a_header_builds_each_memo_entry_once(monkeypatch):
+    empty_slot(monkeypatch)
+    first = from_model(5)
+    assert list(first._memo) == [(candidate._inverse_candidates,)]
+    second = CandidateTable.from_doc(first.to_json_bytes())
+    assert second._memo is first._memo
+    _fill_memo(first)
+    built = dict(first._memo)
+    assert set(built) == MEMO_KEYS
+    _fill_memo(second)
+    assert second._memo == built and all(second._memo[k] is v for k, v in built.items())
+    third = from_model(7)
+    assert third._memo is not first._memo
+    CandidateTable.from_doc(third.to_json_bytes())
+    _fill_memo(third)
+    assert set(third._memo) == MEMO_KEYS
+    assert all(third._memo[k] is not v for k, v in built.items())
+    assert first._memo == built
+
+
+def test_a_table_whose_header_left_the_slot_keeps_its_own_memo():
+    old = from_model(5)
+    _fill_memo(old)
+    kept = dict(old._memo)
+    current = from_model(7)
+    _fill_memo(current)
+    now = dict(current._memo)
+    _fill_memo(old)
+    # The old table neither rebuilds its entries nor evicts the current header.
+    assert all(old._memo[k] is v for k, v in kept.items())
+    assert from_model(7)._memo is current._memo
+    assert all(current._memo[k] is v for k, v in now.items())
+
+
+def test_formats_holds_no_module_level_mutable_state(f5_doc):
+    CandidateTable.from_doc(from_model(5).to_json_bytes())
+    CandidateTable.from_doc(f5_doc).to_doc()
+
+    def frozen(x) -> bool:
+        if isinstance(x, tuple):
+            return all(map(frozen, x))
+        return isinstance(x, (int, str, bytes, frozenset, type(None)))
+
+    for name, value in vars(formats).items():
+        kind = type(value).__module__
+        assert (
+            name.startswith("__") or inspect.ismodule(value) or inspect.isclass(value)
+            or inspect.isroutine(value) or kind in ("typing", "__future__") or frozen(value)
+        ), name
 
 
 def test_every_reader_writes_the_store_once(monkeypatch, f5_doc, tmp_path):
@@ -733,6 +816,40 @@ def test_a_name_that_cannot_be_hashed_is_refused_as_a_list_is(f5_doc, place):
         doc = copy.deepcopy(f5_doc)
         edit(doc, name)
         assert outcome(CandidateTable.from_doc, doc) == (CandidateFormatError, message.format(name))
+
+
+# Each entry point given one object name, ``x``, in one of its places.
+_NAMED = {
+    "reconstruct_minus_one": lambda t, x: reconstruct_minus_one(t, x),
+    "build_field": lambda t, x: build_field(t, x),
+    "phi-base": lambda t, x: phi(t, x, "2"),
+    "phi-b": lambda t, x: phi(t, "0:1", "2", b=x),
+    "phi-c": lambda t, x: phi(t, "0:1", "2", c=x),
+    "coordinatize": lambda t, x: coordinatize(t, Frame(x, "1:0", "1:1")),
+    "coordinatize-infinity": lambda t, x: coordinatize(t, Frame("0:1", x, "1:1")),
+    "verify_uniqueness": lambda t, x: verify_uniqueness(t, Frame("0:1", "1:0", x)),
+    "cross_ratio_abs-a": lambda t, x: cross_ratio_abs(t, x, "1:0", "1:1", "2:1"),
+    "cross_ratio_abs-b": lambda t, x: cross_ratio_abs(t, "0:1", x, "1:1", "2:1"),
+    "cross_ratio_abs-c": lambda t, x: cross_ratio_abs(t, "0:1", "1:0", x, "2:1"),
+    "tri_rapport_abs-a": lambda t, x: tri_rapport_abs(t, x, "1:0", "1:1", "2:1", "3:1", "2:1"),
+    "tri_rapport_abs-b": lambda t, x: tri_rapport_abs(t, "0:1", x, "1:1", "2:1", "3:1", "2:1"),
+    "tri_rapport_abs-c": lambda t, x: tri_rapport_abs(t, "0:1", "1:0", x, "2:1", "3:1", "2:1"),
+}
+
+
+@pytest.mark.parametrize("name", [["x"], ("x", ["y"])], ids=["list", "tuple-holding-a-list"])
+@pytest.mark.parametrize("call", list(_NAMED))
+def test_an_unhashable_name_gets_the_error_of_an_unknown_one(call, name):
+    t = from_model(5)
+    kind, message = outcome(_NAMED[call], t, "9:9")
+    assert kind in (ReconstructionError, CoordinatizationError, CandidateFormatError), message
+    assert "unknown" in message or "is not in the table" in message
+    want = message.replace("'9:9'", repr(name)).replace("9:9", str(name))
+    assert outcome(_NAMED[call], t, name) == (kind, want)
+    # A frame compares its members without hashing them.
+    assert Frame(name, "1:0", "1:1").zero == name
+    with pytest.raises(CoordinatizationError, match="pairwise distinct"):
+        Frame(name, "1:0", copy.deepcopy(name))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -481,3 +481,23 @@ def test_a_warm_relabeled_table_coordinatizes_as_a_fresh_one_from_every_frame(p,
     f0, f1, f2 = frames[-1].members()
     _, found = verify_uniqueness(t, frames[-1])
     assert list(found) == [f0, f1, f2] + [o for o in t.objects if o not in (f0, f1, f2)]
+
+
+def test_coordinatize_parses_as_many_names_at_every_size(monkeypatch):
+    """Scalar ids are read by their place in hom(f0, f0), not parsed from
+    arrow names, so the count does not grow with p."""
+    module = importlib.import_module("projline.candidate")
+    parse, calls = module.parse_arrow, []
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(module, "parse_arrow", counting)
+    counts = []
+    for p in (5, 13):
+        t = from_model(p)
+        calls.clear()
+        assert coordinatize(t).verified
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -18,6 +18,7 @@ from helpers import (
     SWAPPED_NAMES,
     outcome,
     cross_homset_mutation,
+    empty_slot,
     four_object_table,
     group_groupoid,
     reference_doc,
@@ -286,7 +287,7 @@ def _fuzzed(raw: bytes, rng: random.Random, lo: int = 0) -> bytes:
 
 def window_width(table: CandidateTable) -> int:
     """The bytes of each window that ``formats._composites`` reads."""
-    return 8 * formats._spans(formats._encodings(table))[1].shape[-1]
+    return 8 * formats._spans(table)[1].shape[-1]
 
 
 def _long_last_table() -> CandidateTable:
@@ -327,10 +328,11 @@ def test_fast_path_does_not_depend_on_the_block(monkeypatch, block):
 
 
 def patch_keys(monkeypatch, keys) -> None:
-    """Hash the reader's spans with ``keys``.  The kept layout, whose span
-    hashes the old ``_keys`` made, is dropped; monkeypatch puts both back."""
+    """Hash the reader's spans with ``keys``.  The kept slot, whose memo
+    holds span hashes the old ``_keys`` made, is emptied; monkeypatch puts
+    both back."""
     monkeypatch.setattr(formats, "_keys", keys)
-    monkeypatch.setattr(formats, "_kept", None)
+    empty_slot(monkeypatch)
 
 
 def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
@@ -346,7 +348,7 @@ def test_arrows_with_one_hash_are_still_told_apart(monkeypatch):
 def test_a_last_window_that_runs_past_the_end_is_read_in_place(tmp_path):
     table = _long_last_table()
     raw = table.to_json_bytes()
-    longest = max(map(len, formats._encodings(table)))
+    longest = max(map(len, formats._layout(table)[-1]))
     third = raw.rindex(b',"') + 1
     assert raw[third:] == b'"zzzzz>0:1>4:1"]]}\n' and len(raw) - third - 4 == longest
     assert third + window_width(table) > len(raw)

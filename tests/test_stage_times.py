@@ -61,3 +61,21 @@ def test_stage_rows_end_with_a_failing_table(tmp_path):
     report = validate_structure(table)
     assert report.check("endpoints").passed and not report.check("associativity").passed
     assert report.check("associativity").checked == table.n_arrows**3 // table.n_objects**2
+
+
+def test_kept_row_counts_what_the_slot_holds(tmp_path):
+    module = _stage_times()
+    rows = []
+    for p in (5, 7):
+        path = tmp_path / f"f{p}.json"
+        from_model(p).save(str(path))
+        rows.append(module.kept_row(p, str(path)))
+    assert [list(row) for row in rows] == [["p", "stage", "bytes"]] * 2
+    assert [(row["p"], row["stage"]) for row in rows] == [(5, "kept"), (7, "kept")]
+    # The F_7 header's space and memo, every entry filled, and nothing else.
+    table = from_model(7)
+    names = ("_hom", "_ne3", "_hom_i", "_src_i", "_dst_i", "_id_idx")
+    arrays = [getattr(table, name) for name in names]
+    assert len(table._memo) == 7
+    assert rows[1]["bytes"] == module._held(arrays) + module._held(table._memo)
+    assert rows[1]["bytes"] > rows[0]["bytes"] > 0
